@@ -65,6 +65,5 @@ from .risk import (
     dual_feasible_atoms,
 )
 from .scenario import Scenario, ScenarioValidationError, SCENARIO_SCHEMA
-from .parallel import set_atoms_parallel
 
 __version__ = "0.1.0"

@@ -23,7 +23,6 @@ import jsonschema
 
 from .errors import OrliczRiskError
 from .orlicz import amemiya_norm, luxemburg_norm
-from .parallel import set_atoms_parallel
 from .report import write_atoms_csv, write_report_json
 from .risk import DynamicRiskMeasure, dynamic_evaluate, robust_representation
 from .scenario import Scenario
@@ -188,14 +187,11 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="duality-gap and scalarization tolerance")
         p.add_argument("--tol-norm", type=float, default=1e-8,
                        help="norm inequality tolerance")
-        p.add_argument("--atoms-parallel", choices=["on", "off"], default="off",
-                       help="solve atoms on a thread pool (results identical)")
     return parser
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    set_atoms_parallel(args.atoms_parallel == "on")
     try:
         sc = Scenario.from_file(args.scenario)
     except FileNotFoundError as exc:
@@ -226,7 +222,6 @@ def main(argv=None) -> int:
             "seed": args.seed,
             "tol_gap": args.tol_gap,
             "tol_norm": args.tol_norm,
-            "atoms_parallel": args.atoms_parallel == "on",
         },
         "inputs": sc.raw,
         "results": results,

@@ -24,7 +24,6 @@ from .prob_space import (
 )
 from .young import YoungFn, conjugate_young_fn
 from . import solvers
-from .parallel import atoms_map
 
 __all__ = [
     "CondNorm",
@@ -121,7 +120,7 @@ def luxemburg_norm(x: RandomVar, alg: SubAlgebra, phi: YoungFn,
         # infimum is a minimum on a finite space
         return report.arg, True
 
-    solved = atoms_map(solve_atom, alg.atoms)
+    solved = [solve_atom(atom) for atom in alg.atoms]
     values = [v for v, _ in solved]
     attained = [a for _, a in solved]
     return CondNorm(
@@ -184,7 +183,7 @@ def amemiya_norm(x: RandomVar, alg: SubAlgebra, phi: YoungFn,
             ok = True
         return report.value, ok
 
-    solved = atoms_map(solve_atom, alg.atoms)
+    solved = [solve_atom(atom) for atom in alg.atoms]
     values = [v for v, _ in solved]
     attained = [a for _, a in solved]
     return CondNorm(

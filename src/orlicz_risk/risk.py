@@ -31,7 +31,6 @@ from .prob_space import (
     is_measurable,
 )
 from . import solvers
-from .parallel import atoms_map
 
 __all__ = [
     "CondRiskMeasure",
@@ -68,7 +67,7 @@ _FEAS_MEAN_TOL = 1e-10
 class CondRiskMeasure:
     """Immutable description of a conditional convex risk measure: an
     evaluation map, an optional closed-form penalty, and a tag that selects
-    specialized dual solvers."""
+    the closed-form dual certificate."""
 
     evaluate: Callable[[RandomVar, SubAlgebra], RandomVar]
     conjugate_closed_form: Callable[[RandomVar, SubAlgebra], RandomVar] | None
@@ -304,80 +303,83 @@ def fenchel_conjugate(rho: CondRiskMeasure, y: RandomVar, alg: SubAlgebra) -> Ra
     return RandomVar(alg.broadcast(vals), y.space)
 
 
-def _entropic_dual_atom(xa: np.ndarray, w: np.ndarray, gamma: float,
-                        rel_tol: float, x_tol: float) -> tuple[np.ndarray, float, float]:
-    """Maximize E[-x q] - E[q log q]/gamma over the weighted simplex."""
-
-    def g(q: np.ndarray) -> float:
-        return -float(np.dot(w, xa * q)) - float(np.dot(w, _xlogx(q))) / gamma
-
-    def grad(q: np.ndarray) -> np.ndarray:
-        return w * (-xa - (np.log(np.maximum(q, 1e-300)) + 1.0) / gamma)
-
-    report = solvers.simplex_max(g, w, grad=grad, rel_tol=rel_tol, x_tol=x_tol)
-    q = np.asarray(report.arg, dtype=float)
-    q = q / float(np.dot(w, q))
-    penalty = float(np.dot(w, _xlogx(q))) / gamma
-    dual_value = -float(np.dot(w, xa * q)) - penalty
-    return q, penalty, dual_value
+def _gibbs_density(xa: np.ndarray, w: np.ndarray, gamma: float) -> np.ndarray:
+    """The entropic dual maximizer on one atom: q = exp(-gamma*x) / E[exp(-gamma*x)],
+    shifted by the largest exponent so nothing overflows."""
+    a = -gamma * xa
+    e = np.exp(a - a.max())
+    return e / float(np.dot(w, e))
 
 
-def robust_representation(rho: CondRiskMeasure, x: RandomVar, alg: SubAlgebra,
-                          rel_tol: float = 1e-10, x_tol: float = 1e-9) -> DualCertificate:
-    """Maximize the dual objective E[x*y|F] - penalty(y) over feasible
-    densities, per atom, and certify the gap against the primal value.
+def _envelope_density(rho: CondRiskMeasure, x: RandomVar, alg: SubAlgebra,
+                      primal: RandomVar) -> np.ndarray:
+    """The dual maximizer of a black-box measure, read off its gradient.
 
-    Linear dual objectives (worst-case risk) are solved exactly over the
-    simplex vertices with lowest-index tie-breaking; the expected-loss risk
-    has the single feasible zero-penalty density 1; smooth penalties go
-    through projected-gradient ascent on the weighted simplex.
+    By the envelope theorem the backward difference (rho(x - h*e_i) - rho(x))/h
+    on the atom of outcome i tends to w_i*q_i, with w the within-atom weights
+    and q the maximizing density.  Forward differences would miss tied minima
+    of worst-case-like measures, where every one of them is 0.  Cash invariance
+    and convexity make the differences of an atom sum to at least 1, so the
+    normalization to E[q|atom] = 1 never divides by zero."""
+    space = x.space
+    h = 1e-6 * max(1.0, float(np.max(np.abs(x.values))))
+    wq = np.empty(space.n_outcomes)
+    for i in range(space.n_outcomes):
+        shifted = x.values.copy()
+        shifted[i] -= h
+        step = x.values[i] - shifted[i]
+        rho_i = rho.evaluate(RandomVar(shifted, space), alg).values[i]
+        wq[i] = max((rho_i - primal.values[i]) / step, 0.0)
+    q = np.empty(space.n_outcomes)
+    for atom in alg.atoms:
+        idx = list(atom)
+        q[idx] = wq[idx] / _atom_weights(space, atom) / wq[idx].sum()
+    return q
+
+
+def robust_representation(rho: CondRiskMeasure, x: RandomVar,
+                          alg: SubAlgebra) -> DualCertificate:
+    """The maximizer of E[x*y|F] - penalty(y) over feasible densities, per
+    atom, in closed form, with the gap against the primal value.
+
+    Worst-case risk takes the simplex vertex at the lowest-index minimum of x;
+    the expected-loss risk has the single feasible zero-penalty density 1;
+    entropic risk takes the Gibbs density q proportional to exp(-gamma*x); a
+    custom measure takes the envelope density from backward differences of
+    rho, with its penalty from `fenchel_conjugate`.  The gap is the primal
+    value minus the dual objective at that density, each computed on its own,
+    so it measures how good the certificate is.
     """
     _require_finite(x, "robust_representation")
     space = x.space
     primal = rho.evaluate(x, alg)
-    if rho.tag == "custom":
+    if rho.tag not in ("worst_case", "linear", "entropic"):
         _ensure_custom_validated(rho, space, alg)
-
-    def solve_atom(atom) -> tuple[np.ndarray, float, float]:
+        y = RandomVar(-_envelope_density(rho, x, alg, primal), space)
+        penalty = fenchel_conjugate(rho, y, alg)
+        return DualCertificate(y, penalty, primal - (cond_expectation(x * y, alg) - penalty))
+    y_vals = np.empty(space.n_outcomes)
+    pen_atoms = []
+    gap_atoms = []
+    for atom in alg.atoms:
         idx = list(atom)
         w = _atom_weights(space, atom)
         xa = x.values[idx]
         if rho.tag == "worst_case":
             i_star = int(np.argmin(xa))
-            q = np.zeros(len(idx))
-            q[i_star] = 1.0 / w[i_star]
-            return q, 0.0, -float(xa[i_star])
-        if rho.tag == "linear":
-            return np.ones(len(idx)), 0.0, -float(np.dot(w, xa))
-        if rho.tag == "entropic":
-            return _entropic_dual_atom(xa, w, float(rho.params["gamma"]), rel_tol, x_tol)
-        base = np.zeros(space.n_outcomes)
-
-        def penalty_of(q: np.ndarray) -> float:
-            base[idx] = -q
-            yv = RandomVar(base.copy(), space)
-            return float(fenchel_conjugate(rho, yv, alg).values[idx[0]])
-
-        def g(q: np.ndarray) -> float:
-            pen = penalty_of(q)
-            if math.isinf(pen):
-                return -INF
-            return -float(np.dot(w, xa * q)) - pen
-
-        report = solvers.simplex_max(g, w, rel_tol=rel_tol, x_tol=x_tol)
-        q = np.asarray(report.arg, dtype=float)
-        q = q / float(np.dot(w, q))
-        penalty = penalty_of(q)
-        return q, penalty, -float(np.dot(w, xa * q)) - penalty
-
-    solved = atoms_map(solve_atom, alg.atoms)
-    y_vals = np.empty(space.n_outcomes)
-    pen_atoms = []
-    gap_atoms = []
-    for atom, (q, penalty, dual_value) in zip(alg.atoms, solved):
-        idx = list(atom)
-        y_vals[idx] = -q
-        pen_atoms.append(penalty)
+            qa = np.zeros(len(idx))
+            qa[i_star] = 1.0 / w[i_star]
+            pen, dual_value = 0.0, -float(xa[i_star])
+        elif rho.tag == "linear":
+            qa = np.ones(len(idx))
+            pen, dual_value = 0.0, -float(np.dot(w, xa))
+        else:
+            gamma = float(rho.params["gamma"])
+            qa = _gibbs_density(xa, w, gamma)
+            pen = float(np.dot(w, _xlogx(qa))) / gamma
+            dual_value = -float(np.dot(w, xa * qa)) - pen
+        y_vals[idx] = -qa
+        pen_atoms.append(pen)
         gap_atoms.append(float(primal.values[idx[0]]) - dual_value)
     return DualCertificate(
         RandomVar(y_vals, space),

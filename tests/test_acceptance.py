@@ -294,7 +294,8 @@ def test_criterion_09_density_recovery():
 def test_criterion_10_solver_oracles():
     rng = np.random.default_rng(110)
     max_grid_dev = 0.0
-    for size in (2, 3, 4) * 4:
+    max_cert_dev = 0.0
+    for i, size in enumerate((2, 3, 4) * 4):
         w = rng.uniform(0.5, 2.0, size)
         w = w / w.sum()
         xa = rng.uniform(-1.0, 1.0, size)
@@ -324,6 +325,20 @@ def test_criterion_10_solver_oracles():
         _, oracle = grid_simplex_max(gq_batch, w, step=1e-3)
         max_grid_dev = max(max_grid_dev, abs(rep.value - oracle))
 
+        gamma = (0.5, 1.0, 2.0)[i % 3]
+        cert = robust_representation(
+            entropic(gamma), FiniteProbSpace(w).var(xa), SubAlgebra.trivial(size)
+        )
+        q = -cert.y.values
+        cert_value = -float(np.dot(w, xa * q)) - float(cert.penalty.values[0])
+
+        def ge_batch(Q):
+            Qc = np.maximum(Q, 1e-300)
+            return -np.dot(Q * xa + Qc * np.log(Qc) / gamma, w)
+
+        _, oracle = grid_simplex_max(ge_batch, w, step=1e-3)
+        max_cert_dev = max(max_cert_dev, abs(cert_value - oracle))
+
     m = 12.5
     bis = solvers.bisect_monotone(lambda lam: m / lam ** 2, 1.0, 0.5, 2.0)
     bis_dev = abs(bis.arg - math.sqrt(m)) / math.sqrt(m)
@@ -336,10 +351,12 @@ def test_criterion_10_solver_oracles():
             num = conjugate(phi, float(s), use_closed_form=False)
             ref = phi.conjugate_closed_form(float(s))
             conj_dev = max(conj_dev, abs(num - ref) / max(ref, 1e-12))
-    ok = max_grid_dev <= 1e-3 and bis_dev <= 1e-8 and gol_dev <= 1e-8 and conj_dev <= 1e-8
+    ok = (max_grid_dev <= 1e-3 and max_cert_dev <= 1e-3 and bis_dev <= 1e-8
+          and gol_dev <= 1e-8 and conj_dev <= 1e-8)
     _criterion(
-        10, "solvers agree with the grid oracle and closed forms",
-        ok, f"grid dev {max_grid_dev:.2e}, bisect {bis_dev:.2e}, golden {gol_dev:.2e}, conjugate {conj_dev:.2e}",
+        10, "solvers and the entropic certificate agree with the grid oracle and closed forms",
+        ok, f"grid dev {max_grid_dev:.2e}, entropic certificate {max_cert_dev:.2e}, "
+        f"bisect {bis_dev:.2e}, golden {gol_dev:.2e}, conjugate {conj_dev:.2e}",
     )
 
 

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -242,6 +243,65 @@ class TestRobustRepresentation:
                 primal = rho.evaluate(x, alg).values
                 finite = np.isfinite(dual)
                 assert np.all(dual[finite] <= primal[finite] + 1e-8)
+
+
+def assert_exact_certificate(rho, x, alg):
+    cert = robust_representation(rho, x, alg)
+    assert all(dual_feasible_atoms(cert.y, alg))
+    assert np.all(np.abs(cert.gap.values) <= 1e-6)
+    return cert
+
+
+class TestDualEdgeCases:
+    """Inputs on which a numeric dual search failed: it raised, capped the
+    atom size, or returned a large gap without raising."""
+
+    def test_tiny_gamma(self, quarter_space):
+        x = quarter_space.var([0.0, 1.386294361, 0.5, -0.25])
+        assert_exact_certificate(entropic(1e-6), x, SubAlgebra.trivial(4))
+
+    @pytest.mark.parametrize("gamma", [1.0, 5.0])
+    def test_skewed_probabilities(self, gamma):
+        space = FiniteProbSpace(np.array([1.0 - 3e-12, 1e-12, 1e-12, 1e-12]))
+        x = space.var([0.0, -30.0, 0.0, 0.0])
+        assert_exact_certificate(entropic(gamma), x, SubAlgebra.trivial(4))
+
+    @pytest.mark.parametrize("gamma", [2.0, 3.0])
+    def test_large_gamma(self, gamma):
+        space = FiniteProbSpace.uniform(16)
+        x = space.var(np.random.default_rng(3).normal(size=16))
+        assert_exact_certificate(entropic(gamma), x, SubAlgebra.trivial(16))
+
+    def test_atom_of_80_outcomes(self):
+        rng = np.random.default_rng(64)
+        probs = rng.uniform(1.0, 4.0, 80)
+        space = FiniteProbSpace(probs / probs.sum())
+        x = space.var(rng.normal(size=80))
+        assert_exact_certificate(entropic(0.5), x, SubAlgebra.trivial(80))
+
+    def test_many_outcomes_is_fast(self):
+        space = FiniteProbSpace.uniform(1024)
+        alg = SubAlgebra.from_atoms([range(64 * j, 64 * j + 64) for j in range(16)], 1024)
+        x = space.var(np.random.default_rng(11).normal(size=1024))
+        start = time.perf_counter()
+        assert_exact_certificate(entropic(1.0), x, alg)
+        assert time.perf_counter() - start < 0.1
+
+    def test_custom_entropic(self):
+        space = FiniteProbSpace.uniform(8)
+        x = space.var(np.random.default_rng(5).normal(size=8))
+        alg = SubAlgebra.from_atoms([(0, 1, 2), (3, 4, 5, 6, 7)], 8)
+        cert = assert_exact_certificate(custom(entropic(1.0).evaluate), x, alg)
+        for atom in alg.atoms:
+            idx = list(atom)
+            e = np.exp(-x.values[idx])
+            np.testing.assert_allclose(-cert.y.values[idx], e / e.mean(), atol=1e-4)
+
+    def test_custom_worst_case_tied_minima(self):
+        space = FiniteProbSpace.uniform(8)
+        x = space.var([1.0, -2.0, 3.0, -2.0, 0.0, 5.0, -2.0, 1.0])
+        cert = assert_exact_certificate(custom(worst_case().evaluate), x, SubAlgebra.trivial(8))
+        assert np.all(cert.y.values[x.values > -2.0] == 0.0)
 
 
 class TestAttainment:

@@ -218,14 +218,3 @@ class TestCli:
         code = main(["dynamic", str(SCENARIOS / "power2.json"), "--out-dir", str(tmp_path)])
         assert code == 2
         assert "filtration" in capsys.readouterr().err
-
-    def test_parallel_atoms_identical_results(self, tmp_path):
-        d1, d2 = tmp_path / "serial", tmp_path / "parallel"
-        main(["verify", str(SCENARIOS / "entropic4.json"), "--out-dir", str(d1)])
-        main(["verify", str(SCENARIOS / "entropic4.json"), "--out-dir", str(d2),
-              "--atoms-parallel", "on"])
-        a = json.loads((d1 / "entropic4.report.json").read_text())
-        b = json.loads((d2 / "entropic4.report.json").read_text())
-        a["flags"].pop("atoms_parallel")
-        b["flags"].pop("atoms_parallel")
-        assert a == b
