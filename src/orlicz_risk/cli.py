@@ -19,8 +19,6 @@ import json
 import sys
 from pathlib import Path
 
-import jsonschema
-
 from .errors import OrliczRiskError
 from .orlicz import amemiya_norm, luxemburg_norm
 from .report import write_atoms_csv, write_report_json
@@ -199,12 +197,6 @@ def main(argv=None) -> int:
         return 2
     except json.JSONDecodeError as exc:
         print(f"error: {args.scenario}: not valid JSON: {exc}", file=sys.stderr)
-        return 2
-    except jsonschema.ValidationError as exc:
-        path = "$" + "".join(
-            f"[{p}]" if isinstance(p, int) else f".{p}" for p in exc.absolute_path
-        )
-        print(f"error: {args.scenario}: {path}: {exc.message}", file=sys.stderr)
         return 2
     except OrliczRiskError as exc:
         print(f"error: {args.scenario}: {exc}", file=sys.stderr)

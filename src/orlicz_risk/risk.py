@@ -31,6 +31,7 @@ from .prob_space import (
     is_measurable,
 )
 from . import solvers
+from .young import spec_number
 
 __all__ = [
     "CondRiskMeasure",
@@ -209,7 +210,7 @@ def risk_from_spec(spec: Mapping) -> CondRiskMeasure:
     measure = spec.get("measure")
     params = spec.get("params", {})
     if measure == "entropic":
-        return entropic(params["gamma"])
+        return entropic(spec_number(params, "gamma"))
     if measure == "worst_case":
         return worst_case()
     if measure == "linear":

@@ -2,8 +2,8 @@
 
 A scenario names its outcomes explicitly; algebras and positions reference
 outcome labels rather than indices so fixtures survive reordering.  The
-schema below is enforced on load, followed by semantic validation with
-path-and-field diagnostics.
+schema below is enforced on load by `_check_schema`, followed by semantic
+validation with path-and-field diagnostics.
 """
 
 from __future__ import annotations
@@ -14,9 +14,8 @@ from pathlib import Path
 from typing import Mapping
 
 import numpy as np
-import jsonschema
 
-from .errors import StructuralError
+from .errors import ParameterError, StructuralError
 from .prob_space import FiniteProbSpace, Filtration, RandomVar, SubAlgebra
 from .risk import CondRiskMeasure, risk_from_spec
 from .young import YoungFn, young_from_spec
@@ -94,6 +93,50 @@ class ScenarioValidationError(StructuralError):
         self.path = path
 
 
+_TYPES = {"object": dict, "array": list, "string": str}
+
+
+def _check_schema(value, schema: Mapping, path: str = "$") -> None:
+    """Raise ScenarioValidationError at the first place `value` breaks `schema`.
+
+    Covers exactly the keywords SCENARIO_SCHEMA uses, with JSON Schema
+    meaning: type, enum, minLength, minItems, items, minProperties, required,
+    properties and additionalProperties."""
+    kind = schema.get("type")
+    if kind == "number":
+        ok = isinstance(value, (int, float)) and not isinstance(value, bool)
+    else:
+        ok = kind is None or isinstance(value, _TYPES[kind])
+    if not ok:
+        raise ScenarioValidationError(path, f"expected {kind}, got {type(value).__name__}")
+    if "enum" in schema and value not in schema["enum"]:
+        raise ScenarioValidationError(path, f"{value!r} is not one of {schema['enum']!r}")
+    if isinstance(value, str) and len(value) < schema.get("minLength", 0):
+        raise ScenarioValidationError(
+            path, f"must have at least {schema['minLength']} characters")
+    if isinstance(value, list):
+        if len(value) < schema.get("minItems", 0):
+            raise ScenarioValidationError(path, f"must have at least {schema['minItems']} items")
+        if "items" in schema:
+            for i, item in enumerate(value):
+                _check_schema(item, schema["items"], f"{path}[{i}]")
+    if isinstance(value, dict):
+        if len(value) < schema.get("minProperties", 0):
+            raise ScenarioValidationError(
+                path, f"must have at least {schema['minProperties']} properties")
+        for key in schema.get("required", ()):
+            if key not in value:
+                raise ScenarioValidationError(path, f"{key!r} is a required property")
+        properties = schema.get("properties", {})
+        additional = schema.get("additionalProperties", True)
+        for key, item in value.items():
+            sub = properties.get(key, additional)
+            if sub is False:
+                raise ScenarioValidationError(path, f"unexpected property {key!r}")
+            if sub is not True:
+                _check_schema(item, sub, f"{path}.{key}")
+
+
 @dataclass(frozen=True)
 class Scenario:
     name: str
@@ -106,18 +149,9 @@ class Scenario:
     risk: CondRiskMeasure
     raw: dict
 
-    @property
-    def filtration(self) -> Filtration | None:
-        if self.filtration_names is None:
-            return None
-        return Filtration(tuple(self.algebras[n] for n in self.filtration_names))
-
-    def to_dict(self) -> dict:
-        return self.raw
-
     @classmethod
     def from_dict(cls, data: Mapping) -> "Scenario":
-        jsonschema.validate(data, SCENARIO_SCHEMA)
+        _check_schema(data, SCENARIO_SCHEMA)
 
         labels = [o["label"] for o in data["outcomes"]]
         if len(set(labels)) != len(labels):
@@ -141,17 +175,24 @@ class Scenario:
             seen: set[str] = set()
             index_atoms = []
             for j, atom in enumerate(atoms):
+                in_atom: set[str] = set()
                 for lab in atom:
                     if lab not in index_of:
                         raise ScenarioValidationError(
                             f"$.algebras.{alg_name}[{j}]", f"unknown outcome label {lab!r}"
+                        )
+                    if lab in in_atom:
+                        raise ScenarioValidationError(
+                            f"$.algebras.{alg_name}[{j}]",
+                            f"label {lab!r} is repeated within atom {j}",
                         )
                     if lab in seen:
                         raise ScenarioValidationError(
                             f"$.algebras.{alg_name}[{j}]",
                             f"label {lab!r} appears in more than one atom",
                         )
-                    seen.add(lab)
+                    in_atom.add(lab)
+                seen |= in_atom
                 index_atoms.append(tuple(index_of[lab] for lab in atom))
             if seen != set(labels):
                 missing = sorted(set(labels) - seen)
@@ -185,6 +226,15 @@ class Scenario:
             values = np.array([mapping[lab] for lab in labels], dtype=float)
             positions[pos_name] = RandomVar(values, space)
 
+        try:
+            young = young_from_spec(data["young"])
+        except ParameterError as exc:
+            raise ScenarioValidationError("$.young.params", str(exc)) from exc
+        try:
+            risk = risk_from_spec(data["risk"])
+        except ParameterError as exc:
+            raise ScenarioValidationError("$.risk.params", str(exc)) from exc
+
         return cls(
             name=data["name"],
             space=space,
@@ -192,8 +242,8 @@ class Scenario:
             algebras=algebras,
             filtration_names=filtration_names,
             positions=positions,
-            young=young_from_spec(data["young"]),
-            risk=risk_from_spec(data["risk"]),
+            young=young,
+            risk=risk,
             raw=json.loads(json.dumps(data)),
         )
 

@@ -8,6 +8,7 @@ here; multiplying 0 by inf is trapped as a contract violation.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
@@ -168,19 +169,48 @@ def make_piecewise(knots, slopes) -> YoungFn:
     )
 
 
+def _as_number(name: str, value) -> float:
+    # False for NaN, inf and integers too large for a float
+    finite = isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
+    if isinstance(value, bool) or not finite:
+        raise ParameterError(f"parameter {name} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def spec_number(params: Mapping, name: str, default: float | None = None) -> float:
+    """`params[name]` of a scenario entry as a float (`default` when absent and
+    given); a missing, non-numeric or non-finite value raises ParameterError
+    naming it."""
+    if name not in params:
+        if default is None:
+            raise ParameterError(f"missing parameter {name!r}")
+        return default
+    return _as_number(repr(name), params[name])
+
+
+def _spec_numbers(params: Mapping, name: str) -> list[float]:
+    """`params[name]` of a scenario entry as a list of floats; raises
+    ParameterError naming the parameter or item that is missing or not a
+    finite number."""
+    values = params.get(name)
+    if not isinstance(values, (list, tuple)):
+        raise ParameterError(f"parameter {name!r} must be a list of numbers, got {values!r}")
+    return [_as_number(f"'{name}[{i}]'", v) for i, v in enumerate(values)]
+
+
 def young_from_spec(spec: Mapping) -> YoungFn:
     """Build a Young function from a scenario entry
     {"family": "power"|"linf"|"exp"|"piecewise", "params": {...}}."""
     family = spec.get("family")
     params = spec.get("params", {})
     if family == "power":
-        return make_power(params["p"])
+        return make_power(spec_number(params, "p"))
     if family == "linf":
         return make_linf()
     if family == "exp":
-        return make_exp(params.get("scale", 1.0))
+        return make_exp(spec_number(params, "scale", 1.0))
     if family == "piecewise":
-        return make_piecewise(params["knots"], params["slopes"])
+        return make_piecewise(_spec_numbers(params, "knots"), _spec_numbers(params, "slopes"))
     raise ParameterError(f"unknown Young family {family!r}")
 
 

@@ -1,14 +1,22 @@
+import copy
 import json
 import math
+import os
+import random
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from orlicz_risk import Scenario, ScenarioValidationError
+from orlicz_risk import SCENARIO_SCHEMA, Scenario, ScenarioValidationError
 from orlicz_risk.cli import main
+from orlicz_risk.scenario import _check_schema
 
-SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
+ROOT = Path(__file__).resolve().parents[1]
+SCENARIOS = ROOT / "scenarios"
+BUNDLED = sorted(SCENARIOS.glob("*.json"))
 
 
 @pytest.fixture
@@ -84,6 +92,20 @@ class TestScenarioParsing:
             Scenario.from_dict(data)
         assert "$.algebras.F[0]" in str(err.value)
 
+    def test_label_repeated_within_atom(self):
+        data = {
+            "name": "bad",
+            "outcomes": [{"label": "a", "prob": 1.0}],
+            "algebras": {"F": [["a", "a"]]},
+            "positions": {"x": {"a": 1.0}},
+            "young": {"family": "linf"},
+            "risk": {"measure": "linear"},
+        }
+        with pytest.raises(ScenarioValidationError) as err:
+            Scenario.from_dict(data)
+        assert err.value.path == "$.algebras.F[0]"
+        assert "repeated within atom 0" in str(err.value)
+
     def test_position_must_cover_labels(self):
         data = {
             "name": "bad",
@@ -116,6 +138,91 @@ class TestScenarioParsing:
         with pytest.raises(ScenarioValidationError) as err:
             Scenario.from_dict(data)
         assert "$.filtration" in str(err.value)
+
+
+# Values of every JSON type, some of them valid in one place of the schema.
+_JUNK = [None, True, False, 0, 1, -2.5, "", "x", "w1", "power", "entropic",
+         [], [1], ["w1"], [[]], [["w1"]], {}, {"w1": 1.0}, {"label": "a", "prob": 1.0}]
+_NEW_KEYS = ["zz", "params", "filtration", "label", "prob", "name"]
+
+
+def _slots(node):
+    """Every (container, key-or-index) pair below `node`."""
+    if isinstance(node, dict):
+        items = list(node.items())
+    elif isinstance(node, list):
+        items = list(enumerate(node))
+    else:
+        return []
+    out = []
+    for key, child in items:
+        out.append((node, key))
+        out.extend(_slots(child))
+    return out
+
+
+def _mutate(doc, rng):
+    for _ in range(rng.randint(1, 3)):
+        slots = _slots(doc)
+        op = rng.choice(("replace", "delete", "add"))
+        if op == "add" or not slots:
+            dicts = [doc] + [c[k] for c, k in slots if isinstance(c[k], dict)]
+            rng.choice(dicts)[rng.choice(_NEW_KEYS)] = copy.deepcopy(rng.choice(_JUNK))
+            continue
+        container, key = rng.choice(slots)
+        if op == "replace":
+            container[key] = copy.deepcopy(rng.choice(_JUNK))
+        else:
+            del container[key]
+    return doc
+
+
+class TestSchemaChecker:
+    def test_agrees_with_jsonschema_on_mutated_scenarios(self):
+        jsonschema = pytest.importorskip("jsonschema")
+        oracle = jsonschema.Draft202012Validator(SCENARIO_SCHEMA)
+        bundled = [json.loads(p.read_text()) for p in BUNDLED]
+        rng = random.Random(20161018)
+        verdicts = {True: 0, False: 0}
+        for _ in range(3000):
+            doc = _mutate(copy.deepcopy(rng.choice(bundled)), rng)
+            errors = list(oracle.iter_errors(doc))
+            try:
+                _check_schema(doc, SCENARIO_SCHEMA)
+                accepted = True
+            except ScenarioValidationError as exc:
+                accepted = False
+                if len(errors) == 1:
+                    expected = "$" + "".join(
+                        f"[{p}]" if isinstance(p, int) else f".{p}"
+                        for p in errors[0].absolute_path
+                    )
+                    assert exc.path == expected, doc
+            assert accepted == (not errors), doc
+            verdicts[accepted] += 1
+        # both verdicts must be common, or the comparison shows little
+        assert min(verdicts.values()) > 300, verdicts
+
+    @pytest.mark.parametrize("edit, path", [
+        (lambda d: d["outcomes"][0].update(prob=True), "$.outcomes[0].prob"),
+        (lambda d: d["young"].update(family="cosh"), "$.young.family"),
+    ], ids=["bool_prob", "unknown_family"])
+    def test_from_dict_raises_scenario_error_with_path(self, edit, path):
+        data = json.loads((SCENARIOS / "entropic4.json").read_text())
+        edit(data)
+        with pytest.raises(ScenarioValidationError) as err:
+            Scenario.from_dict(data)
+        assert err.value.path == path
+
+    def test_import_does_not_load_jsonschema(self):
+        out = subprocess.run(
+            [sys.executable, "-c",
+             "import orlicz_risk, sys; print('jsonschema' in sys.modules)"],
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(
+                [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])},
+            capture_output=True, text=True, check=True,
+        )
+        assert out.stdout.strip() == "False"
 
 
 class TestCli:
@@ -183,6 +290,25 @@ class TestCli:
         code = main(["norm", str(bad), "--out-dir", str(tmp_path)])
         assert code == 2
         assert "young" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("section, params", [
+        ("young", {"family": "power", "params": {"p": "two"}}),
+        ("young", {"family": "power", "params": {"p": None}}),
+        ("young", {"family": "exp", "params": {"scale": [1]}}),
+        ("young", {"family": "power", "params": {"q": 2}}),
+        ("young", {"family": "piecewise", "params": {"knots": [1.0]}}),
+        ("young", {"family": "power", "params": {"p": math.nan}}),
+        ("risk", {"measure": "entropic", "params": {"gamma": "x"}}),
+        ("risk", {"measure": "entropic", "params": {"gama": 1}}),
+        ("risk", {"measure": "entropic", "params": {"gamma": math.inf}}),
+    ])
+    def test_bad_parameters_exit_two_with_path(self, tmp_path, capsys, section, params):
+        data = json.loads((SCENARIOS / "entropic4.json").read_text())
+        data[section] = params
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        assert main(["norm", str(bad), "--out-dir", str(tmp_path)]) == 2
+        assert f"$.{section}.params: " in capsys.readouterr().err
 
     def test_not_json_exit_two(self, tmp_path):
         bad = tmp_path / "bad.json"
