@@ -64,7 +64,7 @@ def _cmd_risk(sc: Scenario, args) -> tuple[dict, list[dict], bool]:
         results[pos_name] = {}
         for alg_name, alg in sc.algebras.items():
             value = sc.risk.evaluate(x, alg)
-            per_atom = [float(value.values[list(atom)[0]]) for atom in alg.atoms]
+            per_atom = value.values[alg.first].tolist()
             results[pos_name][alg_name] = per_atom
             for k, v in enumerate(per_atom):
                 rows.append({
@@ -83,8 +83,8 @@ def _cmd_dual(sc: Scenario, args) -> tuple[dict, list[dict], bool]:
         results[pos_name] = {}
         for alg_name, alg in sc.algebras.items():
             cert = robust_representation(sc.risk, x, alg)
-            gap = [float(cert.gap.values[list(atom)[0]]) for atom in alg.atoms]
-            pen = [float(cert.penalty.values[list(atom)[0]]) for atom in alg.atoms]
+            gap = cert.gap.values[alg.first].tolist()
+            pen = cert.penalty.values[alg.first].tolist()
             results[pos_name][alg_name] = {
                 "y": cert.y.values.tolist(),
                 "penalty": pen,
@@ -140,7 +140,7 @@ def _cmd_dynamic(sc: Scenario, args) -> tuple[dict, list[dict], bool]:
         results[pos_name] = {}
         for t, (alg_name, value) in enumerate(zip(sc.filtration_names, stage_values)):
             alg = sc.algebras[alg_name]
-            per_atom = [float(value.values[list(atom)[0]]) for atom in alg.atoms]
+            per_atom = value.values[alg.first].tolist()
             results[pos_name][f"stage{t}:{alg_name}"] = per_atom
             for k, v in enumerate(per_atom):
                 rows.append({

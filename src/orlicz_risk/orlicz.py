@@ -20,6 +20,8 @@ from .prob_space import (
     RandomVar,
     SubAlgebra,
     FiniteProbSpace,
+    _atom_weights,
+    _require_finite,
     cond_expectation,
 )
 from .young import YoungFn, conjugate_young_fn
@@ -47,19 +49,6 @@ class CondNorm:
     attained: tuple[bool, ...]
     atom_values: np.ndarray
 
-    def value_on_atom(self, k: int) -> float:
-        return float(self.atom_values[k])
-
-
-def _atom_weights(space: FiniteProbSpace, atom) -> np.ndarray:
-    p = space.probs[list(atom)]
-    return p / p.sum()
-
-
-def _require_finite(x: RandomVar, what: str):
-    if not x.is_finite():
-        raise ContractError(f"{what} requires finite values")
-
 
 def _bracket_thresholds(phi: YoungFn) -> tuple[float, float]:
     """A point T with phi(T) >= 1 and a point t0 with phi(t0) <= 1, used to
@@ -84,6 +73,26 @@ def _bracket_thresholds(phi: YoungFn) -> tuple[float, float]:
     return t_star, t0
 
 
+def _atomwise_norm(x: RandomVar, alg: SubAlgebra, method: str, rel_tol: float,
+                   solve_atom: Callable[[int, np.ndarray, np.ndarray, float], tuple[float, bool]],
+                   ) -> CondNorm:
+    """Run `solve_atom(k, |x| on atom k, weights within atom k, max |x| on
+    atom k)` on every atom where x does not vanish; such atoms get 0,
+    attained."""
+    _require_finite(x, f"{method}_norm")
+    absx = np.abs(x.values)
+    weights = _atom_weights(x.space, alg)
+    peaks = alg.atom_max(absx)
+    values = np.zeros(alg.n_atoms)
+    attained = [True] * alg.n_atoms
+    for k, idx in enumerate(np.split(alg.order, alg.starts[1:])):
+        if peaks[k] > 0.0:
+            values[k], attained[k] = solve_atom(k, absx[idx], weights[idx], float(peaks[k]))
+    return CondNorm(
+        RandomVar(alg.broadcast(values), x.space), method, rel_tol, tuple(attained), values
+    )
+
+
 def luxemburg_norm(x: RandomVar, alg: SubAlgebra, phi: YoungFn,
                    rel_tol: float = 1e-10) -> CondNorm:
     """Per atom: inf{lam > 0 : E[phi(|x|/lam) | atom] <= 1}, by bisection on
@@ -93,43 +102,28 @@ def luxemburg_norm(x: RandomVar, alg: SubAlgebra, phi: YoungFn,
     exact formula max|x| / threshold, which is used instead of bisection so
     the sup-norm case is exact.
     """
-    _require_finite(x, "luxemburg_norm")
-    absx = np.abs(x.values)
+    if phi.step_threshold is not None:
+        threshold = phi.step_threshold
+        at_threshold = phi.eval(threshold) <= 1.0
+        return _atomwise_norm(x, alg, "luxemburg", rel_tol,
+                              lambda k, xa, w, m: (m / threshold, at_threshold))
+    t_star, t0 = _bracket_thresholds(phi)
 
-    def solve_atom(atom) -> tuple[float, bool]:
-        idx = list(atom)
-        xa = absx[idx]
-        m = float(xa.max())
-        if m == 0.0:
-            return 0.0, True
-        if phi.step_threshold is not None:
-            return m / phi.step_threshold, phi.eval(phi.step_threshold) <= 1.0
-        w = _atom_weights(x.space, atom)
-
+    def solve_atom(k: int, xa: np.ndarray, w: np.ndarray, m: float) -> tuple[float, bool]:
         def modular(lam: float) -> float:
             return float(sum(wi * phi.eval(v / lam) for wi, v in zip(w, xa)))
 
-        t_star, t0 = _bracket_thresholds(phi)
         try:
             report = solvers.bisect_monotone(modular, 1.0, m / t_star, m / t0, rel_tol)
         except BracketError as exc:
             raise DivergenceError(
-                f"modular never reached 1 for atom {atom}: {exc}"
+                f"modular never reached 1 for atom {alg.atoms[k]}: {exc}"
             ) from exc
         # the modular is continuous in lam for the non-step families, so the
         # infimum is a minimum on a finite space
         return report.arg, True
 
-    solved = [solve_atom(atom) for atom in alg.atoms]
-    values = [v for v, _ in solved]
-    attained = [a for _, a in solved]
-    return CondNorm(
-        RandomVar(alg.broadcast(values), x.space),
-        "luxemburg",
-        rel_tol,
-        tuple(attained),
-        np.asarray(values),
-    )
+    return _atomwise_norm(x, alg, "luxemburg", rel_tol, solve_atom)
 
 
 def amemiya_norm(x: RandomVar, alg: SubAlgebra, phi: YoungFn,
@@ -141,17 +135,8 @@ def amemiya_norm(x: RandomVar, alg: SubAlgebra, phi: YoungFn,
     finite; infima only approached as lam grows (linear-growth phi) or at the
     finite-domain barrier are reported as limit values with attained=False.
     """
-    _require_finite(x, "amemiya_norm")
-    absx = np.abs(x.values)
 
-    def solve_atom(atom) -> tuple[float, bool]:
-        idx = list(atom)
-        xa = absx[idx]
-        m = float(xa.max())
-        if m == 0.0:
-            return 0.0, True
-        w = _atom_weights(x.space, atom)
-
+    def solve_atom(k: int, xa: np.ndarray, w: np.ndarray, m: float) -> tuple[float, bool]:
         def objective_loglam(u: float) -> float:
             lam = math.exp(u)
             total = 1.0
@@ -183,16 +168,7 @@ def amemiya_norm(x: RandomVar, alg: SubAlgebra, phi: YoungFn,
             ok = True
         return report.value, ok
 
-    solved = [solve_atom(atom) for atom in alg.atoms]
-    values = [v for v, _ in solved]
-    attained = [a for _, a in solved]
-    return CondNorm(
-        RandomVar(alg.broadcast(values), x.space),
-        "amemiya",
-        rel_tol,
-        tuple(attained),
-        np.asarray(values),
-    )
+    return _atomwise_norm(x, alg, "amemiya", rel_tol, solve_atom)
 
 
 def pairing(x: RandomVar, y: RandomVar, alg: SubAlgebra) -> RandomVar:
@@ -254,11 +230,10 @@ def recover_density(mu: Callable[[RandomVar], RandomVar], space: FiniteProbSpace
                     f"functional is not local on atom {atom}: deviation {masked:.3e}"
                 )
 
+    atom_prob = alg.broadcast(alg.atom_sum(space.probs))
     y = np.empty(n)
     for omega in range(n):
-        atom = alg.atoms[alg.atom_of[omega]]
-        pa = float(space.probs[list(atom)].sum())
-        y[omega] = mu(space.indicator([omega])).values[omega] * pa / space.probs[omega]
+        y[omega] = mu(space.indicator([omega])).values[omega] * atom_prob[omega] / space.probs[omega]
     density = RandomVar(y, space)
 
     for _ in range(probes):

@@ -73,33 +73,38 @@ class FiniteProbSpace:
 @dataclass(frozen=True)
 class SubAlgebra:
     """A sub-sigma-algebra given by its atoms: disjoint nonempty index sets
-    covering all outcomes."""
+    covering all outcomes.
+
+    `atom_of[i]` is the atom containing outcome i.  Every per-atom
+    computation runs over one segment layout built here: `order` lists the
+    outcomes atom by atom, ascending inside each atom, and atom k is the
+    segment of `order` that begins at `starts[k]`.  `first` holds the lowest
+    outcome of each atom, where a measurable value is read.
+    """
 
     atoms: tuple[tuple[int, ...], ...]
     n_outcomes: int
 
     def __post_init__(self):
         atoms = tuple(tuple(int(i) for i in atom) for atom in self.atoms)
-        seen: set[int] = set()
-        for atom in atoms:
-            if not atom:
-                raise StructuralError("atoms must be nonempty")
-            if seen.intersection(atom):
-                raise StructuralError("atoms must be pairwise disjoint")
-            seen.update(atom)
+        if not all(atoms):
+            raise StructuralError("atoms must be nonempty")
+        flat = [i for atom in atoms for i in atom]
+        seen = set(flat)
+        if len(seen) != len(flat):
+            raise StructuralError("atoms must be pairwise disjoint and repeat no outcome")
         if seen != set(range(self.n_outcomes)):
             raise StructuralError("atoms must cover exactly the outcome indices 0..n-1")
         object.__setattr__(self, "atoms", atoms)
+        sizes = np.array([len(atom) for atom in atoms], dtype=int)
         atom_of = np.empty(self.n_outcomes, dtype=int)
-        for k, atom in enumerate(atoms):
-            atom_of[list(atom)] = k
-        atom_of.setflags(write=False)
-        object.__setattr__(self, "_atom_of", atom_of)
-
-    @property
-    def atom_of(self) -> np.ndarray:
-        """Index of the atom containing each outcome."""
-        return self._atom_of
+        atom_of[flat] = np.repeat(np.arange(len(atoms)), sizes)
+        order = np.argsort(atom_of, kind="stable")
+        starts = np.cumsum(sizes) - sizes
+        for name, array in (("atom_of", atom_of), ("order", order),
+                            ("starts", starts), ("first", order[starts])):
+            array.setflags(write=False)
+            object.__setattr__(self, name, array)
 
     @property
     def n_atoms(self) -> int:
@@ -119,14 +124,24 @@ class SubAlgebra:
     def discrete(cls, n_outcomes: int) -> "SubAlgebra":
         return cls(tuple((i,) for i in range(n_outcomes)), n_outcomes)
 
+    def atom_sum(self, values) -> np.ndarray:
+        """Sum over each atom along the last (outcome) axis."""
+        return np.add.reduceat(np.asarray(values)[..., self.order], self.starts, axis=-1)
+
+    def atom_max(self, values) -> np.ndarray:
+        """Maximum over each atom along the last (outcome) axis."""
+        return np.maximum.reduceat(np.asarray(values)[..., self.order], self.starts, axis=-1)
+
+    def atom_min(self, values) -> np.ndarray:
+        """Minimum over each atom along the last (outcome) axis."""
+        return np.minimum.reduceat(np.asarray(values)[..., self.order], self.starts, axis=-1)
+
     def refines(self, coarser: "SubAlgebra") -> bool:
         """True iff every atom of self lies inside a single atom of `coarser`."""
         if self.n_outcomes != coarser.n_outcomes:
             return False
-        for atom in self.atoms:
-            if len({coarser.atom_of[i] for i in atom}) != 1:
-                return False
-        return True
+        label = coarser.atom_of
+        return bool(np.array_equal(label, label[self.first][self.atom_of]))
 
     def broadcast(self, atom_values: Sequence[float]) -> np.ndarray:
         """Expand one value per atom into a full outcome vector."""
@@ -197,39 +212,35 @@ def _check_dims(x: RandomVar, alg: SubAlgebra):
         )
 
 
+def _require_finite(x: RandomVar, what: str):
+    if not x.is_finite():
+        raise ContractError(f"{what} requires finite values")
+
+
+def _atom_weights(space: FiniteProbSpace, alg: SubAlgebra) -> np.ndarray:
+    """Each outcome's probability within its atom: p_w / P(A) for w in A."""
+    return space.probs / alg.atom_sum(space.probs)[alg.atom_of]
+
+
 def cond_expectation(x: RandomVar, alg: SubAlgebra) -> RandomVar:
     """Conditional expectation of x given the algebra: on each atom A the
     probability-weighted average sum(p_w x_w) / P(A)."""
     _check_dims(x, alg)
-    if not x.is_finite():
-        raise ContractError("conditional expectation requires finite values")
+    _require_finite(x, "conditional expectation")
     p = x.space.probs
-    out = np.empty_like(x.values)
-    for atom in alg.atoms:
-        idx = list(atom)
-        pa = p[idx]
-        out[idx] = float(np.dot(pa, x.values[idx]) / pa.sum())
-    return RandomVar(out, x.space)
+    return RandomVar(alg.broadcast(alg.atom_sum(p * x.values) / alg.atom_sum(p)), x.space)
 
 
 def ess_sup_cond(x: RandomVar, alg: SubAlgebra) -> RandomVar:
     """Per-atom maximum of x, as a measurable variable of the algebra."""
     _check_dims(x, alg)
-    out = np.empty_like(x.values)
-    for atom in alg.atoms:
-        idx = list(atom)
-        out[idx] = np.max(x.values[idx])
-    return RandomVar(out, x.space)
+    return RandomVar(alg.broadcast(alg.atom_max(x.values)), x.space)
 
 
 def ess_inf_cond(x: RandomVar, alg: SubAlgebra) -> RandomVar:
     """Per-atom minimum of x, as a measurable variable of the algebra."""
     _check_dims(x, alg)
-    out = np.empty_like(x.values)
-    for atom in alg.atoms:
-        idx = list(atom)
-        out[idx] = np.min(x.values[idx])
-    return RandomVar(out, x.space)
+    return RandomVar(alg.broadcast(alg.atom_min(x.values)), x.space)
 
 
 def concatenate(pieces: Sequence[RandomVar], partition: SubAlgebra) -> RandomVar:
@@ -239,25 +250,17 @@ def concatenate(pieces: Sequence[RandomVar], partition: SubAlgebra) -> RandomVar
         raise StructuralError(
             f"got {len(pieces)} pieces for {partition.n_atoms} atoms"
         )
-    space = pieces[0].space
     for piece in pieces:
         _check_dims(piece, partition)
-    out = np.empty(partition.n_outcomes)
-    for k, atom in enumerate(partition.atoms):
-        idx = list(atom)
-        out[idx] = pieces[k].values[idx]
-    return RandomVar(out, space)
+    stacked = np.stack([piece.values for piece in pieces])
+    out = stacked[partition.atom_of, np.arange(partition.n_outcomes)]
+    return RandomVar(out, pieces[0].space)
 
 
 def is_measurable(x: RandomVar, alg: SubAlgebra) -> bool:
     """True iff x is constant on every atom (exact equality)."""
     _check_dims(x, alg)
-    for atom in alg.atoms:
-        idx = list(atom)
-        first = x.values[idx[0]]
-        if not np.all(x.values[idx] == first):
-            return False
-    return True
+    return bool(np.array_equal(x.values, x.values[alg.first][alg.atom_of]))
 
 
 @dataclass(frozen=True)

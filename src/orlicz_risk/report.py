@@ -8,9 +8,12 @@ as the strings "inf" / "-inf".
 
 from __future__ import annotations
 
+import json
 import math
 from pathlib import Path
 from typing import Mapping, Sequence
+
+import numpy as np
 
 __all__ = ["fmt12", "canonical_dumps", "write_report_json", "write_atoms_csv", "CSV_COLUMNS"]
 
@@ -38,8 +41,6 @@ def _encode(obj) -> str:
             return '"inf"' if obj > 0 else '"-inf"'
         return fmt12(obj)
     if isinstance(obj, str):
-        import json
-
         return json.dumps(obj, ensure_ascii=True)
     if isinstance(obj, Mapping):
         items = sorted(obj.items(), key=lambda kv: str(kv[0]))
@@ -47,17 +48,12 @@ def _encode(obj) -> str:
         return "{" + inner + "}"
     if isinstance(obj, (list, tuple)):
         return "[" + ",".join(_encode(v) for v in obj) + "]"
-    try:
-        import numpy as np
-
-        if isinstance(obj, np.ndarray):
-            return _encode(obj.tolist())
-        if isinstance(obj, (np.floating,)):
-            return _encode(float(obj))
-        if isinstance(obj, (np.integer,)):
-            return _encode(int(obj))
-    except ImportError:  # pragma: no cover
-        pass
+    if isinstance(obj, np.ndarray):
+        return _encode(obj.tolist())
+    if isinstance(obj, np.floating):
+        return _encode(float(obj))
+    if isinstance(obj, np.integer):
+        return _encode(int(obj))
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 

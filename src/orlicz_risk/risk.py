@@ -5,9 +5,10 @@ of the conditioning algebra and is monotone (decreasing), convex against
 measurable weights, and cash invariant.  Its penalty function (the Fenchel
 conjugate) is finite only on densities y <= 0 with conditional mean -1, and
 the risk value is recovered as the supremum of E[x*y|F] - penalty(y) over
-those densities.  On a finite space everything decomposes per atom and the
-supremum is a finite-dimensional concave maximization over a weighted
-simplex.
+those densities.  On a finite space everything decomposes per atom, and the
+maximizing density, the dual certificate, is computed in closed form for the
+entropic, worst-case and expected-loss measures and read off the gradient for
+a black-box one.
 """
 
 from __future__ import annotations
@@ -25,13 +26,15 @@ from .prob_space import (
     Filtration,
     RandomVar,
     SubAlgebra,
+    _atom_weights,
+    _require_finite,
     concatenate,
     cond_expectation,
     ess_sup_cond,
     is_measurable,
 )
 from . import solvers
-from .young import spec_number
+from .young import reject_unknown, spec_number
 
 __all__ = [
     "CondRiskMeasure",
@@ -98,16 +101,6 @@ class DynamicRiskMeasure:
         object.__setattr__(self, "stages", stages)
 
 
-def _atom_weights(space: FiniteProbSpace, atom) -> np.ndarray:
-    p = space.probs[list(atom)]
-    return p / p.sum()
-
-
-def _require_finite(x: RandomVar, what: str):
-    if not x.is_finite():
-        raise ContractError(f"{what} requires finite values")
-
-
 def _xlogx(q: np.ndarray) -> np.ndarray:
     q = np.maximum(q, 0.0)
     return np.where(q > 0.0, q * np.log(np.maximum(q, 1e-300)), 0.0)
@@ -115,14 +108,9 @@ def _xlogx(q: np.ndarray) -> np.ndarray:
 
 def dual_feasible_atoms(y: RandomVar, alg: SubAlgebra) -> list[bool]:
     """Per atom: y <= 0 within 1e-12 and E[y | atom] = -1 within 1e-10."""
-    out = []
-    for atom in alg.atoms:
-        idx = list(atom)
-        ya = y.values[idx]
-        w = _atom_weights(y.space, atom)
-        ok = bool(np.all(ya <= _FEAS_SIGN_TOL)) and abs(float(np.dot(w, ya)) + 1.0) <= _FEAS_MEAN_TOL
-        out.append(ok)
-    return out
+    sign_ok = alg.atom_max(y.values) <= _FEAS_SIGN_TOL
+    mean = alg.atom_sum(_atom_weights(y.space, alg) * y.values)
+    return (sign_ok & (np.abs(mean + 1.0) <= _FEAS_MEAN_TOL)).tolist()
 
 
 def entropic(gamma: float) -> CondRiskMeasure:
@@ -135,29 +123,20 @@ def entropic(gamma: float) -> CondRiskMeasure:
 
     def evaluate(x: RandomVar, alg: SubAlgebra) -> RandomVar:
         _require_finite(x, "entropic risk")
-        vals = []
-        for atom in alg.atoms:
-            idx = list(atom)
-            w = _atom_weights(x.space, atom)
-            a = -gamma * x.values[idx]
-            shift = float(a.max())
-            # dividing by the float sum of the weights keeps rho(const) exact
-            mean = float(np.dot(w, np.exp(a - shift))) / float(w.sum())
-            vals.append((shift + math.log(mean)) / gamma)
-        return RandomVar(alg.broadcast(vals), x.space)
+        p = x.space.probs
+        a = -gamma * x.values
+        shift = alg.atom_max(a)
+        # the numerator and the denominator go through the same reduction,
+        # so on a constant position they are equal and rho(const) is exact
+        mean = alg.atom_sum(p * np.exp(a - shift[alg.atom_of])) / alg.atom_sum(p)
+        return RandomVar(alg.broadcast((shift + np.log(mean)) / gamma), x.space)
 
     def conj(y: RandomVar, alg: SubAlgebra) -> RandomVar:
-        feas = dual_feasible_atoms(y, alg)
-        vals = []
-        for ok, atom in zip(feas, alg.atoms):
-            if not ok:
-                vals.append(INF)
-                continue
-            idx = list(atom)
-            w = _atom_weights(y.space, atom)
-            q = np.maximum(-y.values[idx], 0.0)
-            vals.append(float(np.dot(w, _xlogx(q))) / gamma)
-        return RandomVar(alg.broadcast(vals), y.space)
+        feas = np.array(dual_feasible_atoms(y, alg))
+        # infeasible atoms may hold +-inf; only feasible ones enter the sum
+        q = np.where(feas[alg.atom_of], np.maximum(-y.values, 0.0), 0.0)
+        entropy = alg.atom_sum(_atom_weights(y.space, alg) * _xlogx(q)) / gamma
+        return RandomVar(alg.broadcast(np.where(feas, entropy, INF)), y.space)
 
     return CondRiskMeasure(evaluate, conj, "entropic", {"gamma": gamma})
 
@@ -171,9 +150,8 @@ def worst_case() -> CondRiskMeasure:
         return ess_sup_cond(-x, alg)
 
     def conj(y: RandomVar, alg: SubAlgebra) -> RandomVar:
-        feas = dual_feasible_atoms(y, alg)
-        vals = [0.0 if ok else INF for ok in feas]
-        return RandomVar(alg.broadcast(vals), y.space)
+        feas = np.array(dual_feasible_atoms(y, alg))
+        return RandomVar(alg.broadcast(np.where(feas, 0.0, INF)), y.space)
 
     return CondRiskMeasure(evaluate, conj, "worst_case")
 
@@ -187,12 +165,8 @@ def linear() -> CondRiskMeasure:
         return cond_expectation(-x, alg)
 
     def conj(y: RandomVar, alg: SubAlgebra) -> RandomVar:
-        vals = []
-        for atom in alg.atoms:
-            idx = list(atom)
-            uniform = bool(np.all(np.abs(y.values[idx] + 1.0) <= _FEAS_MEAN_TOL))
-            vals.append(0.0 if uniform else INF)
-        return RandomVar(alg.broadcast(vals), y.space)
+        uniform = alg.atom_max(np.abs(y.values + 1.0)) <= _FEAS_MEAN_TOL
+        return RandomVar(alg.broadcast(np.where(uniform, 0.0, INF)), y.space)
 
     return CondRiskMeasure(evaluate, conj, "linear")
 
@@ -210,10 +184,13 @@ def risk_from_spec(spec: Mapping) -> CondRiskMeasure:
     measure = spec.get("measure")
     params = spec.get("params", {})
     if measure == "entropic":
+        reject_unknown(params, "gamma")
         return entropic(spec_number(params, "gamma"))
     if measure == "worst_case":
+        reject_unknown(params)
         return worst_case()
     if measure == "linear":
+        reject_unknown(params)
         return linear()
     raise ParameterError(f"unknown risk measure {measure!r}")
 
@@ -285,13 +262,13 @@ def fenchel_conjugate(rho: CondRiskMeasure, y: RandomVar, alg: SubAlgebra) -> Ra
     _ensure_custom_validated(rho, y.space, alg)
     feas = dual_feasible_atoms(y, alg)
     space = y.space
+    weights = _atom_weights(space, alg)
     vals = []
-    for ok, atom in zip(feas, alg.atoms):
+    for ok, idx in zip(feas, np.split(alg.order, alg.starts[1:])):
         if not ok:
             vals.append(INF)
             continue
-        idx = list(atom)
-        w = _atom_weights(space, atom)
+        w = weights[idx]
         ya = y.values[idx]
         base = np.zeros(space.n_outcomes)
 
@@ -302,14 +279,6 @@ def fenchel_conjugate(rho: CondRiskMeasure, y: RandomVar, alg: SubAlgebra) -> Ra
 
         vals.append(_coordinate_ascent_sup(objective, len(idx)))
     return RandomVar(alg.broadcast(vals), y.space)
-
-
-def _gibbs_density(xa: np.ndarray, w: np.ndarray, gamma: float) -> np.ndarray:
-    """The entropic dual maximizer on one atom: q = exp(-gamma*x) / E[exp(-gamma*x)],
-    shifted by the largest exponent so nothing overflows."""
-    a = -gamma * xa
-    e = np.exp(a - a.max())
-    return e / float(np.dot(w, e))
 
 
 def _envelope_density(rho: CondRiskMeasure, x: RandomVar, alg: SubAlgebra,
@@ -331,11 +300,7 @@ def _envelope_density(rho: CondRiskMeasure, x: RandomVar, alg: SubAlgebra,
         step = x.values[i] - shifted[i]
         rho_i = rho.evaluate(RandomVar(shifted, space), alg).values[i]
         wq[i] = max((rho_i - primal.values[i]) / step, 0.0)
-    q = np.empty(space.n_outcomes)
-    for atom in alg.atoms:
-        idx = list(atom)
-        q[idx] = wq[idx] / _atom_weights(space, atom) / wq[idx].sum()
-    return q
+    return wq / _atom_weights(space, alg) / alg.atom_sum(wq)[alg.atom_of]
 
 
 def robust_representation(rho: CondRiskMeasure, x: RandomVar,
@@ -343,7 +308,8 @@ def robust_representation(rho: CondRiskMeasure, x: RandomVar,
     """The maximizer of E[x*y|F] - penalty(y) over feasible densities, per
     atom, in closed form, with the gap against the primal value.
 
-    Worst-case risk takes the simplex vertex at the lowest-index minimum of x;
+    Worst-case risk takes the simplex vertex at the lowest-index minimum of x
+    on each atom, whatever order the atom lists its outcomes in;
     the expected-loss risk has the single feasible zero-penalty density 1;
     entropic risk takes the Gibbs density q proportional to exp(-gamma*x); a
     custom measure takes the envelope density from backward differences of
@@ -359,33 +325,33 @@ def robust_representation(rho: CondRiskMeasure, x: RandomVar,
         y = RandomVar(-_envelope_density(rho, x, alg, primal), space)
         penalty = fenchel_conjugate(rho, y, alg)
         return DualCertificate(y, penalty, primal - (cond_expectation(x * y, alg) - penalty))
-    y_vals = np.empty(space.n_outcomes)
-    pen_atoms = []
-    gap_atoms = []
-    for atom in alg.atoms:
-        idx = list(atom)
-        w = _atom_weights(space, atom)
-        xa = x.values[idx]
-        if rho.tag == "worst_case":
-            i_star = int(np.argmin(xa))
-            qa = np.zeros(len(idx))
-            qa[i_star] = 1.0 / w[i_star]
-            pen, dual_value = 0.0, -float(xa[i_star])
-        elif rho.tag == "linear":
-            qa = np.ones(len(idx))
-            pen, dual_value = 0.0, -float(np.dot(w, xa))
-        else:
-            gamma = float(rho.params["gamma"])
-            qa = _gibbs_density(xa, w, gamma)
-            pen = float(np.dot(w, _xlogx(qa))) / gamma
-            dual_value = -float(np.dot(w, xa * qa)) - pen
-        y_vals[idx] = -qa
-        pen_atoms.append(pen)
-        gap_atoms.append(float(primal.values[idx[0]]) - dual_value)
+    w = _atom_weights(space, alg)
+    xv = x.values
+    pen = np.zeros(alg.n_atoms)
+    if rho.tag == "worst_case":
+        low = alg.atom_min(xv)
+        # the lowest outcome index attaining each atom's minimum
+        ties = np.where(xv == low[alg.atom_of], np.arange(space.n_outcomes), space.n_outcomes)
+        vertex = alg.atom_min(ties)
+        q = np.zeros(space.n_outcomes)
+        q[vertex] = 1.0 / w[vertex]
+        dual_value = -low
+    elif rho.tag == "linear":
+        q = np.ones(space.n_outcomes)
+        dual_value = -alg.atom_sum(w * xv)
+    else:
+        # the Gibbs density, shifted by each atom's largest exponent so
+        # nothing overflows
+        gamma = float(rho.params["gamma"])
+        a = -gamma * xv
+        e = np.exp(a - alg.atom_max(a)[alg.atom_of])
+        q = e / alg.atom_sum(w * e)[alg.atom_of]
+        pen = alg.atom_sum(w * _xlogx(q)) / gamma
+        dual_value = -alg.atom_sum(w * xv * q) - pen
     return DualCertificate(
-        RandomVar(y_vals, space),
-        RandomVar(alg.broadcast(pen_atoms), space),
-        RandomVar(alg.broadcast(gap_atoms), space),
+        RandomVar(-q, space),
+        RandomVar(alg.broadcast(pen), space),
+        RandomVar(alg.broadcast(primal.values[alg.first] - dual_value), space),
     )
 
 
@@ -404,11 +370,11 @@ def attainment_check(rho: CondRiskMeasure, x: RandomVar, alg: SubAlgebra,
     within tol per atom.  On a finite space a continuous risk measure always
     attains its representation, so failures indicate solver trouble."""
     cert = robust_representation(rho, x, alg)
-    gaps = [abs(float(cert.gap.values[list(atom)[0]])) for atom in alg.atoms]
-    attained = tuple(gapv <= tol for gapv in gaps)
+    gaps = np.abs(cert.gap.values[alg.first])
+    attained = tuple((gaps <= tol).tolist())
     return AttainmentReport(
         attained,
-        max(gaps),
+        float(gaps.max()),
         cert,
         "finite outcome space: dual attainment holds for continuous risk measures",
         all(attained),
@@ -500,33 +466,25 @@ class LocalityReport:
 def locality_check(f: Callable[[RandomVar], RandomVar], space: FiniteProbSpace,
                    alg: SubAlgebra, trials: int = 8, seed: int = 0,
                    tol: float = 1e-9) -> LocalityReport:
-    """Probe 1_A f(1_A x) = 1_A f(x) for random x and every union A of atoms;
-    the first violating (A, x) pair is reported as a witness."""
+    """Probe 1_A f(1_A x) = 1_A f(x) for random x and every atom A, one
+    probe per atom and trial; the first violating (A, x) pair is reported as
+    a witness.
+
+    Locality on every atom implies it on every union B of atoms: for an atom
+    A inside B, 1_A f(1_B x) = 1_A f(1_A 1_B x) = 1_A f(1_A x) = 1_A f(x)."""
     rng = np.random.default_rng(seed)
-    k = alg.n_atoms
-    if k <= 12:
-        unions = [
-            [j for j in range(k) if mask >> j & 1]
-            for mask in range(1, 2 ** k)
-        ]
-    else:
-        unions = [
-            sorted(rng.choice(k, size=rng.integers(1, k), replace=False).tolist())
-            for _ in range(100)
-        ]
     max_dev = 0.0
     witness = None
     for _ in range(trials):
         x = RandomVar(rng.normal(size=space.n_outcomes), space)
         fx = f(x)
-        for union in unions:
-            indices = [i for j in union for i in alg.atoms[j]]
-            ind = space.indicator(indices)
+        for atom in alg.atoms:
+            ind = space.indicator(atom)
             dev = float(np.abs(((f(x * ind) * ind) - (fx * ind)).values).max())
             if dev > max_dev:
                 max_dev = dev
                 if dev > tol and witness is None:
-                    witness = (tuple(indices), x.values.copy())
+                    witness = (atom, x.values.copy())
     return LocalityReport(max_dev <= tol, max_dev, witness)
 
 
@@ -587,14 +545,15 @@ def penalty_bound_check(rho: CondRiskMeasure, x: RandomVar, y: RandomVar,
     pen = fenchel_conjugate(rho, y, alg).values + zero_level
     exy = cond_expectation(x * y, alg).values
     bound_term = rho.evaluate(abs(x) * -2.0, alg).values - zero_level
-    rows = []
-    for k, atom in enumerate(alg.atoms):
-        i0 = list(atom)[0]
-        hyp = exy[i0] - pen[i0] >= -beta - 1e-12
-        rhs = 2.0 * beta + 2.0 * bound_term[i0]
-        ok = (not hyp) or pen[i0] <= rhs + tol
-        rows.append(PenaltyBoundAtom(k, bool(hyp), float(pen[i0]), float(rhs), bool(ok)))
-    return PenaltyBoundReport(tuple(rows), all(r.ok for r in rows))
+    first = alg.first
+    hyp = exy[first] - pen[first] >= -beta - 1e-12
+    rhs = 2.0 * beta + 2.0 * bound_term[first]
+    ok = ~hyp | (pen[first] <= rhs + tol)
+    rows = tuple(
+        PenaltyBoundAtom(k, *row)
+        for k, row in enumerate(zip(hyp.tolist(), pen[first].tolist(), rhs.tolist(), ok.tolist()))
+    )
+    return PenaltyBoundReport(rows, all(r.ok for r in rows))
 
 
 @dataclass(frozen=True)
@@ -617,15 +576,12 @@ def uniform_order_continuity_check(C: Sequence[RandomVar], alg: SubAlgebra,
     for earlier, later in zip(us, us[1:]):
         if np.any(later.values > earlier.values):
             raise ContractError("sequence must be pointwise nonincreasing")
-    rows = np.zeros((len(us), alg.n_atoms))
-    for i, u in enumerate(us):
-        for k, atom in enumerate(alg.atoms):
-            idx = list(atom)
-            w = _atom_weights(us[0].space, atom)
-            best = 0.0
-            for z in C:
-                best = max(best, float(np.dot(w, u.values[idx] * np.abs(z.values[idx]))))
-            rows[i, k] = best
+    space = us[0].space
+    u = np.array([v.values for v in us])
+    absz = np.abs(np.array([z.values for z in C])).reshape(len(C), space.n_outcomes)
+    # pairings[i, j, k] = E[u_i |z_j| | atom k]
+    pairings = alg.atom_sum(_atom_weights(space, alg) * u[:, None, :] * absz)
+    rows = pairings.max(axis=1, initial=0.0)
     tail = tuple(float(v) for v in rows[-1])
     return UniformOrderContinuityReport(rows, tail, all(v <= tol for v in tail))
 

@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .prob_space import RandomVar, SubAlgebra
+from .prob_space import RandomVar, SubAlgebra, _atom_weights
 from .orlicz import amemiya_norm, luxemburg_norm, pairing, pairing_operator_norm
 from .risk import (
     attainment_check,
@@ -45,12 +45,8 @@ def _feasible_density(rng, space, alg: SubAlgebra) -> RandomVar:
     """A random dual-feasible y: componentwise negative with conditional mean
     -1 on every atom, bounded away from 0 for well-conditioned penalties."""
     q = rng.uniform(0.2, 2.0, size=space.n_outcomes)
-    y = np.empty(space.n_outcomes)
-    for atom in alg.atoms:
-        idx = list(atom)
-        w = space.probs[idx] / space.probs[idx].sum()
-        y[idx] = -q[idx] / float(np.dot(w, q[idx]))
-    return RandomVar(y, space)
+    mean = alg.atom_sum(_atom_weights(space, alg) * q)
+    return RandomVar(-q / mean[alg.atom_of], space)
 
 
 def _norm_axiom_rows(sc: Scenario, alg_name: str, alg, rng, tol_norm):
@@ -132,12 +128,10 @@ def _hoelder_rows(sc: Scenario, alg_name: str, alg, rng, tol_norm):
     for trial in range(4):
         x = RandomVar(rng.normal(size=space.n_outcomes), space)
         y = RandomVar(rng.normal(size=space.n_outcomes), space)
-        lhs = np.abs(pairing(x, y, alg).values)
-        op = pairing_operator_norm(y, alg, phi).per_atom.values
-        lux = luxemburg_norm(x, alg, phi).per_atom.values
-        for k, atom in enumerate(alg.atoms):
-            i0 = list(atom)[0]
-            excess = lhs[i0] - op[i0] * lux[i0]
+        lhs = np.abs(pairing(x, y, alg).values[alg.first])
+        op = pairing_operator_norm(y, alg, phi).atom_values
+        lux = luxemburg_norm(x, alg, phi).atom_values
+        for k, excess in enumerate(lhs - op * lux):
             rows.append(_row(
                 "hoelder", alg_name, k, f"probe{trial}", "pairing_excess",
                 excess, tol_norm, excess <= tol_norm,

@@ -188,6 +188,15 @@ def spec_number(params: Mapping, name: str, default: float | None = None) -> flo
     return _as_number(repr(name), params[name])
 
 
+def reject_unknown(params: Mapping, *known: str) -> None:
+    """Raise ParameterError naming the first parameter of a scenario entry
+    that is not one of `known`, so a misspelt optional one does not silently
+    fall back to its default."""
+    for name in params:
+        if name not in known:
+            raise ParameterError(f"unexpected parameter {name!r}")
+
+
 def _spec_numbers(params: Mapping, name: str) -> list[float]:
     """`params[name]` of a scenario entry as a list of floats; raises
     ParameterError naming the parameter or item that is missing or not a
@@ -204,12 +213,16 @@ def young_from_spec(spec: Mapping) -> YoungFn:
     family = spec.get("family")
     params = spec.get("params", {})
     if family == "power":
+        reject_unknown(params, "p")
         return make_power(spec_number(params, "p"))
     if family == "linf":
+        reject_unknown(params)
         return make_linf()
     if family == "exp":
+        reject_unknown(params, "scale")
         return make_exp(spec_number(params, "scale", 1.0))
     if family == "piecewise":
+        reject_unknown(params, "knots", "slopes")
         return make_piecewise(_spec_numbers(params, "knots"), _spec_numbers(params, "slopes"))
     raise ParameterError(f"unknown Young family {family!r}")
 

@@ -200,7 +200,7 @@ def test_criterion_06_locality_and_extension():
             lambda v: rho.evaluate(v, alg), space, alg,
             trials=2, seed=int(rng.integers(1 << 30)),
         )
-        probes += 2 * (2 ** alg.n_atoms - 1)
+        probes += 2 * alg.n_atoms
         max_dev = max(max_dev, rep.max_deviation)
         ext = extension_check(rho, space, alg, alg, trials=4, seed=int(rng.integers(1 << 30)))
         max_dev = max(max_dev, ext.max_deviation)

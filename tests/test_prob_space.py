@@ -200,3 +200,92 @@ def test_tower_property_randomized(data):
     lhs = cond_expectation(cond_expectation(x, fine), coarse).values
     rhs = cond_expectation(x, coarse).values
     np.testing.assert_allclose(lhs, rhs, rtol=1e-12, atol=1e-12)
+
+
+# Reference loops over the atoms as listed, for the segment reductions of
+# SubAlgebra; sums are compared within a tolerance, since the reductions add
+# in ascending outcome order and may pair terms differently.
+def _loop(alg, values, reduce):
+    return np.array([reduce(np.asarray(values)[list(atom)]) for atom in alg.atoms])
+
+
+def _loop_spread(alg, per_atom):
+    out = np.empty(alg.n_outcomes)
+    for k, atom in enumerate(alg.atoms):
+        out[list(atom)] = per_atom[k]
+    return out
+
+
+@st.composite
+def _partitions(draw, n=None):
+    """Atoms listed in shuffled order, with unsorted outcomes inside each;
+    a single atom and all singletons are drawn on purpose too."""
+    if n is None:
+        n = draw(st.integers(min_value=1, max_value=12))
+    perm = draw(st.permutations(range(n)))
+    shape = draw(st.sampled_from(["single", "singletons", "random"]))
+    if shape == "single":
+        cuts = []
+    elif shape == "singletons":
+        cuts = list(range(1, n))
+    else:
+        cuts = sorted(draw(st.sets(st.integers(min_value=1, max_value=max(1, n - 1)))) - {n})
+    bounds = [0, *cuts, n]
+    return SubAlgebra.from_atoms([perm[a:b] for a, b in zip(bounds, bounds[1:])], n)
+
+
+_FINITE = st.floats(min_value=-1e3, max_value=1e3)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_segment_reductions_match_reference_loops(data):
+    alg = data.draw(_partitions())
+    n = alg.n_outcomes
+    raw = data.draw(st.lists(st.floats(min_value=0.05, max_value=1.0), min_size=n, max_size=n))
+    space = FiniteProbSpace(np.array(raw) / sum(raw))
+    x = np.array(data.draw(st.lists(_FINITE, min_size=n, max_size=n)))
+    tol = 1e-12 * (1.0 + np.abs(x).sum())
+
+    np.testing.assert_allclose(alg.atom_sum(x), _loop(alg, x, np.sum), rtol=0, atol=tol)
+    np.testing.assert_array_equal(alg.first, [min(atom) for atom in alg.atoms])
+    np.testing.assert_array_equal(alg.atom_of[alg.order], np.sort(alg.atom_of))
+
+    p = space.probs
+    expected = _loop_spread(alg, [
+        float(np.dot(p[list(a)], x[list(a)]) / p[list(a)].sum()) for a in alg.atoms
+    ])
+    np.testing.assert_allclose(cond_expectation(space.var(x), alg).values, expected,
+                               rtol=1e-12, atol=tol)
+
+    extended = st.one_of(_FINITE, st.sampled_from([np.inf, -np.inf]))
+    z = np.array(data.draw(st.lists(extended, min_size=n, max_size=n)))
+    np.testing.assert_array_equal(alg.atom_max(z), _loop(alg, z, np.max))
+    np.testing.assert_array_equal(alg.atom_min(z), _loop(alg, z, np.min))
+    np.testing.assert_array_equal(ess_sup_cond(space.var(z), alg).values,
+                                  _loop_spread(alg, _loop(alg, z, np.max)))
+    np.testing.assert_array_equal(ess_inf_cond(space.var(z), alg).values,
+                                  _loop_spread(alg, _loop(alg, z, np.min)))
+
+    pieces = [space.var(data.draw(st.lists(_FINITE, min_size=n, max_size=n)))
+              for _ in range(alg.n_atoms)]
+    glued = np.empty(n)
+    for k, atom in enumerate(alg.atoms):
+        glued[list(atom)] = pieces[k].values[list(atom)]
+    np.testing.assert_array_equal(concatenate(pieces, alg).values, glued)
+
+    constant = _loop_spread(alg, _loop(alg, z, np.max))
+    if data.draw(st.booleans()):
+        constant[data.draw(st.integers(min_value=0, max_value=n - 1))] = 7.5
+    loop_measurable = all(len(set(constant[list(atom)])) == 1 for atom in alg.atoms)
+    assert is_measurable(space.var(constant), alg) == loop_measurable
+
+    other = data.draw(_partitions(n))
+    merged = [tuple(i for atom in alg.atoms[j::2] for i in atom) for j in range(2)]
+    coarser = SubAlgebra.from_atoms([atom for atom in merged if atom], n)
+    for fine, coarse in ((alg, other), (other, alg), (alg, coarser), (coarser, alg)):
+        loop_refines = all(
+            sum(1 for c in coarse.atoms if set(atom) & set(c)) == 1 for atom in fine.atoms
+        )
+        assert fine.refines(coarse) == loop_refines
+    assert alg.refines(coarser)

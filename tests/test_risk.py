@@ -397,6 +397,22 @@ class TestLocality:
         assert not rep.passed
         assert rep.witness is not None
 
+    def test_sixteen_atoms(self):
+        space = FiniteProbSpace.uniform(48)
+        alg = SubAlgebra.from_atoms([range(3 * j, 3 * j + 3) for j in range(16)], 48)
+        rep = locality_check(lambda v: entropic(1.0).evaluate(v, alg), space, alg, trials=2)
+        assert rep.passed
+        assert rep.max_deviation <= 1e-9
+
+        def mixes_neighbours(v):
+            # a measurable value per atom that also reads the next atom
+            mean = cond_expectation(v, alg).values
+            return space.var(mean + np.roll(mean, -3))
+
+        rep = locality_check(mixes_neighbours, space, alg, trials=2)
+        assert not rep.passed
+        assert rep.witness is not None
+
     def test_full_union_always_equal(self, quarter_space):
         trivial = SubAlgebra.trivial(4)
 

@@ -301,6 +301,11 @@ class TestCli:
         ("risk", {"measure": "entropic", "params": {"gamma": "x"}}),
         ("risk", {"measure": "entropic", "params": {"gama": 1}}),
         ("risk", {"measure": "entropic", "params": {"gamma": math.inf}}),
+        ("young", {"family": "power", "params": {"p": 2, "extra": 1}}),
+        ("young", {"family": "exp", "params": {"scal": 3}}),
+        ("young", {"family": "linf", "params": {"p": 2}}),
+        ("risk", {"measure": "worst_case", "params": {"gamma": 3}}),
+        ("risk", {"measure": "linear", "params": {"gamma": 3}}),
     ])
     def test_bad_parameters_exit_two_with_path(self, tmp_path, capsys, section, params):
         data = json.loads((SCENARIOS / "entropic4.json").read_text())
@@ -331,6 +336,29 @@ class TestCli:
         for pos_block in report["results"].values():
             for alg_block in pos_block.values():
                 assert all(abs(g) <= 1e-6 for g in alg_block["gap"])
+
+    def test_worst_case_dual_ignores_label_order_in_atom(self, tmp_path):
+        # x ties at its minimum on outcomes a and c of the atom {a, b, c}: the
+        # certificate puts its mass on the lowest outcome, a, however the
+        # atom lists its labels
+        outputs = []
+        for atom in (["a", "b", "c"], ["c", "a", "b"]):
+            data = {
+                "name": "ties",
+                "outcomes": [{"label": lab, "prob": 0.25} for lab in "abcd"],
+                "algebras": {"F": [atom, ["d"]]},
+                "positions": {"x": {"a": 1.0, "b": 5.0, "c": 1.0, "d": 2.0}},
+                "young": {"family": "power", "params": {"p": 2}},
+                "risk": {"measure": "worst_case"},
+            }
+            out = tmp_path / "".join(atom)
+            path = tmp_path / "ties.json"
+            path.write_text(json.dumps(data))
+            assert main(["dual", str(path), "--out-dir", str(out)]) == 0
+            report = json.loads((out / "ties.report.json").read_text())
+            outputs.append((report["results"], (out / "ties.atoms.csv").read_bytes()))
+        assert outputs[0] == outputs[1]
+        assert outputs[0][0]["x"]["F"]["y"] == [-3, 0, 0, -1]
 
     def test_dynamic_command(self, tmp_path):
         code = main(["dynamic", str(SCENARIOS / "entropic4.json"), "--out-dir", str(tmp_path)])
