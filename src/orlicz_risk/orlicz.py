@@ -4,7 +4,11 @@ functionals.
 
 Every quantity decomposes per atom of the conditioning algebra: the norm of x
 given the algebra is the vector of plain Orlicz norms of x restricted to each
-atom under the normalized atom weights.
+atom under the normalized atom weights.  Both norms are one monotone
+root-find in the scale mu = 1/lam, solved for all atoms at once by a
+lock-step bisection: the smallest mu with E[F(|x|/mu) | atom] <= 1, where F
+is phi for the Luxemburg norm and psi(t) = t*phi'(t) - phi(t) = phi*(phi'(t))
+for the Amemiya norm.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ContractError, DivergenceError, BracketError
+from .errors import ContractError, DivergenceError, BracketError, ParameterError
 from .prob_space import (
     RandomVar,
     SubAlgebra,
@@ -50,125 +54,102 @@ class CondNorm:
     atom_values: np.ndarray
 
 
-def _bracket_thresholds(phi: YoungFn) -> tuple[float, float]:
-    """A point T with phi(T) >= 1 and a point t0 with phi(t0) <= 1, used to
-    seed the Luxemburg bisection bracket."""
-    if math.isfinite(phi.finite_sup):
-        probes_up = [phi.finite_sup * (1.0 - 2.0 ** -k) for k in range(1, 50)]
-        probes_up.append(phi.finite_sup)
-    else:
-        probes_up = [2.0 ** k for k in range(61)]
-    t_star = None
-    for t in probes_up:
-        if phi.eval(t) >= 1.0:
-            t_star = t
-            break
-    if t_star is None:
-        t_star = probes_up[-1]
-    t0 = min(1.0, phi.finite_sup / 2.0 if math.isfinite(phi.finite_sup) else 1.0)
-    for _ in range(60):
-        if phi.eval(t0) <= 1.0:
-            break
-        t0 /= 2.0
-    return t_star, t0
+def _cond_norm(x: RandomVar, alg: SubAlgebra, method: str, rel_tol: float,
+               values: np.ndarray, attained) -> CondNorm:
+    return CondNorm(RandomVar(alg.broadcast(values), x.space), method, rel_tol,
+                    tuple(bool(a) for a in attained), values)
 
 
-def _atomwise_norm(x: RandomVar, alg: SubAlgebra, method: str, rel_tol: float,
-                   solve_atom: Callable[[int, np.ndarray, np.ndarray, float], tuple[float, bool]],
-                   ) -> CondNorm:
-    """Run `solve_atom(k, |x| on atom k, weights within atom k, max |x| on
-    atom k)` on every atom where x does not vanish; such atoms get 0,
-    attained."""
-    _require_finite(x, f"{method}_norm")
-    absx = np.abs(x.values)
-    weights = _atom_weights(x.space, alg)
-    peaks = alg.atom_max(absx)
-    values = np.zeros(alg.n_atoms)
-    attained = [True] * alg.n_atoms
-    for k, idx in enumerate(np.split(alg.order, alg.starts[1:])):
-        if peaks[k] > 0.0:
-            values[k], attained[k] = solve_atom(k, absx[idx], weights[idx], float(peaks[k]))
-    return CondNorm(
-        RandomVar(alg.broadcast(values), x.space), method, rel_tol, tuple(attained), values
-    )
+def _smallest_scale(x: RandomVar, alg: SubAlgebra, F: Callable, rel_tol: float):
+    """Per atom, the smallest scale mu with E[F(|x|/mu) | atom] <= 1 for a
+    nondecreasing F, by one bisection over all atoms from the bracket
+    [max|x| * 2**-60, max|x|].  Returns the solve report, the largest |x| per
+    atom, and `expect(G, mu)`, the conditional expectations of G(|x|/mu).
+    An atom where x vanishes is reported at its left edge (attained False)."""
+    absx = np.abs(x.values)[alg.order]
+    weights = _atom_weights(x.space, alg)[alg.order]
+    atom = alg.atom_of[alg.order]
+    peak = np.maximum.reduceat(absx, alg.starts)
+
+    def expect(G: Callable, mu: np.ndarray) -> np.ndarray:
+        return np.add.reduceat(weights * G(absx / mu[..., atom]), alg.starts, axis=-1)
+
+    m = np.where(peak > 0.0, peak, 1.0)
+    try:
+        report = solvers.bisect_monotone(lambda mu: expect(F, mu), 1.0, m * 2.0 ** -60, m,
+                                         rel_tol)
+    except BracketError as exc:
+        # the solver's elements are the atoms, in order
+        raise DivergenceError(f"modular never reached 1 on an atom: {exc}") from exc
+    return report, peak, expect
 
 
 def luxemburg_norm(x: RandomVar, alg: SubAlgebra, phi: YoungFn,
                    rel_tol: float = 1e-10) -> CondNorm:
-    """Per atom: inf{lam > 0 : E[phi(|x|/lam) | atom] <= 1}, by bisection on
-    lam (the modular is nonincreasing in lam).  Atoms where x vanishes get 0.
+    """Per atom: inf{lam > 0 : E[phi(|x|/lam) | atom] <= 1}, by one lock-step
+    bisection on lam over all atoms (the modular is nonincreasing in lam).
+    Atoms where x vanishes get 0.  The modular is continuous in lam for the
+    non-step families, so the infimum is attained.
 
     Step-shaped phi (zero below a threshold, inf at or beyond it) admit the
     exact formula max|x| / threshold, which is used instead of bisection so
     the sup-norm case is exact.
     """
+    _require_finite(x, "luxemburg_norm")
     if phi.step_threshold is not None:
-        threshold = phi.step_threshold
-        at_threshold = phi.eval(threshold) <= 1.0
-        return _atomwise_norm(x, alg, "luxemburg", rel_tol,
-                              lambda k, xa, w, m: (m / threshold, at_threshold))
-    t_star, t0 = _bracket_thresholds(phi)
-
-    def solve_atom(k: int, xa: np.ndarray, w: np.ndarray, m: float) -> tuple[float, bool]:
-        def modular(lam: float) -> float:
-            return float(sum(wi * phi.eval(v / lam) for wi, v in zip(w, xa)))
-
-        try:
-            report = solvers.bisect_monotone(modular, 1.0, m / t_star, m / t0, rel_tol)
-        except BracketError as exc:
-            raise DivergenceError(
-                f"modular never reached 1 for atom {alg.atoms[k]}: {exc}"
-            ) from exc
-        # the modular is continuous in lam for the non-step families, so the
-        # infimum is a minimum on a finite space
-        return report.arg, True
-
-    return _atomwise_norm(x, alg, "luxemburg", rel_tol, solve_atom)
+        values = alg.atom_max(np.abs(x.values)) / phi.step_threshold
+        at_threshold = phi.eval(phi.step_threshold) <= 1.0
+        return _cond_norm(x, alg, "luxemburg", rel_tol, values, at_threshold | (values == 0.0))
+    report, peak, _ = _smallest_scale(x, alg, phi.eval, rel_tol)
+    values = np.where(peak > 0.0, report.arg, 0.0)
+    return _cond_norm(x, alg, "luxemburg", rel_tol, values, [True] * alg.n_atoms)
 
 
 def amemiya_norm(x: RandomVar, alg: SubAlgebra, phi: YoungFn,
                  rel_tol: float = 1e-10) -> CondNorm:
-    """Per atom: inf over lam > 0 of (1 + E[phi(lam*|x|) | atom]) / lam, by
-    golden section on log(lam).
+    """Per atom: inf over mu > 0 of mu * (1 + E[phi(|x|/mu) | atom]).
 
-    The search bracket is restricted to the region where the modular is
-    finite; infima only approached as lam grows (linear-growth phi) or at the
-    finite-domain barrier are reported as limit values with attained=False.
+    The objective is convex in mu with right derivative 1 - E[psi(|x|/mu)],
+    psi(t) = t*phi'(t) - phi(t) = phi*(phi'(t)) nonnegative and
+    nondecreasing, so the minimizer is the smallest mu with
+    E[psi(|x|/mu) | atom] <= 1, found by one lock-step bisection over all
+    atoms.  When E[psi] stays <= 1 down to the domain edge
+    mu_lo = max|x| / finite_sup, the infimum sits at the edge: for mu_lo > 0
+    it is mu_lo * (1 + E[phi(|x|/mu_lo)]), attained iff phi(finite_sup) is
+    finite; for mu_lo = 0 it is the limit sup_slope * E[|x|], not attained.
+    Needs the `deriv` and `conjugate_closed_form` fields of phi.
     """
+    _require_finite(x, "amemiya_norm")
+    for name in ("deriv", "conjugate_closed_form"):
+        if getattr(phi, name) is None:
+            raise ParameterError(f"amemiya_norm needs the Young function field {name!r}")
 
-    def solve_atom(k: int, xa: np.ndarray, w: np.ndarray, m: float) -> tuple[float, bool]:
-        def objective_loglam(u: float) -> float:
-            lam = math.exp(u)
-            total = 1.0
-            for wi, v in zip(w, xa):
-                total += wi * phi.eval(lam * v)
-                if math.isinf(total):
-                    return math.inf
-            return total / lam
+    def psi(t):
+        # phi*(phi'(t)) is exact where phi is linear, unlike the difference
+        # t*phi'(t) - phi(t), which cancels at large t; the difference stands
+        # in where phi* jumps to inf at phi's slope (the conjugate of linf)
+        slope = phi.deriv(t)
+        conj = phi.conjugate_closed_form(slope)
+        gap = conj == math.inf
+        if gap.any():
+            with np.errstate(invalid="ignore"):
+                diff = t * slope - phi.eval(t)
+            conj = np.where(gap & ~np.isnan(diff), diff, conj)
+        return conj
 
-        lam0 = 1.0 / m
-        lo = math.log(lam0 / 8.0)
-        hi = math.log(lam0 * 8.0)
-        barrier_included = False
-        expand_right = True
-        if math.isfinite(phi.finite_sup):
-            lam_bar = phi.finite_sup / m
-            barrier_included = math.isfinite(phi.eval(phi.finite_sup))
-            edge = lam_bar if barrier_included else lam_bar * (1.0 - 1e-12)
-            hi = math.log(edge)
-            lo = min(lo, hi - 4.0)
-            expand_right = False
-        report = solvers.golden_min(
-            objective_loglam, lo, hi, rel_tol=rel_tol,
-            expand_left=True, expand_right=expand_right,
-            expand_factor=4.0, limit_rel_improvement=1e-12,
-        )
-        ok = report.attained
-        if report.boundary == "right" and not expand_right and barrier_included:
-            ok = True
-        return report.value, ok
-
-    return _atomwise_norm(x, alg, "amemiya", rel_tol, solve_atom)
+    report, peak, expect = _smallest_scale(x, alg, psi, rel_tol)
+    mu = report.arg
+    mu_lo = peak / phi.finite_sup
+    barrier = (mu_lo > 0.0) & (mu - mu_lo <= rel_tol * mu)
+    included = math.isfinite(phi.finite_sup) and math.isfinite(phi.eval(phi.finite_sup))
+    mu = np.where(barrier & included, mu_lo, mu)
+    values = mu * (1.0 + expect(phi.eval, mu))
+    limit = ~report.attained
+    if math.isfinite(phi.sup_slope):
+        values = np.where(limit, phi.sup_slope * expect(lambda t: t, np.ones_like(mu)), values)
+    attained = ~limit & (included | ~barrier)
+    return _cond_norm(x, alg, "amemiya", rel_tol, np.where(peak > 0.0, values, 0.0),
+                      attained | (peak == 0.0))
 
 
 def pairing(x: RandomVar, y: RandomVar, alg: SubAlgebra) -> RandomVar:
@@ -184,10 +165,10 @@ def pairing_operator_norm(y: RandomVar, alg: SubAlgebra, phi: YoungFn,
 
     The supremum of this linear functional over the unit ball equals, by
     finite-dimensional Fenchel duality, the Amemiya norm of y under the
-    conjugate Young function (the classical Orlicz-norm identity); it is
-    computed by the one-dimensional dual search, which can only over- and
-    never under-estimate the supremum, so the pairing bound it certifies is
-    safe.
+    conjugate Young function (the classical Orlicz-norm identity), computed
+    by the same lock-step psi-root as `amemiya_norm`.  Its value sits at or
+    above the infimum, so it can only over- and never under-estimate the
+    supremum, and the pairing bound it certifies is safe.
     """
     _require_finite(y, "pairing_operator_norm")
     conj = conjugate_young_fn(phi)

@@ -1,7 +1,8 @@
 """Scalar and small-dimensional convex optimization primitives.
 
 Everything here is deterministic and stateless: bisection on monotone
-functions, golden-section minimization with bracket expansion and
+functions, over one bracket or an array of independent brackets in
+lock-step, golden-section minimization with bracket expansion and
 non-attainment detection, and projected-gradient maximization of concave
 functions over a weighted probability simplex.
 """
@@ -25,6 +26,8 @@ __all__ = [
 ]
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+# parts a bracket is cut into per step of bisect_monotone
+_SECTIONS = 8
 
 
 @dataclass(frozen=True)
@@ -41,59 +44,67 @@ class SolveReport:
     boundary: str | None = None
 
 
-def bisect_monotone(f: Callable[[float], float], target: float,
-                    lo: float, hi: float, rel_tol: float = 1e-10,
+def bisect_monotone(f: Callable[[np.ndarray], np.ndarray], target: float,
+                    lo, hi, rel_tol: float = 1e-10,
                     max_expand: int = 60) -> SolveReport:
     """Smallest point where the nonincreasing function f drops to <= target.
 
-    The bracket is expanded geometrically (halving lo, doubling hi, at most
-    `max_expand` steps each way) until f(lo) > target >= f(hi).  If f never
-    exceeds target even far left, the original lo endpoint is reported; if f
-    never reaches target on the right, a BracketError is raised.
+    `lo` and `hi` are one bracket or arrays of independent brackets, and `f`
+    maps an array of points to the array of their values, elementwise over
+    any leading axes.  Every bracket is expanded on its own, and all are
+    narrowed in lock-step: each step cuts every bracket into _SECTIONS equal
+    parts with one call of f on the interior points, stacked along a leading
+    axis.  Where f(hi) > target, hi doubles (at most `max_expand` times, else
+    a BracketError names the element).  Where f(lo) <= target, f is probed
+    once at lo * 2**-max_expand: if it is still <= target there, the bracket
+    hit the left edge and lo itself is reported, with `attained` False for
+    that element; otherwise the search runs on [probe, lo].  For arrays, `arg`,
+    `value` and `attained` are arrays with one entry per bracket.
     """
+    lo, hi = (np.array(a, dtype=float) for a in np.broadcast_arrays(lo, hi))
     evals = 0
 
-    def ff(x: float) -> float:
+    def ff(x: np.ndarray) -> np.ndarray:
         nonlocal evals
         evals += 1
-        return f(x)
+        fx = np.asarray(f(x))
+        return fx if fx.shape == x.shape else np.broadcast_to(fx, x.shape)
 
-    lo0 = lo
-    flo = ff(lo)
-    if flo <= target:
-        probe = lo * 2.0 ** (-max_expand)
-        if ff(probe) <= target:
-            # degenerate: the whole expanded range sits below target
-            return SolveReport(lo0, flo, evals, True)
-        hi = lo
-        lo = probe
-        flo = ff(lo)
-        # tighten the lower edge back up
-        while lo * 2.0 < hi and ff(lo * 2.0) > target:
-            lo *= 2.0
-        fhi = ff(hi)
-    else:
-        fhi = ff(hi)
-        expansions = 0
-        while fhi > target:
-            if expansions >= max_expand:
-                raise BracketError(
-                    f"f stayed above {target} after {max_expand} doublings (last f={fhi})"
-                )
-            lo = hi
-            hi *= 2.0
-            fhi = ff(hi)
-            expansions += 1
+    low = ff(lo) <= target
+    edge = low
+    if low.any():
+        probe = lo * 2.0 ** -max_expand
+        edge = low & (ff(np.where(low, probe, lo)) <= target)
+        # the root lies left of lo: bisect on [probe, lo] unless f stays low
+        hi = np.where(low, lo, hi)
+        lo = np.where(low & ~edge, probe, lo)
+    expansions = 0
+    while (up := ~low & (ff(hi) > target)).any():
+        if expansions >= max_expand:
+            at = f" at element {np.flatnonzero(up)[0]}" if up.ndim else ""
+            raise BracketError(f"f stayed above {target} after {max_expand} doublings{at}")
+        lo = np.where(up, hi, lo)
+        hi = np.where(up, 2.0 * hi, hi)
+        expansions += 1
 
-    while hi - lo > rel_tol * max(hi, 1e-300):
-        mid = 0.5 * (lo + hi)
-        if ff(mid) <= target:
-            hi, fhi = mid, None
-        else:
-            lo = mid
-    if fhi is None:
-        fhi = ff(hi)
-    return SolveReport(hi, fhi, evals, True)
+    # every step divides each width by _SECTIONS, so the first `steps` steps
+    # need no test
+    cuts = np.arange(1.0, _SECTIONS).reshape((-1,) + (1,) * lo.ndim)
+    ratio = float(np.max((hi - lo) / (rel_tol * np.maximum(hi, 1e-300))))
+    steps = math.ceil(math.log(ratio, _SECTIONS)) if ratio > 1.0 else 0
+    step = 0
+    while step < steps or ((hi - lo) > rel_tol * np.maximum(hi, 1e-300)).any():
+        points = lo + cuts * ((hi - lo) / _SECTIONS)
+        ok = f(points) <= target
+        hi = np.minimum.reduce(np.where(ok, points, hi), axis=0)
+        lo = np.maximum.reduce(np.where(ok, lo, points), axis=0)
+        evals += 1
+        step += 1
+    fhi = ff(hi)
+    if hi.ndim == 0:
+        return SolveReport(float(hi), float(fhi), evals, True, not edge,
+                           "left" if edge else None)
+    return SolveReport(hi, fhi, evals, True, ~edge, "left" if edge.any() else None)
 
 
 def golden_min(f: Callable[[float], float], lo: float, hi: float, *,
@@ -102,9 +113,9 @@ def golden_min(f: Callable[[float], float], lo: float, hi: float, *,
                max_expand: int = 200,
                limit_rel_improvement: float = 1e-12) -> SolveReport:
     """Minimize a unimodal f.  The bracket grows by `expand_factor` toward a
-    downhill edge; when successive expansions improve the running minimum by
-    less than `limit_rel_improvement` relative, the edge value is reported as
-    a non-attained limit.  Hitting the expansion cap while still improving
+    downhill edge; when an expansion's new edge improves the running minimum,
+    but by less than `limit_rel_improvement` relative, the edge value is
+    reported as a non-attained limit.  Hitting the expansion cap while still improving
     returns converged=False (the objective looks unbounded)."""
     evals = 0
     best_x = None
@@ -150,12 +161,11 @@ def golden_min(f: Callable[[float], float], lo: float, hi: float, *,
             a = a - span
             fa = ff(a)
         expansions += 1
-        # a limit (non-attained infimum) shows up as stalled improvement with
-        # the new edge still sitting at the running minimum; an overshot
-        # interior minimum leaves the new edge strictly above it instead
-        slack = limit_rel_improvement * max(abs(best_f), 1e-30)
+        # a limit (non-attained infimum) shows up as the new edge improving
+        # the running minimum, but by a stalled relative amount; an overshot
+        # interior minimum leaves the new edge at or above it instead
         edge_f = fb if side == "right" else fa
-        if prev_best - best_f <= slack and edge_f <= best_f + slack:
+        if 0.0 < prev_best - edge_f <= limit_rel_improvement * abs(edge_f):
             boundary, attained = side, False
             break
 

@@ -12,6 +12,8 @@ import sys
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
+import numpy as np
+
 from .errors import ContractError, ParameterError
 from . import solvers
 
@@ -46,10 +48,15 @@ def ext_mul(a: float, b: float) -> float:
 class YoungFn:
     """A Young function with metadata used by the norm and conjugate solvers.
 
-    finite_sup     sup of {t : phi(t) < inf} (inf for finite-everywhere phi)
-    sup_slope      lim phi(t)/t, the largest slope (domain bound of phi*)
-    step_threshold set when phi is 0 below a threshold and inf at/above it;
-                   such functions admit an exact sup-norm formula
+    eval, conjugate_closed_form, deriv and conjugate_deriv map a float or an
+    array of floats elementwise, returning +inf where the value is infinite.
+
+    finite_sup      sup of {t : phi(t) < inf} (inf for finite-everywhere phi)
+    sup_slope       lim phi(t)/t, the largest slope (domain bound of phi*)
+    step_threshold  set when phi is 0 below a threshold and inf at/above it;
+                    such functions admit an exact sup-norm formula
+    deriv           the right derivative phi'(t)
+    conjugate_deriv the right derivative of phi*, t*(s) = argmax_t (s*t - phi(t))
     """
 
     eval: Callable[[float], float]
@@ -59,9 +66,15 @@ class YoungFn:
     sup_slope: float = INF
     step_threshold: float | None = None
     params: Mapping[str, object] = field(default_factory=dict)
+    deriv: Callable[[float], float] | None = None
+    conjugate_deriv: Callable[[float], float] | None = None
 
     def __call__(self, t: float) -> float:
         return self.eval(t)
+
+
+def _const(value: float) -> Callable[[float], float]:
+    return lambda t: np.full(np.shape(t), value)[()]
 
 
 def make_power(p: float) -> YoungFn:
@@ -71,72 +84,66 @@ def make_power(p: float) -> YoungFn:
     if p < 1.0:
         raise ParameterError(f"power exponent must be >= 1, got {p}")
     if p == 1.0:
-
-        def phi(t: float) -> float:
-            return t
-
-        def conj(s: float) -> float:
-            return 0.0 if s <= 1.0 else INF
-
-        return YoungFn(phi, INF, conj, "power", sup_slope=1.0, params={"p": 1.0})
+        return YoungFn(
+            lambda t: t, INF, lambda s: np.where(s <= 1.0, 0.0, INF)[()], "power",
+            sup_slope=1.0, params={"p": 1.0}, deriv=_const(1.0),
+            conjugate_deriv=lambda s: np.where(s < 1.0, 0.0, INF)[()],
+        )
 
     q = p / (p - 1.0)
-
-    def phi(t: float) -> float:
-        try:
-            return t ** p
-        except OverflowError:
-            return INF
-
-    def conj(s: float) -> float:
-        try:
-            return (p - 1.0) * (s / p) ** q
-        except OverflowError:
-            return INF
-
-    return YoungFn(phi, INF, conj, "power", sup_slope=INF, params={"p": p})
+    quiet = np.errstate(over="ignore")  # inf on overflow
+    return YoungFn(
+        quiet(lambda t: np.power(t, p)), INF, quiet(lambda s: (p - 1.0) * np.power(s / p, q)),
+        "power", sup_slope=INF, params={"p": p},
+        deriv=quiet(lambda t: p * np.power(t, p - 1.0)),
+        conjugate_deriv=quiet(lambda s: np.power(s / p, 1.0 / (p - 1.0))),
+    )
 
 
 def make_linf() -> YoungFn:
     """phi(t) = 0 for t < 1, inf for t >= 1.  Its Luxemburg norm is the
-    conditional essential supremum; the conjugate is phi*(s) = s."""
+    conditional essential supremum; the conjugate is phi*(s) = s.  The
+    derivative is 0 on [0, 1) and inf where phi is."""
 
-    def phi(t: float) -> float:
-        return 0.0 if t < 1.0 else INF
+    def step(t):
+        return np.where(t < 1.0, 0.0, INF)[()]
 
-    def conj(s: float) -> float:
-        return s
-
-    return YoungFn(phi, 1.0, conj, "linf", sup_slope=INF, step_threshold=1.0)
+    return YoungFn(step, 1.0, lambda s: s, "linf", sup_slope=INF, step_threshold=1.0,
+                   deriv=step, conjugate_deriv=_const(1.0))
 
 
 def make_exp(scale: float = 1.0) -> YoungFn:
-    """phi(t) = exp(scale*t) - 1.  Conjugate (for scale 1):
-    phi*(s) = s*log(s) - s + 1 for s >= 1, and 0 on [0, 1]."""
+    """phi(t) = exp(scale*t) - 1, inf once scale*t passes the overflow point.
+    Conjugate (for scale 1): phi*(s) = s*log(s) - s + 1 for s >= 1, and 0 on
+    [0, 1]."""
     scale = float(scale)
     if scale <= 0.0:
         raise ParameterError(f"exp scale must be positive, got {scale}")
 
-    def phi(t: float) -> float:
-        u = scale * t
-        if u > _EXP_OVERFLOW:
-            return INF
-        return math.expm1(u)
+    def phi(t):
+        u = scale * np.asarray(t)
+        return np.where(u > _EXP_OVERFLOW, INF, np.expm1(np.minimum(u, _EXP_OVERFLOW)))[()]
 
-    def conj(s: float) -> float:
-        # sup_t (s*t - expm1(scale*t)), attained at t = log(s/scale)/scale
-        if s <= scale:
-            return 0.0
-        t_star = math.log(s / scale) / scale
-        return s * t_star - math.expm1(scale * t_star)
+    def conj_deriv(s):
+        # the maximizer of s*t - expm1(scale*t): 0 up to the slope scale
+        return np.log(np.maximum(s, scale) / scale) / scale
 
-    return YoungFn(phi, INF, conj, "exp", sup_slope=INF, params={"scale": scale})
+    @np.errstate(over="ignore", invalid="ignore")
+    def conj(s):
+        t_star = conj_deriv(s)
+        return np.where(s < INF, s * t_star - np.expm1(scale * t_star), INF)[()]
+
+    return YoungFn(phi, INF, conj, "exp", sup_slope=INF, params={"scale": scale},
+                   deriv=np.errstate(over="ignore")(lambda t: scale * np.exp(scale * t)),
+                   conjugate_deriv=conj_deriv)
 
 
 def make_piecewise(knots, slopes) -> YoungFn:
     """Convex piecewise-linear Young function: slopes[i] applies on
     [knots[i-1], knots[i]] with knots[-1] extended to infinity.  Slopes must
-    be nonnegative, nondecreasing, and end positive."""
+    be nonnegative, nondecreasing, and end positive.  The conjugate is
+    phi*(s) = max over t in {0} + knots of s*t - phi(t) up to the last slope,
+    and inf beyond."""
     knots = [float(k) for k in knots]
     slopes = [float(m) for m in slopes]
     if len(slopes) != len(knots) + 1:
@@ -148,24 +155,27 @@ def make_piecewise(knots, slopes) -> YoungFn:
     if slopes[-1] <= 0:
         raise ParameterError("final slope must be positive so the function diverges")
 
-    bounds = [0.0] + knots
-    base = [0.0]
-    for i in range(len(knots)):
-        base.append(base[i] + slopes[i] * (bounds[i + 1] - bounds[i]))
+    kn, sl = np.array(knots), np.array(slopes)
+    bounds = np.array([0.0] + knots)
+    base = np.concatenate(([0.0], np.cumsum(sl[:-1] * np.diff(bounds))))
+    # the maximizers of s*t - phi(t): 0, the knots, and inf past the last slope
+    argmax, at_argmax = np.append(bounds, INF), np.append(base, 0.0)
 
-    def phi(t: float) -> float:
-        for i in range(len(knots)):
-            if t <= bounds[i + 1]:
-                return base[i] + slopes[i] * (t - bounds[i])
-        return base[-1] + slopes[-1] * (t - bounds[-1])
+    @np.errstate(over="ignore")
+    def phi(t):
+        i = np.searchsorted(kn, t)
+        return base[i] + sl[i] * (t - bounds[i])
+
+    def conj(s):
+        # the max over t in {0} + knots of s*t - phi(t), taken at its maximizer
+        i = np.searchsorted(sl, s)
+        return s * argmax[i] - at_argmax[i]
 
     return YoungFn(
-        phi,
-        INF,
-        None,
-        "piecewise",
-        sup_slope=slopes[-1],
+        phi, INF, conj, "piecewise", sup_slope=slopes[-1],
         params={"knots": tuple(knots), "slopes": tuple(slopes)},
+        deriv=lambda t: sl[np.searchsorted(kn, t, "right")],
+        conjugate_deriv=lambda s: argmax[np.searchsorted(sl, s, "right")],
     )
 
 
@@ -231,10 +241,11 @@ def conjugate(phi: YoungFn, s: float, use_closed_form: bool = True,
               rel_tol: float = 1e-10) -> float:
     """Conjugate value phi*(s) = sup_{t >= 0} (s*t - phi(t)).
 
-    Uses the closed form when the family provides one, otherwise maximizes the
-    concave objective by golden section with bracket expansion (factor 4, at
-    most 200 expansions); an objective still improving at the expansion cap is
-    reported as inf."""
+    Uses the closed form when the family provides one (all four families
+    do), otherwise maximizes the concave objective by golden section with
+    bracket expansion (factor 4, at most 200 expansions); an objective still
+    improving at the expansion cap is reported as inf.  This numeric path is
+    the oracle the closed forms are tested against."""
     if s < 0.0:
         raise ParameterError(f"conjugate argument must be >= 0, got {s}")
     if s == 0.0:
@@ -269,12 +280,12 @@ def conjugate(phi: YoungFn, s: float, use_closed_form: bool = True,
 
 def conjugate_young_fn(phi: YoungFn) -> YoungFn:
     """The conjugate as a Young function in its own right.  Its finite domain
-    ends at phi's largest slope, and its own conjugate is phi back."""
+    ends at phi's largest slope, its own conjugate is phi back, and the two
+    derivative fields swap."""
+    closed = phi.conjugate_closed_form or np.vectorize(lambda s: conjugate(phi, s), otypes=[float])
 
-    def conj_eval(s: float) -> float:
-        if s > phi.sup_slope:
-            return INF
-        return conjugate(phi, s)
+    def conj_eval(s):
+        return np.where(s > phi.sup_slope, INF, closed(s))[()]
 
     # the conjugate of a linear phi is a pure step: 0 up to the slope, inf beyond
     step = None
@@ -289,6 +300,8 @@ def conjugate_young_fn(phi: YoungFn) -> YoungFn:
         phi.family_tag + "*",
         sup_slope=phi.finite_sup,
         step_threshold=step,
+        deriv=phi.conjugate_deriv,
+        conjugate_deriv=phi.deriv,
     )
 
 

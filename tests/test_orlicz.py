@@ -1,10 +1,13 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from orlicz_risk import (
     ContractError,
+    ParameterError,
     FiniteProbSpace,
     SubAlgebra,
     amemiya_norm,
@@ -19,7 +22,9 @@ from orlicz_risk import (
     pairing,
     pairing_operator_norm,
     recover_density,
+    solvers,
 )
+from orlicz_risk.young import YoungFn
 
 FAMILIES = [
     make_power(1), make_power(1.5), make_power(2), make_power(3),
@@ -336,3 +341,155 @@ class TestStepFamilies:
         x = coin.var([3.0, 4.0])
         cn = luxemburg_norm(x, SubAlgebra.trivial(2), conj)
         assert cn.atom_values[0] == 2.0
+
+
+BASE_FAMILIES = [
+    make_power(1), make_power(1.5), make_power(2), make_power(3), make_exp(), make_exp(2.5),
+    make_linf(), make_piecewise([0.5, 1.5], [0.0, 1.0, 2.5]), make_piecewise([1.0], [0.5, 2.0]),
+    make_piecewise([], [2.0]),
+]
+ALL_FAMILIES = BASE_FAMILIES + [conjugate_young_fn(phi) for phi in BASE_FAMILIES]
+
+
+def skewed_setup(rng, n, k, floor):
+    """A space whose probabilities run down to about `floor`, split into k atoms."""
+    probs = 10.0 ** rng.uniform(np.log10(floor), 0.0, n)
+    space = FiniteProbSpace(probs / probs.sum())
+    cuts = np.sort(rng.choice(np.arange(1, n), size=k - 1, replace=False))
+    atoms = [tuple(int(i) for i in a) for a in np.split(rng.permutation(n), cuts)]
+    return space, SubAlgebra.from_atoms(atoms, n)
+
+
+class TestMagnitudeAndSkewInvariance:
+    @pytest.mark.parametrize("norm", [luxemburg_norm, amemiya_norm, pairing_operator_norm])
+    def test_positively_homogeneous_across_magnitudes(self, norm):
+        rng = np.random.default_rng(83)
+        spaces = [skewed_setup(rng, 9, 3, 1e-12), skewed_setup(rng, 6, 1, 1e-6),
+                  (FiniteProbSpace(np.array([0.2, 0.3, 0.5])), SubAlgebra.trivial(3))]
+        for space, alg in spaces:
+            x = space.var(rng.normal(size=space.n_outcomes))
+            for phi in ALL_FAMILIES:
+                base = norm(x, alg, phi)
+                for scale in (1e-200, 1e-100, 1e100, 1e200):
+                    scaled = norm(x * scale, alg, phi)
+                    np.testing.assert_allclose(
+                        scaled.atom_values / scale, base.atom_values, rtol=1e-9,
+                        err_msg=f"{phi.family_tag} {phi.params} at {scale}",
+                    )
+                    assert scaled.attained == base.attained, (phi.family_tag, scale)
+
+    def test_tiny_magnitudes_keep_the_attained_minimum(self):
+        space = FiniteProbSpace(np.array([0.2, 0.3, 0.5]))
+        alg = SubAlgebra.trivial(3)
+        x = space.var([1.0, -2.0, 0.5])
+        phi = make_piecewise([0.5, 1.5], [0.0, 1.0, 2.5])
+        for scale in (1.0, 1e-100):
+            ame = amemiya_norm(x * scale, alg, phi)
+            op = pairing_operator_norm(x * scale, alg, make_power(2))
+            assert ame.atom_values[0] / scale == pytest.approx(1.775, rel=1e-9)
+            assert op.atom_values[0] / scale == pytest.approx(math.sqrt(1.525), rel=1e-9)
+            assert ame.attained == op.attained == (True,)
+
+
+def modular_oracle(phi, t):
+    """phi written again with numpy, apart from the package."""
+    fam, params = phi.family_tag, phi.params
+    if fam == "power":
+        return t ** params["p"]
+    if fam == "exp":
+        return np.expm1(params["scale"] * t)
+    if fam == "linf":
+        return np.where(t < 1.0, 0.0, np.inf)
+    bounds = [0.0, *params["knots"], np.inf]
+    return sum(m * np.clip(t - lo, 0.0, hi - lo)
+               for m, lo, hi in zip(params["slopes"], bounds, bounds[1:]))
+
+
+ORACLE_FAMILIES = [
+    make_power(1), make_power(1.5), make_power(2), make_power(3), make_exp(), make_exp(2.5),
+    make_piecewise([0.5, 1.5], [0.0, 1.0, 2.5]), make_piecewise([1.0], [0.5, 2.0]),
+]
+
+
+def atom_data(x, alg, k):
+    idx = list(alg.atoms[k])
+    w = x.space.probs[idx] / x.space.probs[idx].sum()
+    return np.abs(x.values[idx]), w
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), which=st.integers(0, len(ORACLE_FAMILIES) - 1),
+       log_scale=st.floats(min_value=-3.0, max_value=3.0))
+def test_luxemburg_modular_is_one_at_the_norm(seed, which, log_scale):
+    rng = np.random.default_rng(seed)
+    space, alg = random_setup(rng, n_max=12)
+    x = space.var(rng.normal(size=space.n_outcomes) * 10.0 ** log_scale)
+    phi = ORACLE_FAMILIES[which]
+    cn = luxemburg_norm(x, alg, phi)
+    assert all(cn.attained)
+    for k in range(alg.n_atoms):
+        a, w = atom_data(x, alg, k)
+        modular = float(np.dot(w, modular_oracle(phi, a / cn.atom_values[k])))
+        assert modular == pytest.approx(1.0, abs=1e-9)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), which=st.integers(0, len(ORACLE_FAMILIES)),
+       log_scale=st.floats(min_value=-3.0, max_value=3.0))
+def test_amemiya_never_exceeds_the_objective(seed, which, log_scale):
+    rng = np.random.default_rng(seed)
+    space, alg = random_setup(rng, n_max=12)
+    x = space.var(rng.normal(size=space.n_outcomes) * 10.0 ** log_scale)
+    phi = (ORACLE_FAMILIES + [make_linf()])[which]
+    values = amemiya_norm(x, alg, phi).atom_values
+    for k in range(alg.n_atoms):
+        a, w = atom_data(x, alg, k)
+        lam = np.geomspace(1e-4, 1e4, 801) / a.max()
+        with np.errstate(over="ignore", invalid="ignore"):
+            objective = (1.0 + modular_oracle(phi, np.outer(lam, a)) @ w) / lam
+        assert values[k] <= objective.min() * (1.0 + 1e-9)
+        if phi.family_tag == "power" and phi.params["p"] > 1.0:
+            p = phi.params["p"]
+            m = float(np.dot(w, a ** p))
+            closed = p * (p - 1.0) ** (1.0 / p - 1.0) * m ** (1.0 / p)
+            assert values[k] == pytest.approx(closed, rel=1e-9)
+        if phi.family_tag == "piecewise":
+            # the objective mu*(1 + E phi(|x|/mu)) is convex and piecewise
+            # linear in mu, kinked at |x_i| / knot_j, with limit s_last*E|x|
+            # as mu -> 0: its infimum is at a kink or is that limit
+            mu = np.outer(a, 1.0 / np.array(phi.params["knots"])).ravel()
+            mu = mu[mu > 0.0]
+            kinks = mu * (1.0 + modular_oracle(phi, np.outer(1.0 / mu, a)) @ w)
+            exact = min([phi.params["slopes"][-1] * float(np.dot(w, a)), *kinks])
+            assert values[k] == pytest.approx(exact, rel=1e-9)
+
+
+class TestWorkBudget:
+    @pytest.mark.parametrize("phi", [make_power(2), make_exp(), make_linf(),
+                                     make_piecewise([0.5, 1.5], [0.0, 1.0, 2.5])],
+                             ids=lambda f: f.family_tag)
+    @pytest.mark.parametrize("norm", [luxemburg_norm, amemiya_norm])
+    def test_one_solve_and_few_evaluations_at_1024_outcomes(self, norm, phi, monkeypatch):
+        rng = np.random.default_rng(89)
+        space = FiniteProbSpace.uniform(1024)
+        alg = SubAlgebra.from_atoms([tuple(range(i, 1024, 16)) for i in range(16)], 1024)
+        x = space.var(rng.normal(size=1024))
+        evals, solves = [], []
+        counted = dataclasses.replace(phi, eval=lambda t: evals.append(1) or phi.eval(t))
+        bisect = solvers.bisect_monotone
+        monkeypatch.setattr(solvers, "bisect_monotone",
+                            lambda *a, **k: solves.append(1) or bisect(*a, **k))
+        cn = norm(x, alg, counted)
+        assert len(evals) <= 300
+        # the sup-norm branch of the Luxemburg norm is exact and solves nothing
+        exact = norm is luxemburg_norm and phi.step_threshold is not None
+        assert len(solves) == (0 if exact else 1)
+        np.testing.assert_array_equal(cn.atom_values, norm(x, alg, phi).atom_values)
+
+
+def test_amemiya_names_a_missing_derivative_field(coin):
+    phi = YoungFn(lambda t: t * t, math.inf, lambda s: s * s / 4.0, "custom")
+    with pytest.raises(ParameterError, match="deriv"):
+        amemiya_norm(coin.var([1.0, 2.0]), SubAlgebra.trivial(2), phi)
+    with pytest.raises(ParameterError, match="deriv"):
+        pairing_operator_norm(coin.var([1.0, 2.0]), SubAlgebra.trivial(2), phi)

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from orlicz_risk import (
     BracketError,
@@ -42,6 +43,42 @@ class TestBisect:
         assert rep.arg == pytest.approx(1.0, rel=1e-8)
 
 
+class TestBisectBatch:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        roots=st.lists(st.floats(min_value=-3.0, max_value=3.0), min_size=1, max_size=6),
+        p=st.sampled_from([0.5, 1.0, 2.0, 5.0]),
+        spread=st.floats(min_value=0.01, max_value=100.0),
+    )
+    def test_matches_scalar_calls_elementwise(self, roots, p, spread):
+        r = 10.0 ** np.array(roots)
+        lo, hi = r / (1.0 + spread), r * spread
+
+        def f(t):
+            return (r / t) ** p
+
+        batch = bisect_monotone(f, 1.0, lo, hi)
+        for i, ri in enumerate(r):
+            single = bisect_monotone(lambda t: (ri / t) ** p, 1.0, lo[i], hi[i])
+            assert batch.arg[i] == pytest.approx(single.arg, rel=1e-9)
+            assert batch.arg[i] == pytest.approx(ri, rel=1e-9)
+            assert bool(batch.attained[i]) == single.attained
+        assert batch.iterations < 40
+
+    def test_bracket_error_names_the_element(self):
+        with pytest.raises(BracketError, match="element 1"):
+            bisect_monotone(lambda t: np.stack([1.0 / t[..., 0], 2.0 + 0.0 * t[..., 1]], -1),
+                            1.0, [0.5, 0.5], [2.0, 2.0], max_expand=5)
+
+    def test_left_edge_reported_per_element(self):
+        rep = bisect_monotone(lambda t: np.stack([1.0 / t[..., 0], 0.0 * t[..., 1]], -1),
+                              1.0, [0.25, 0.25], [4.0, 4.0])
+        assert rep.arg[0] == pytest.approx(1.0, rel=1e-9)
+        assert rep.arg[1] == 0.25
+        assert rep.attained.tolist() == [True, False]
+        assert rep.boundary == "left"
+
+
 class TestGolden:
     def test_amemiya_style_objective(self):
         m = 12.5
@@ -70,6 +107,19 @@ class TestGolden:
     def test_interior_minimum_after_expansion(self):
         rep = golden_min(lambda t: (t - 40.0) ** 2, 0.0, 1.0)
         assert rep.arg == pytest.approx(40.0, abs=1e-6)
+        assert rep.attained
+
+    def test_tiny_objective_is_not_read_as_a_limit(self):
+        # every improvement here is below 1e-97, so a stall test must be relative
+        rep = golden_min(lambda t: 1e-100 * (t - 40.0) ** 2, 0.0, 1.0)
+        assert rep.arg == pytest.approx(40.0, abs=1e-6)
+        assert rep.attained and rep.boundary is None
+
+    def test_edge_tying_the_running_minimum_is_not_a_limit(self):
+        # f(1) == f(4) == 2.5: the expansion overshot the minimum at 1.5
+        rep = golden_min(lambda t: max(7.5 - 5.0 * t, t - 1.5), 0.0, 1.0, expand_left=False)
+        assert rep.arg == pytest.approx(1.5, abs=1e-8)
+        assert rep.value == pytest.approx(0.0, abs=1e-8)
         assert rep.attained
 
 

@@ -86,6 +86,38 @@ class TestPiecewise:
     def test_validate_passes(self):
         assert validate(make_piecewise([1.0, 2.0], [0.5, 1.0, 3.0])).passed
 
+    def test_numeric_conjugate_past_a_tied_expansion(self):
+        # s*t - phi(t) ties at t = 1 and t = 4 around its maximum at the knot 1.5
+        phi = make_piecewise([0.5, 1.5], [0.0, 1.0, 2.5])
+        assert conjugate(phi, 2.25, use_closed_form=False) == pytest.approx(2.375, rel=1e-9)
+
+    def test_closed_form_conjugate_is_the_knot_maximum(self):
+        phi = make_piecewise([0.5, 1.5], [0.0, 1.0, 2.5])
+        s = np.array([0.0, 0.5, 1.0, 2.25, 2.5, 2.6])
+        np.testing.assert_allclose(
+            phi.conjugate_closed_form(s), [0.0, 0.25, 0.5, 2.375, 2.75, INF], rtol=1e-15
+        )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    widths=st.lists(st.floats(min_value=0.05, max_value=3.0), min_size=0, max_size=4),
+    steps=st.lists(st.floats(min_value=0.0, max_value=2.0), min_size=5, max_size=5),
+)
+def test_piecewise_closed_form_conjugate_matches_numeric(widths, steps):
+    knots = np.cumsum(widths).tolist()
+    slopes = np.cumsum(steps[:len(knots) + 1]).tolist()
+    slopes[-1] += 0.5
+    phi = make_piecewise(knots, slopes)
+    grid = sorted(set(np.linspace(0.0, 1.2 * slopes[-1], 13).tolist() + slopes + [2.25]))
+    for s in grid:
+        closed = float(phi.conjugate_closed_form(s))
+        numeric = conjugate(phi, s, use_closed_form=False)
+        if s > slopes[-1]:
+            assert closed == INF
+        else:
+            assert closed == pytest.approx(numeric, rel=1e-8, abs=1e-9)
+
 
 class TestFromSpec:
     @pytest.mark.parametrize("spec,probe,expected", [
@@ -186,6 +218,46 @@ class TestValidate:
         phi = YoungFn(lambda t: min(t, 1.0) * 0.5, INF, None, "custom")
         report = validate(phi)
         assert not report.diverges
+
+
+ALL_FAMILIES = [make_power(1), make_power(2.5), make_linf(), make_exp(1.5),
+                make_piecewise([0.5, 1.5], [0.0, 1.0, 2.5])]
+
+
+class TestArrayContract:
+    @pytest.mark.parametrize("phi", ALL_FAMILIES + [conjugate_young_fn(f) for f in ALL_FAMILIES],
+                             ids=lambda f: f.family_tag)
+    def test_fields_map_arrays_elementwise(self, phi):
+        t = np.array([0.0, 0.3, 0.5, 0.999, 1.0, 1.5, 2.5, 3.0, 1e3, 1e200])
+        for name in ("eval", "conjugate_closed_form", "deriv", "conjugate_deriv"):
+            fn = getattr(phi, name)
+            np.testing.assert_array_equal(fn(t), [fn(float(v)) for v in t], err_msg=name)
+
+    @pytest.mark.parametrize("phi", ALL_FAMILIES, ids=lambda f: f.family_tag)
+    def test_derivative_fields_swap_under_conjugation(self, phi):
+        conj = conjugate_young_fn(phi)
+        assert conj.deriv is phi.conjugate_deriv
+        assert conj.conjugate_deriv is phi.deriv
+
+    @pytest.mark.parametrize("phi", [make_power(2.5), make_exp(1.5),
+                                     make_piecewise([0.5, 1.5], [0.0, 1.0, 2.5])],
+                             ids=lambda f: f.family_tag)
+    def test_derivatives_match_difference_quotients(self, phi):
+        # right derivatives, probed off the kinks of the piecewise family
+        for t in (0.2, 0.7, 1.2, 2.0):
+            h = 1e-7
+            quotient = (phi.eval(t + h) - phi.eval(t)) / h
+            assert phi.deriv(t) == pytest.approx(quotient, rel=1e-5, abs=1e-6)
+        for s in (0.4, 1.7, 2.2):
+            t_star = phi.conjugate_deriv(s)
+            value = s * t_star - phi.eval(t_star)
+            assert value == pytest.approx(conjugate(phi, s, use_closed_form=False), rel=1e-7)
+
+    def test_hand_built_function_without_derivatives_still_validates(self):
+        phi = YoungFn(lambda t: t * t, INF, None, "custom")
+        assert phi.deriv is None and phi.conjugate_deriv is None
+        assert validate(phi).passed
+        assert conjugate(phi, 4.0) == pytest.approx(4.0, rel=1e-9)
 
 
 class TestExtendedArithmetic:
