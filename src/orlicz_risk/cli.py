@@ -29,7 +29,13 @@ from .verification import verify_scenario
 __all__ = ["main"]
 
 
+def _row(check, algebra, atom, position, quantity, value, allowed="", passed="") -> dict:
+    return {"check": check, "algebra": algebra, "atom": atom, "position": position,
+            "quantity": quantity, "value": value, "allowed": allowed, "passed": passed}
+
+
 def _cmd_norm(sc: Scenario, args) -> tuple[dict, list[dict], bool]:
+    """Luxemburg and Amemiya norms per position, algebra, and atom"""
     results = {}
     rows = []
     for pos_name, x in sc.positions.items():
@@ -37,27 +43,22 @@ def _cmd_norm(sc: Scenario, args) -> tuple[dict, list[dict], bool]:
         for alg_name, alg in sc.algebras.items():
             lux = luxemburg_norm(x, alg, sc.young, rel_tol=1e-10)
             ame = amemiya_norm(x, alg, sc.young, rel_tol=1e-10)
+            lux_values = lux.atom_values.tolist()
+            ame_values = ame.atom_values.tolist()
             results[pos_name][alg_name] = {
-                "luxemburg": lux.atom_values.tolist(),
-                "amemiya": ame.atom_values.tolist(),
+                "luxemburg": lux_values,
+                "amemiya": ame_values,
                 "luxemburg_attained": list(lux.attained),
                 "amemiya_attained": list(ame.attained),
             }
-            for k in range(alg.n_atoms):
-                rows.append({
-                    "check": "norm", "algebra": alg_name, "atom": k,
-                    "position": pos_name, "quantity": "luxemburg",
-                    "value": float(lux.atom_values[k]), "allowed": "", "passed": "",
-                })
-                rows.append({
-                    "check": "norm", "algebra": alg_name, "atom": k,
-                    "position": pos_name, "quantity": "amemiya",
-                    "value": float(ame.atom_values[k]), "allowed": "", "passed": "",
-                })
+            for k, (lux_k, ame_k) in enumerate(zip(lux_values, ame_values)):
+                rows.append(_row("norm", alg_name, k, pos_name, "luxemburg", lux_k))
+                rows.append(_row("norm", alg_name, k, pos_name, "amemiya", ame_k))
     return results, rows, True
 
 
 def _cmd_risk(sc: Scenario, args) -> tuple[dict, list[dict], bool]:
+    """risk measure values per position and algebra"""
     results = {}
     rows = []
     for pos_name, x in sc.positions.items():
@@ -67,15 +68,12 @@ def _cmd_risk(sc: Scenario, args) -> tuple[dict, list[dict], bool]:
             per_atom = value.values[alg.first].tolist()
             results[pos_name][alg_name] = per_atom
             for k, v in enumerate(per_atom):
-                rows.append({
-                    "check": "risk", "algebra": alg_name, "atom": k,
-                    "position": pos_name, "quantity": sc.risk.tag,
-                    "value": v, "allowed": "", "passed": "",
-                })
+                rows.append(_row("risk", alg_name, k, pos_name, sc.risk.tag, v))
     return results, rows, True
 
 
 def _cmd_dual(sc: Scenario, args) -> tuple[dict, list[dict], bool]:
+    """robust-representation certificates (density, penalty, gap)"""
     results = {}
     rows = []
     ok = True
@@ -85,35 +83,20 @@ def _cmd_dual(sc: Scenario, args) -> tuple[dict, list[dict], bool]:
             cert = robust_representation(sc.risk, x, alg)
             gap = cert.gap.values[alg.first].tolist()
             pen = cert.penalty.values[alg.first].tolist()
-            results[pos_name][alg_name] = {
-                "y": cert.y.values.tolist(),
-                "penalty": pen,
-                "gap": gap,
-            }
-            for k in range(alg.n_atoms):
-                passed = abs(gap[k]) <= args.tol_gap
+            y = cert.y.values.tolist()
+            results[pos_name][alg_name] = {"y": y, "penalty": pen, "gap": gap}
+            for k, (gap_k, pen_k) in enumerate(zip(gap, pen)):
+                passed = abs(gap_k) <= args.tol_gap
                 ok = ok and passed
-                rows.append({
-                    "check": "dual", "algebra": alg_name, "atom": k,
-                    "position": pos_name, "quantity": "gap",
-                    "value": gap[k], "allowed": args.tol_gap, "passed": passed,
-                })
-                rows.append({
-                    "check": "dual", "algebra": alg_name, "atom": k,
-                    "position": pos_name, "quantity": "penalty",
-                    "value": pen[k], "allowed": "", "passed": "",
-                })
-            for i, lab in enumerate(sc.labels):
-                rows.append({
-                    "check": "dual", "algebra": alg_name,
-                    "atom": int(alg.atom_of[i]), "position": pos_name,
-                    "quantity": f"y[{lab}]", "value": float(cert.y.values[i]),
-                    "allowed": "", "passed": "",
-                })
+                rows.append(_row("dual", alg_name, k, pos_name, "gap", gap_k, args.tol_gap, passed))
+                rows.append(_row("dual", alg_name, k, pos_name, "penalty", pen_k))
+            rows += [_row("dual", alg_name, atom, pos_name, f"y[{lab}]", y_i)
+                     for lab, atom, y_i in zip(sc.labels, alg.atom_of.tolist(), y)]
     return results, rows, ok
 
 
 def _cmd_verify(sc: Scenario, args) -> tuple[dict, list[dict], bool]:
+    """full invariant suite; exit 0 iff every tolerance passes"""
     rows, passed = verify_scenario(
         sc, seed=args.seed, tol_gap=args.tol_gap, tol_norm=args.tol_norm
     )
@@ -129,6 +112,7 @@ def _cmd_verify(sc: Scenario, args) -> tuple[dict, list[dict], bool]:
 
 
 def _cmd_dynamic(sc: Scenario, args) -> tuple[dict, list[dict], bool]:
+    """stage-wise evaluation along the scenario filtration"""
     if sc.filtration_names is None:
         raise OrliczRiskError("scenario has no filtration; `dynamic` needs one")
     stages = tuple((sc.algebras[n], sc.risk) for n in sc.filtration_names)
@@ -143,14 +127,11 @@ def _cmd_dynamic(sc: Scenario, args) -> tuple[dict, list[dict], bool]:
             per_atom = value.values[alg.first].tolist()
             results[pos_name][f"stage{t}:{alg_name}"] = per_atom
             for k, v in enumerate(per_atom):
-                rows.append({
-                    "check": "dynamic", "algebra": alg_name, "atom": k,
-                    "position": pos_name, "quantity": f"stage{t}",
-                    "value": v, "allowed": "", "passed": "",
-                })
+                rows.append(_row("dynamic", alg_name, k, pos_name, f"stage{t}", v))
     return results, rows, True
 
 
+# each command's docstring is its line in `--help`
 _COMMANDS = {
     "norm": _cmd_norm,
     "risk": _cmd_risk,
@@ -159,37 +140,35 @@ _COMMANDS = {
     "dynamic": _cmd_dynamic,
 }
 
-_HELP = {
-    "norm": "Luxemburg and Amemiya norms per position, algebra, and atom",
-    "risk": "risk measure values per position and algebra",
-    "dual": "robust-representation certificates (density, penalty, gap)",
-    "verify": "full invariant suite; exit 0 iff every tolerance passes",
-    "dynamic": "stage-wise evaluation along the scenario filtration",
-}
-
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="orlicz-risk",
         description="Conditional Orlicz norms and risk measures on scenario files.",
+        epilog="commands:\n" + "".join(
+            f"  {name:8} {fn.__doc__}\n" for name, fn in _COMMANDS.items()),
+        formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
-        p = sub.add_parser(name, help=_HELP[name])
-        p.add_argument("scenario", type=Path, help="scenario JSON file")
-        p.add_argument("--out-dir", type=Path, default=Path("."),
-                       help="directory for report files (default: cwd)")
-        p.add_argument("--seed", type=int, default=0,
-                       help="seed for randomized property sweeps")
-        p.add_argument("--tol-gap", type=float, default=1e-6,
-                       help="duality-gap and scalarization tolerance")
-        p.add_argument("--tol-norm", type=float, default=1e-8,
-                       help="norm inequality tolerance")
+    parser.add_argument("command", choices=_COMMANDS, metavar="command",
+                        help="one of the commands listed below")
+    parser.add_argument("scenario", type=Path, help="scenario JSON file")
+    parser.add_argument("--out-dir", type=Path, default=Path("."),
+                        help="directory for report files (default: cwd)")
+    parser.add_argument("--seed", type=int, default=0,
+                        help="seed for randomized property sweeps")
+    parser.add_argument("--tol-gap", type=float, default=1e-6,
+                        help="duality-gap and scalarization tolerance")
+    parser.add_argument("--tol-norm", type=float, default=1e-8,
+                        help="norm inequality tolerance")
     return parser
 
 
+# built once: parsing leaves it unchanged, and building it costs more than parsing
+_PARSER = _build_parser()
+
+
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         sc = Scenario.from_file(args.scenario)
     except FileNotFoundError as exc:
@@ -204,25 +183,20 @@ def main(argv=None) -> int:
 
     try:
         results, rows, passed = _COMMANDS[args.command](sc, args)
+        report = {
+            "command": args.command,
+            "flags": {"seed": args.seed, "tol_gap": args.tol_gap, "tol_norm": args.tol_norm},
+            "inputs": sc.raw,
+            "results": results,
+            "passed": passed,
+        }
+        args.out_dir.mkdir(parents=True, exist_ok=True)
+        stem = args.scenario.stem
+        write_report_json(args.out_dir / f"{stem}.report.json", report)
+        write_atoms_csv(args.out_dir / f"{stem}.atoms.csv", rows)
     except OrliczRiskError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-    report = {
-        "command": args.command,
-        "flags": {
-            "seed": args.seed,
-            "tol_gap": args.tol_gap,
-            "tol_norm": args.tol_norm,
-        },
-        "inputs": sc.raw,
-        "results": results,
-        "passed": passed,
-    }
-    args.out_dir.mkdir(parents=True, exist_ok=True)
-    stem = args.scenario.stem
-    write_report_json(args.out_dir / f"{stem}.report.json", report)
-    write_atoms_csv(args.out_dir / f"{stem}.atoms.csv", rows)
 
     if args.command == "verify":
         for name, info in results["summary"].items():

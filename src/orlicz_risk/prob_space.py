@@ -47,7 +47,7 @@ class FiniteProbSpace:
             raise StructuralError("every outcome probability must be strictly positive")
         if abs(float(probs.sum()) - 1.0) > _PROB_SUM_TOL:
             raise StructuralError(
-                f"probabilities must sum to 1 within {_PROB_SUM_TOL}, got {probs.sum()!r}"
+                f"probabilities must sum to 1 within {_PROB_SUM_TOL}, got {float(probs.sum())}"
             )
         probs.setflags(write=False)
         object.__setattr__(self, "probs", probs)
@@ -86,7 +86,7 @@ class SubAlgebra:
     n_outcomes: int
 
     def __post_init__(self):
-        atoms = tuple(tuple(int(i) for i in atom) for atom in self.atoms)
+        atoms = tuple(tuple(map(int, atom)) for atom in self.atoms)
         if not all(atoms):
             raise StructuralError("atoms must be nonempty")
         flat = [i for atom in atoms for i in atom]

@@ -3,21 +3,27 @@ for inspection.
 
 Floats are written with 12 significant digits and dictionary keys are sorted,
 so identical inputs produce byte-identical files.  Non-finite values appear
-as the strings "inf" / "-inf".
+as the strings "inf" / "-inf".  NaN has no text: writing it raises
+ContractError naming its key or column.  Plain floats, strs, lists and
+str-keyed dicts are encoded in bulk; every other value (np.float64 and other
+subclasses, numpy arrays and scalars, other keys) one by one, to the same text.
 """
 
 from __future__ import annotations
 
-import json
 import math
+from json.encoder import encode_basestring_ascii as _escape
 from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
 
+from .errors import ContractError
+
 __all__ = ["fmt12", "canonical_dumps", "write_report_json", "write_atoms_csv", "CSV_COLUMNS"]
 
 CSV_COLUMNS = ("check", "algebra", "atom", "position", "quantity", "value", "allowed", "passed")
+_FLOAT, _STR, _DICT = {float}, {str}, {dict}
 
 
 def fmt12(value: float) -> str:
@@ -26,10 +32,30 @@ def fmt12(value: float) -> str:
     value = float(value)
     if math.isinf(value):
         return "inf" if value > 0 else "-inf"
+    if value != value:
+        raise ContractError("NaN has no text")
     return format(value, ".12g")
 
 
+def _floats_text(values) -> list | None:
+    """The "%.12g" text of each of `values`, plain floats; None unless all
+    are finite."""
+    text = ("%.12g," * len(values)) % tuple(values)
+    return None if "n" in text else text[:-1].split(",")  # "n": "inf" or "nan"
+
+
 def _encode(obj) -> str:
+    kind = type(obj)
+    if kind is float and obj - obj == 0.0:
+        return "%.12g" % obj
+    if kind is str:
+        return _escape(obj)
+    if kind is list or kind is tuple:
+        return "[" + ",".join(_encode_items(obj)) + "]"
+    if kind is dict and _STR.issuperset(map(type, obj)):
+        keys = sorted(obj)
+        items = zip(map(_escape, keys), _encode_items(list(map(obj.__getitem__, keys))))
+        return "{" + ",".join(map("%s:%s".__mod__, items)) + "}"
     if obj is None:
         return "null"
     if isinstance(obj, bool):
@@ -41,13 +67,12 @@ def _encode(obj) -> str:
             return '"inf"' if obj > 0 else '"-inf"'
         return fmt12(obj)
     if isinstance(obj, str):
-        return json.dumps(obj, ensure_ascii=True)
+        return _escape(obj)
     if isinstance(obj, Mapping):
         items = sorted(obj.items(), key=lambda kv: str(kv[0]))
-        inner = ",".join(f"{_encode(str(k))}:{_encode(v)}" for k, v in items)
-        return "{" + inner + "}"
+        return "{" + ",".join(_escape(str(k)) + ":" + _encode(v) for k, v in items) + "}"
     if isinstance(obj, (list, tuple)):
-        return "[" + ",".join(_encode(v) for v in obj) + "]"
+        return "[" + ",".join(map(_encode, obj)) + "]"
     if isinstance(obj, np.ndarray):
         return _encode(obj.tolist())
     if isinstance(obj, np.floating):
@@ -57,28 +82,83 @@ def _encode(obj) -> str:
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
+def _encode_items(values) -> list:
+    """The encoding of each of `values`: in bulk when they are all finite
+    floats, all strs, or records (str-keyed dicts with the same keys, more
+    records than keys) encoded key by key as columns."""
+    kinds = set(map(type, values))
+    if kinds == _FLOAT and (texts := _floats_text(values)) is not None:
+        return texts
+    if kinds == _STR:
+        return list(map(_escape, values))
+    keys = values[0].keys() if kinds == _DICT else ()
+    if (0 < len(keys) < len(values) and _STR.issuperset(map(type, keys))
+            and all(v.keys() == keys for v in values)):
+        names = sorted(keys)
+        record = "{" + ",".join(_escape(k).replace("%", "%%") + ":%s" for k in names) + "}"
+        columns = [_encode_items([v[k] for v in values]) for k in names]
+        return list(map(record.__mod__, zip(*columns)))
+    return list(map(_encode, values))
+
+
+def _nan_path(obj, path: str) -> str | None:
+    """JSON path of a NaN inside `obj`, or None."""
+    if isinstance(obj, np.ndarray):
+        obj = obj.tolist()
+    if isinstance(obj, Mapping):
+        found = (_nan_path(v, f"{path}.{k}") for k, v in obj.items())
+    elif isinstance(obj, (list, tuple)):
+        found = (_nan_path(v, f"{path}[{i}]") for i, v in enumerate(obj))
+    else:
+        return path if isinstance(obj, (float, np.floating)) and obj != obj else None
+    return next(filter(None, found), None)
+
+
 def canonical_dumps(obj) -> str:
-    return _encode(obj)
+    try:
+        return _encode(obj)
+    except ContractError:
+        raise ContractError(f"{_nan_path(obj, '$')}: NaN has no JSON encoding") from None
 
 
 def write_report_json(path: str | Path, report: Mapping) -> None:
     Path(path).write_text(canonical_dumps(report) + "\n", encoding="utf-8")
 
 
+def _quote(text: str) -> str:
+    if "," in text or '"' in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def _any_cell(cell) -> str:
+    return fmt12(cell) if isinstance(cell, (bool, float)) else _quote(str(cell))
+
+
+# exact cell type -> its text; no float, int or bool text holds a comma
+_CELL_TEXT = {str: _quote, float: fmt12, int: str, bool: fmt12}
+
+
+def _column_text(cells: list) -> list:
+    """The CSV text of each cell of one column: finite floats and strs that
+    need no quotes in bulk, a column of one type through its helper, and a
+    mixed one cell by cell."""
+    kinds = set(map(type, cells))
+    if kinds == _FLOAT and (texts := _floats_text(cells)) is not None:
+        return texts
+    if kinds == _STR and "," not in (joined := "".join(cells)) and '"' not in joined:
+        return cells
+    if len(kinds) == 1:
+        return list(map(_CELL_TEXT.get(kinds.pop(), _any_cell), cells))
+    return [_CELL_TEXT.get(type(cell), _any_cell)(cell) for cell in cells]
+
+
 def write_atoms_csv(path: str | Path, rows: Sequence[Mapping]) -> None:
-    lines = [",".join(CSV_COLUMNS)]
-    for row in rows:
-        cells = []
-        for col in CSV_COLUMNS:
-            cell = row.get(col, "")
-            if isinstance(cell, bool):
-                cell = "true" if cell else "false"
-            elif isinstance(cell, float):
-                cell = fmt12(cell)
-            else:
-                cell = str(cell)
-            if "," in cell or '"' in cell:
-                cell = '"' + cell.replace('"', '""') + '"'
-            cells.append(cell)
-        lines.append(",".join(cells))
+    columns = []
+    for col in CSV_COLUMNS:
+        try:
+            columns.append(_column_text([row.get(col, "") for row in rows]))
+        except ContractError:
+            raise ContractError(f"column {col!r}: NaN has no CSV text") from None
+    lines = [",".join(CSV_COLUMNS), *map(",".join, zip(*columns))]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")

@@ -94,6 +94,35 @@ class ScenarioValidationError(StructuralError):
 
 
 _TYPES = {"object": dict, "array": list, "string": str}
+# exact types that satisfy a `string` or `number` schema
+_EXACT = {"string": {str}, "number": {int, float}}
+
+
+def _all_conform(values, schema: Mapping) -> bool:
+    """True when every item of `values` certainly satisfies `schema`, decided
+    in bulk on the item types; False leaves the answer to the walker.
+
+    Decides strings (with `minLength`), numbers, arrays (with `minItems`), by
+    checking all their items as one column, and objects that must have
+    exactly their `properties`, by checking each property as a column."""
+    kind = schema.get("type")
+    keys = schema.keys()
+    if kind in _EXACT and keys <= {"type", "minLength"}:
+        shortest = schema.get("minLength", 0)
+        return _EXACT[kind].issuperset(map(type, values)) and (
+            kind != "string" or min(map(len, values), default=shortest) >= shortest)
+    if kind == "array" and keys == {"type", "minItems", "items"}:
+        return ({list}.issuperset(map(type, values))
+                and min(map(len, values), default=schema["minItems"]) >= schema["minItems"]
+                and _all_conform([item for v in values for item in v], schema["items"]))
+    if kind != "object" or keys != {"type", "required", "additionalProperties", "properties"}:
+        return False
+    props = schema["properties"]
+    return (schema["additionalProperties"] is False and set(schema["required"]) == props.keys()
+            and {dict}.issuperset(map(type, values))
+            and set(map(len, values)) <= {len(props)}
+            # a missing property reads None, which conforms to no schema
+            and all(_all_conform([v.get(k) for v in values], sub) for k, sub in props.items()))
 
 
 def _check_schema(value, schema: Mapping, path: str = "$") -> None:
@@ -101,7 +130,9 @@ def _check_schema(value, schema: Mapping, path: str = "$") -> None:
 
     Covers exactly the keywords SCENARIO_SCHEMA uses, with JSON Schema
     meaning: type, enum, minLength, minItems, items, minProperties, required,
-    properties and additionalProperties."""
+    properties and additionalProperties.  The items of an array and the
+    values of a map are checked in bulk first (`_all_conform`), and walked
+    one by one only when that does not settle them."""
     kind = schema.get("type")
     if kind == "number":
         ok = isinstance(value, (int, float)) and not isinstance(value, bool)
@@ -117,7 +148,7 @@ def _check_schema(value, schema: Mapping, path: str = "$") -> None:
     if isinstance(value, list):
         if len(value) < schema.get("minItems", 0):
             raise ScenarioValidationError(path, f"must have at least {schema['minItems']} items")
-        if "items" in schema:
+        if "items" in schema and not _all_conform(value, schema["items"]):
             for i, item in enumerate(value):
                 _check_schema(item, schema["items"], f"{path}[{i}]")
     if isinstance(value, dict):
@@ -129,12 +160,14 @@ def _check_schema(value, schema: Mapping, path: str = "$") -> None:
                 raise ScenarioValidationError(path, f"{key!r} is a required property")
         properties = schema.get("properties", {})
         additional = schema.get("additionalProperties", True)
-        for key, item in value.items():
-            sub = properties.get(key, additional)
-            if sub is False:
-                raise ScenarioValidationError(path, f"unexpected property {key!r}")
-            if sub is not True:
-                _check_schema(item, sub, f"{path}.{key}")
+        if properties or not isinstance(additional, dict) or not _all_conform(
+                value.values(), additional):
+            for key, item in value.items():
+                sub = properties.get(key, additional)
+                if sub is False:
+                    raise ScenarioValidationError(path, f"unexpected property {key!r}")
+                if sub is not True:
+                    _check_schema(item, sub, f"{path}.{key}")
 
 
 @dataclass(frozen=True)
@@ -150,56 +183,38 @@ class Scenario:
     raw: dict
 
     @classmethod
-    def from_dict(cls, data: Mapping) -> "Scenario":
+    def from_dict(cls, data: Mapping, copy: bool = True) -> "Scenario":
+        """Validate `data` and build its scenario.  `raw` is a JSON copy of
+        `data`, or with `copy=False` `data` itself, for a caller that hands
+        over a dict nobody else holds."""
         _check_schema(data, SCENARIO_SCHEMA)
 
-        labels = [o["label"] for o in data["outcomes"]]
-        if len(set(labels)) != len(labels):
-            raise ScenarioValidationError("$.outcomes", "outcome labels must be unique")
+        outcomes = data["outcomes"]
+        labels = [o["label"] for o in outcomes]
         index_of = {lab: i for i, lab in enumerate(labels)}
+        if len(index_of) != len(labels):
+            raise ScenarioValidationError("$.outcomes", "outcome labels must be unique")
 
-        probs = np.array([o["prob"] for o in data["outcomes"]], dtype=float)
-        for i, pr in enumerate(probs):
-            if pr <= 0.0:
-                raise ScenarioValidationError(
-                    f"$.outcomes[{i}].prob", f"probability must be > 0, got {pr}"
-                )
-        if abs(probs.sum() - 1.0) > 1e-12:
+        probs = np.array([o["prob"] for o in outcomes], dtype=float)
+        bad = np.flatnonzero(~((probs > 0.0) & (probs < np.inf)))
+        if bad.size:
             raise ScenarioValidationError(
-                "$.outcomes", f"probabilities must sum to 1, got {probs.sum()!r}"
+                f"$.outcomes[{bad[0]}].prob",
+                f"probability must be finite and > 0, got {float(probs[bad[0]])}",
             )
+        total = float(probs.sum())
+        if abs(total - 1.0) > 1e-12:
+            raise ScenarioValidationError("$.outcomes", f"probabilities must sum to 1, got {total}")
         space = FiniteProbSpace(probs)
 
+        n = len(labels)
         algebras: dict[str, SubAlgebra] = {}
         for alg_name, atoms in data["algebras"].items():
-            seen: set[str] = set()
-            index_atoms = []
-            for j, atom in enumerate(atoms):
-                in_atom: set[str] = set()
-                for lab in atom:
-                    if lab not in index_of:
-                        raise ScenarioValidationError(
-                            f"$.algebras.{alg_name}[{j}]", f"unknown outcome label {lab!r}"
-                        )
-                    if lab in in_atom:
-                        raise ScenarioValidationError(
-                            f"$.algebras.{alg_name}[{j}]",
-                            f"label {lab!r} is repeated within atom {j}",
-                        )
-                    if lab in seen:
-                        raise ScenarioValidationError(
-                            f"$.algebras.{alg_name}[{j}]",
-                            f"label {lab!r} appears in more than one atom",
-                        )
-                    in_atom.add(lab)
-                seen |= in_atom
-                index_atoms.append(tuple(index_of[lab] for lab in atom))
-            if seen != set(labels):
-                missing = sorted(set(labels) - seen)
-                raise ScenarioValidationError(
-                    f"$.algebras.{alg_name}", f"atoms do not cover outcomes {missing}"
-                )
-            algebras[alg_name] = SubAlgebra.from_atoms(index_atoms, len(labels))
+            index_atoms = [tuple(map(index_of.get, atom)) for atom in atoms]
+            covered = set().union(*index_atoms)
+            if None in covered or len(covered) != n or sum(map(len, atoms)) != n:
+                raise _partition_error(f"$.algebras.{alg_name}", atoms, index_of)
+            algebras[alg_name] = SubAlgebra.from_atoms(index_atoms, n)
 
         filtration_names = None
         if "filtration" in data:
@@ -210,20 +225,24 @@ class Scenario:
                     )
             filtration_names = tuple(data["filtration"])
             try:
-                Filtration(tuple(algebras[n] for n in filtration_names))
+                Filtration(tuple(algebras[name] for name in filtration_names))
             except StructuralError as exc:
                 raise ScenarioValidationError("$.filtration", str(exc)) from exc
 
         positions: dict[str, RandomVar] = {}
         for pos_name, mapping in data["positions"].items():
-            if set(mapping) != set(labels):
+            if mapping.keys() != index_of.keys():
                 extra = sorted(set(mapping) - set(labels))
                 missing = sorted(set(labels) - set(mapping))
                 raise ScenarioValidationError(
                     f"$.positions.{pos_name}",
                     f"values must cover every outcome exactly (missing {missing}, unknown {extra})",
                 )
-            values = np.array([mapping[lab] for lab in labels], dtype=float)
+            values = np.array(list(map(mapping.__getitem__, labels)), dtype=float)
+            nan = np.flatnonzero(np.isnan(values))
+            if nan.size:
+                raise ScenarioValidationError(
+                    f"$.positions.{pos_name}.{labels[nan[0]]}", "NaN is not a permitted value")
             positions[pos_name] = RandomVar(values, space)
 
         try:
@@ -244,19 +263,38 @@ class Scenario:
             positions=positions,
             young=young,
             risk=risk,
-            raw=json.loads(json.dumps(data)),
+            raw=json.loads(json.dumps(data)) if copy else data,
         )
 
     @classmethod
     def from_file(cls, path: str | Path) -> "Scenario":
-        def reject_duplicates(pairs):
-            seen = set()
-            for key, _ in pairs:
-                if key in seen:
-                    raise ScenarioValidationError("$", f"duplicate key {key!r}")
-                seen.add(key)
-            return dict(pairs)
-
         with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh, object_pairs_hook=reject_duplicates)
-        return cls.from_dict(data)
+            data = json.load(fh, object_pairs_hook=_reject_duplicates)
+        return cls.from_dict(data, copy=False)
+
+
+def _reject_duplicates(pairs):
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        keys = [key for key, _ in pairs]
+        repeated = next(key for i, key in enumerate(keys) if key in keys[:i])
+        raise ScenarioValidationError("$", f"duplicate key {repeated!r}")
+    return obj
+
+
+def _partition_error(path: str, atoms, index_of: Mapping) -> ScenarioValidationError:
+    """The diagnostic for atoms, lists of labels, that do not partition the
+    labels of `index_of`: the first unknown or repeated label, else the
+    labels no atom covers."""
+    seen: set[str] = set()
+    for j, atom in enumerate(atoms):
+        for i, lab in enumerate(atom):
+            if lab not in index_of:
+                return ScenarioValidationError(f"{path}[{j}]", f"unknown outcome label {lab!r}")
+            if lab in seen:
+                twice = f"is repeated within atom {j}" if lab in atom[:i] else (
+                    "appears in more than one atom")
+                return ScenarioValidationError(f"{path}[{j}]", f"label {lab!r} {twice}")
+            seen.add(lab)
+    return ScenarioValidationError(
+        path, f"atoms do not cover outcomes {sorted(set(index_of) - seen)}")

@@ -176,29 +176,19 @@ def _extension_rows(sc: Scenario, alg_name: str, alg, seed):
 
 
 def _penalty_bound_rows(sc: Scenario, alg_name: str, alg, rng):
+    probes = []
+    for name, x in list(sc.positions.items())[:2]:
+        beta = 1e-3 + float(np.max(-sc.risk.evaluate(x, alg).values))
+        probes.append((name, x, robust_representation(sc.risk, x, alg).y, beta))
+    for trial in range(2):
+        x = RandomVar(rng.normal(size=sc.space.n_outcomes), sc.space)
+        y = _feasible_density(rng, sc.space, alg)
+        probes.append((f"probe{trial}", x, y, float(rng.uniform(0.0, 2.0))))
     rows = []
-    space = sc.space
-    probes = list(sc.positions.items())[:2]
-    for name, x in probes:
-        cert = robust_representation(sc.risk, x, alg)
-        primal = sc.risk.evaluate(x, alg).values
-        beta = 1e-3 + float(np.max(-primal))
-        rep = penalty_bound_check(sc.risk, x, cert.y, beta, alg)
-        for atom_row in rep.atoms:
+    for name, x, y, beta in probes:
+        for atom_row in penalty_bound_check(sc.risk, x, y, beta, alg).atoms:
             rows.append(_row(
                 "penalty_bound", alg_name, atom_row.atom, name,
-                "penalty_minus_bound" if atom_row.hypothesis_holds else "hypothesis_skipped",
-                atom_row.penalty - atom_row.bound if atom_row.hypothesis_holds else 0.0,
-                1e-8, atom_row.ok,
-            ))
-    for trial in range(2):
-        x = RandomVar(rng.normal(size=space.n_outcomes), space)
-        y = _feasible_density(rng, space, alg)
-        beta = float(rng.uniform(0.0, 2.0))
-        rep = penalty_bound_check(sc.risk, x, y, beta, alg)
-        for atom_row in rep.atoms:
-            rows.append(_row(
-                "penalty_bound", alg_name, atom_row.atom, f"probe{trial}",
                 "penalty_minus_bound" if atom_row.hypothesis_holds else "hypothesis_skipped",
                 atom_row.penalty - atom_row.bound if atom_row.hypothesis_holds else 0.0,
                 1e-8, atom_row.ok,

@@ -1,0 +1,170 @@
+"""The report writers against the earlier one-value-at-a-time writers, kept
+below as an oracle: the bulk encoders must give the same bytes."""
+
+import json
+import math
+from pathlib import Path
+from typing import Mapping
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from orlicz_risk import ContractError
+from orlicz_risk.report import CSV_COLUMNS, canonical_dumps, write_atoms_csv, write_report_json
+
+
+# --- oracle: the writers before the bulk encoders, unchanged -----------------
+
+def _oracle_fmt12(value: float) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    value = float(value)
+    if math.isinf(value):
+        return "inf" if value > 0 else "-inf"
+    return format(value, ".12g")
+
+
+def _oracle_encode(obj) -> str:
+    if obj is None:
+        return "null"
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
+    if isinstance(obj, int):
+        return str(obj)
+    if isinstance(obj, float):
+        if math.isinf(obj):
+            return '"inf"' if obj > 0 else '"-inf"'
+        return _oracle_fmt12(obj)
+    if isinstance(obj, str):
+        return json.dumps(obj, ensure_ascii=True)
+    if isinstance(obj, Mapping):
+        items = sorted(obj.items(), key=lambda kv: str(kv[0]))
+        inner = ",".join(f"{_oracle_encode(str(k))}:{_oracle_encode(v)}" for k, v in items)
+        return "{" + inner + "}"
+    if isinstance(obj, (list, tuple)):
+        return "[" + ",".join(_oracle_encode(v) for v in obj) + "]"
+    if isinstance(obj, np.ndarray):
+        return _oracle_encode(obj.tolist())
+    if isinstance(obj, np.floating):
+        return _oracle_encode(float(obj))
+    if isinstance(obj, np.integer):
+        return _oracle_encode(int(obj))
+    raise TypeError(f"cannot serialize {type(obj)!r}")
+
+
+def _oracle_write_atoms_csv(path, rows) -> None:
+    lines = [",".join(CSV_COLUMNS)]
+    for row in rows:
+        cells = []
+        for col in CSV_COLUMNS:
+            cell = row.get(col, "")
+            if isinstance(cell, bool):
+                cell = "true" if cell else "false"
+            elif isinstance(cell, float):
+                cell = _oracle_fmt12(cell)
+            else:
+                cell = str(cell)
+            if "," in cell or '"' in cell:
+                cell = '"' + cell.replace('"', '""') + '"'
+            cells.append(cell)
+        lines.append(",".join(cells))
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+# --- generated values --------------------------------------------------------
+
+FLOATS = st.one_of(
+    st.floats(min_value=1e-300, max_value=1e300),
+    st.floats(min_value=-1e300, max_value=-1e-300),
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf]),
+    st.floats(allow_nan=False),
+)
+TEXT = st.text(st.one_of(st.characters(), st.sampled_from('",\n%é☃\\')), max_size=8)
+INT64 = st.integers(-2**63, 2**63 - 1)
+SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), FLOATS, TEXT,
+    FLOATS.map(np.float64), INT64.map(np.int64),
+)
+ARRAYS = st.one_of(st.lists(FLOATS, max_size=5).map(np.array),
+                   st.lists(INT64, max_size=5).map(lambda v: np.array(v, dtype=np.int64)))
+KEYS = st.one_of(TEXT, st.integers(), st.booleans(), st.none(), FLOATS)
+
+
+def _containers(children):
+    return st.one_of(
+        st.lists(children, max_size=6),
+        st.lists(children, max_size=6).map(tuple),
+        st.dictionaries(TEXT, children, max_size=6),
+        st.dictionaries(KEYS, children, max_size=6),
+        # records: dicts with the same str keys, as the scenario's outcomes
+        st.lists(TEXT, min_size=1, max_size=3, unique=True).flatmap(
+            lambda keys: st.lists(st.fixed_dictionaries({k: children for k in keys}), max_size=6)),
+    )
+
+
+VALUES = st.recursive(st.one_of(SCALARS, ARRAYS, st.lists(FLOATS, max_size=8)), _containers,
+                      max_leaves=20)
+# one kind of cell per column, so the bulk paths of the CSV writer run
+CELLS = [st.none(), st.booleans(), st.integers(), FLOATS, TEXT, FLOATS.map(np.float64),
+         INT64.map(np.int64), st.one_of(st.just(""), FLOATS, st.booleans()), SCALARS]
+TABLES = st.lists(st.sampled_from(CELLS), min_size=len(CSV_COLUMNS), max_size=len(CSV_COLUMNS)).flatmap(
+    lambda kinds: st.lists(st.fixed_dictionaries(dict(zip(CSV_COLUMNS, kinds))), max_size=8))
+ROWS = st.lists(st.dictionaries(st.sampled_from(CSV_COLUMNS), SCALARS), max_size=8)
+
+
+@settings(max_examples=150, deadline=None)
+@given(VALUES)
+def test_canonical_dumps_matches_the_oracle(value):
+    assert canonical_dumps(value) == _oracle_encode(value)
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.one_of(TABLES, ROWS))
+def test_write_atoms_csv_matches_the_oracle(tmp_path, rows):
+    write_atoms_csv(tmp_path / "new.csv", rows)
+    _oracle_write_atoms_csv(tmp_path / "old.csv", rows)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+@pytest.mark.parametrize("value", [
+    [0.1, -0.0, 1e-300, 1e300, 5e-324, 1.7976931348623157e308, 123456789012.5, 2.0 ** 60],
+    {"outcomes": [{"label": "w%1", "prob": 0.25}, {"label": 'q"', "prob": 0.75}]},
+    {"x": {"a": math.inf, "b": -math.inf, "c": 1.0}},
+    [{}, {}], [[], ()], {}, "", [np.float64(0.1), 0.1, np.int64(3), True, None],
+], ids=["floats", "records", "inf", "empty_records", "empty_lists", "empty_dict", "empty_str",
+        "mixed"])
+def test_canonical_dumps_fixed_cases(value):
+    assert canonical_dumps(value) == _oracle_encode(value)
+
+
+@pytest.mark.parametrize("value, path", [
+    (math.nan, "$"),
+    ({"results": {"x": {"gap": [0.0, 1.0, math.nan]}}}, "$.results.x.gap[2]"),
+    ({"a": [{"p": 1.0}, {"p": np.float64(math.nan)}]}, "$.a[1].p"),
+    ({"y": np.array([1.0, math.nan])}, "$.y[1]"),
+], ids=["bare", "list", "records", "array"])
+def test_canonical_dumps_refuses_nan_with_its_path(value, path):
+    with pytest.raises(ContractError) as err:
+        canonical_dumps(value)
+    assert str(err.value) == f"{path}: NaN has no JSON encoding"
+
+
+def test_writers_refuse_nan_and_write_nothing(tmp_path):
+    with pytest.raises(ContractError, match=r"\$\.results\.gap\[0\]"):
+        write_report_json(tmp_path / "r.json", {"results": {"gap": [math.nan]}})
+    rows = [{"check": "dual", "value": 1.0}, {"check": "dual", "value": math.nan}]
+    with pytest.raises(ContractError, match="column 'value'"):
+        write_atoms_csv(tmp_path / "r.csv", rows)
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("cells", [
+    ['say "hi"', "plain"], ["a,b", "plain"], ["line\nbreak", "é☃"], [1.5, math.inf, -0.0],
+    [1.5, ""], [True, "", False], [np.float64(2.5), np.int64(7), None], [3, 10**30],
+], ids=["quotes", "comma", "newline", "inf", "mixed", "bools", "numpy", "ints"])
+def test_write_atoms_csv_fixed_columns(tmp_path, cells):
+    rows = [{col: cell for col in CSV_COLUMNS} for cell in cells]
+    write_atoms_csv(tmp_path / "new.csv", rows)
+    _oracle_write_atoms_csv(tmp_path / "old.csv", rows)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()

@@ -77,7 +77,7 @@ class TestScenarioParsing:
         }
         with pytest.raises(ScenarioValidationError) as err:
             Scenario.from_dict(data)
-        assert "$.outcomes" in str(err.value)
+        assert str(err.value) == "$.outcomes: probabilities must sum to 1, got 0.9"
 
     def test_unknown_label_in_atom(self):
         data = {
@@ -121,6 +121,46 @@ class TestScenarioParsing:
         with pytest.raises(ScenarioValidationError) as err:
             Scenario.from_dict(data)
         assert "$.positions.x" in str(err.value)
+
+    @pytest.mark.parametrize("atoms, path, message", [
+        ([["a", "b"], ["b", "c"]], "$.algebras.F[1]", "label 'b' appears in more than one atom"),
+        ([["a"], ["b", "a", "a"], ["c"]], "$.algebras.F[1]",
+         "label 'a' appears in more than one atom"),
+        ([["a"], ["c"]], "$.algebras.F", "atoms do not cover outcomes ['b']"),
+    ], ids=["two_atoms", "two_atoms_then_repeated", "uncovered"])
+    def test_partition_diagnostics(self, atoms, path, message):
+        data = {
+            "name": "bad",
+            "outcomes": [{"label": lab, "prob": 0.25} for lab in "abcd"],
+            "algebras": {"F": atoms + [["d"]]},
+            "positions": {"x": {lab: 1.0 for lab in "abcd"}},
+            "young": {"family": "linf"},
+            "risk": {"measure": "linear"},
+        }
+        with pytest.raises(ScenarioValidationError) as err:
+            Scenario.from_dict(data)
+        assert (err.value.path, str(err.value)) == (path, f"{path}: {message}")
+
+    def test_duplicate_key_in_file(self, tmp_path):
+        path = tmp_path / "dup.json"
+        path.write_text((SCENARIOS / "entropic4.json").read_text().replace(
+            '"filtration"', '"name": "again", "filtration"'))
+        with pytest.raises(ScenarioValidationError, match="duplicate key 'name'"):
+            Scenario.from_file(path)
+
+    def test_infinite_position_values_are_accepted(self):
+        data = json.loads((SCENARIOS / "entropic4.json").read_text())
+        data["positions"]["x"].update(w2=math.inf, w3=-math.inf)
+        sc = Scenario.from_dict(data)
+        assert list(sc.positions["x"].values[1:3]) == [math.inf, -math.inf]
+        assert sc.raw["positions"]["x"]["w2"] == math.inf
+
+    def test_from_file_keeps_the_parsed_dict_and_from_dict_copies(self, entropic4):
+        data = json.loads((SCENARIOS / "entropic4.json").read_text())
+        assert entropic4.raw == data
+        sc = Scenario.from_dict(data)
+        assert sc.raw == data and sc.raw is not data
+        assert Scenario.from_dict(data, copy=False).raw is data
 
     def test_filtration_refinement_checked(self):
         data = {
@@ -206,7 +246,13 @@ class TestSchemaChecker:
     @pytest.mark.parametrize("edit, path", [
         (lambda d: d["outcomes"][0].update(prob=True), "$.outcomes[0].prob"),
         (lambda d: d["young"].update(family="cosh"), "$.young.family"),
-    ], ids=["bool_prob", "unknown_family"])
+        (lambda d: d["outcomes"][1].update(prob=math.nan), "$.outcomes[1].prob"),
+        (lambda d: d["outcomes"][2].update(prob=math.inf), "$.outcomes[2].prob"),
+        (lambda d: d["outcomes"][3].update(prob=-math.inf), "$.outcomes[3].prob"),
+        (lambda d: d["outcomes"][0].update(prob=0), "$.outcomes[0].prob"),
+        (lambda d: d["positions"]["z"].update(w3=math.nan), "$.positions.z.w3"),
+    ], ids=["bool_prob", "unknown_family", "nan_prob", "inf_prob", "neg_inf_prob", "zero_prob",
+            "nan_position"])
     def test_from_dict_raises_scenario_error_with_path(self, edit, path):
         data = json.loads((SCENARIOS / "entropic4.json").read_text())
         edit(data)
@@ -276,6 +322,53 @@ class TestCli:
         assert code == 2
         err = capsys.readouterr().err
         assert "sum to 1" in err
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda d: d["outcomes"][1].update(prob=math.nan),
+         "$.outcomes[1].prob: probability must be finite and > 0, got nan"),
+        (lambda d: d["outcomes"][0].update(prob=math.inf),
+         "$.outcomes[0].prob: probability must be finite and > 0, got inf"),
+        (lambda d: d["positions"]["x"].update(w4=math.nan),
+         "$.positions.x.w4: NaN is not a permitted value"),
+    ], ids=["nan_prob", "inf_prob", "nan_position"])
+    def test_non_finite_numbers_exit_two_with_path(self, tmp_path, capsys, edit, message):
+        data = json.loads((SCENARIOS / "entropic4.json").read_text())
+        edit(data)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))  # NaN and Infinity as JSON accepts them
+        assert main(["dual", str(bad), "--out-dir", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == f"error: {bad}: {message}\n"
+        assert not (tmp_path / "bad.report.json").exists()
+
+    def test_help_lists_every_command(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        for line in [
+            "norm     Luxemburg and Amemiya norms per position, algebra, and atom",
+            "risk     risk measure values per position and algebra",
+            "dual     robust-representation certificates (density, penalty, gap)",
+            "verify   full invariant suite; exit 0 iff every tolerance passes",
+            "dynamic  stage-wise evaluation along the scenario filtration",
+        ]:
+            assert f"\n  {line}\n" in out
+
+    @pytest.mark.parametrize("argv", [["cosh", "scenarios/entropic4.json"], ["dual"], []],
+                             ids=["unknown_command", "no_scenario", "nothing"])
+    def test_usage_errors_exit_two(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "usage: orlicz-risk" in capsys.readouterr().err
+
+    def test_flags_parse_after_the_scenario(self, tmp_path):
+        out = tmp_path / "out"
+        argv = ["risk", str(SCENARIOS / "entropic4.json"), "--out-dir", str(out),
+                "--seed", "7", "--tol-gap", "1e-5", "--tol-norm", "1e-7"]
+        assert main(argv) == 0
+        report = json.loads((out / "entropic4.report.json").read_text())
+        assert report["flags"] == {"seed": 7, "tol_gap": 1e-5, "tol_norm": 1e-7}
 
     def test_schema_violation_exit_two(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
