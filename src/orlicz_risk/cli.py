@@ -19,7 +19,7 @@ import json
 import sys
 from pathlib import Path
 
-from .errors import OrliczRiskError
+from .errors import ContractError, OrliczRiskError
 from .orlicz import amemiya_norm, luxemburg_norm
 from .report import write_atoms_csv, write_report_json
 from .risk import DynamicRiskMeasure, dynamic_evaluate, robust_representation
@@ -35,7 +35,6 @@ def _row(check, algebra, atom, position, quantity, value, allowed="", passed="")
 
 
 def _cmd_norm(sc: Scenario, args) -> tuple[dict, list[dict], bool]:
-    """Luxemburg and Amemiya norms per position, algebra, and atom"""
     results = {}
     rows = []
     for pos_name, x in sc.positions.items():
@@ -58,7 +57,6 @@ def _cmd_norm(sc: Scenario, args) -> tuple[dict, list[dict], bool]:
 
 
 def _cmd_risk(sc: Scenario, args) -> tuple[dict, list[dict], bool]:
-    """risk measure values per position and algebra"""
     results = {}
     rows = []
     for pos_name, x in sc.positions.items():
@@ -73,7 +71,6 @@ def _cmd_risk(sc: Scenario, args) -> tuple[dict, list[dict], bool]:
 
 
 def _cmd_dual(sc: Scenario, args) -> tuple[dict, list[dict], bool]:
-    """robust-representation certificates (density, penalty, gap)"""
     results = {}
     rows = []
     ok = True
@@ -96,7 +93,6 @@ def _cmd_dual(sc: Scenario, args) -> tuple[dict, list[dict], bool]:
 
 
 def _cmd_verify(sc: Scenario, args) -> tuple[dict, list[dict], bool]:
-    """full invariant suite; exit 0 iff every tolerance passes"""
     rows, passed = verify_scenario(
         sc, seed=args.seed, tol_gap=args.tol_gap, tol_norm=args.tol_norm
     )
@@ -112,7 +108,6 @@ def _cmd_verify(sc: Scenario, args) -> tuple[dict, list[dict], bool]:
 
 
 def _cmd_dynamic(sc: Scenario, args) -> tuple[dict, list[dict], bool]:
-    """stage-wise evaluation along the scenario filtration"""
     if sc.filtration_names is None:
         raise OrliczRiskError("scenario has no filtration; `dynamic` needs one")
     stages = tuple((sc.algebras[n], sc.risk) for n in sc.filtration_names)
@@ -131,13 +126,13 @@ def _cmd_dynamic(sc: Scenario, args) -> tuple[dict, list[dict], bool]:
     return results, rows, True
 
 
-# each command's docstring is its line in `--help`
+# command -> (function, its line in `--help`)
 _COMMANDS = {
-    "norm": _cmd_norm,
-    "risk": _cmd_risk,
-    "dual": _cmd_dual,
-    "verify": _cmd_verify,
-    "dynamic": _cmd_dynamic,
+    "norm": (_cmd_norm, "Luxemburg and Amemiya norms per position, algebra, and atom"),
+    "risk": (_cmd_risk, "risk measure values per position and algebra"),
+    "dual": (_cmd_dual, "robust-representation certificates (density, penalty, gap)"),
+    "verify": (_cmd_verify, "full invariant suite; exit 0 iff every tolerance passes"),
+    "dynamic": (_cmd_dynamic, "stage-wise evaluation along the scenario filtration"),
 }
 
 
@@ -146,7 +141,7 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="orlicz-risk",
         description="Conditional Orlicz norms and risk measures on scenario files.",
         epilog="commands:\n" + "".join(
-            f"  {name:8} {fn.__doc__}\n" for name, fn in _COMMANDS.items()),
+            f"  {name:8} {text}\n" for name, (_, text) in _COMMANDS.items()),
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     parser.add_argument("command", choices=_COMMANDS, metavar="command",
@@ -182,7 +177,7 @@ def main(argv=None) -> int:
         return 2
 
     try:
-        results, rows, passed = _COMMANDS[args.command](sc, args)
+        results, rows, passed = _COMMANDS[args.command][0](sc, args)
         report = {
             "command": args.command,
             "flags": {"seed": args.seed, "tol_gap": args.tol_gap, "tol_norm": args.tol_norm},
@@ -192,8 +187,16 @@ def main(argv=None) -> int:
         }
         args.out_dir.mkdir(parents=True, exist_ok=True)
         stem = args.scenario.stem
-        write_report_json(args.out_dir / f"{stem}.report.json", report)
-        write_atoms_csv(args.out_dir / f"{stem}.atoms.csv", rows)
+        paths = (args.out_dir / f"{stem}.report.json", args.out_dir / f"{stem}.atoms.csv")
+        try:
+            write_report_json(paths[0], report)
+            write_atoms_csv(paths[1], rows)
+        except ContractError:
+            # a refused file leaves neither, so no report sits beside a table
+            # from another run
+            for path in paths:
+                path.unlink(missing_ok=True)
+            raise
     except OrliczRiskError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -209,7 +212,7 @@ def main(argv=None) -> int:
             f" observed={r['value']:.6g} allowed={r['allowed']:.6g}",
             file=sys.stderr,
         )
-    print(f"{'ok' if passed else 'FAILED'}: report at {args.out_dir / (stem + '.report.json')}")
+    print(f"{'ok' if passed else 'FAILED'}: report at {paths[0]}")
     return 0 if passed else 1
 
 

@@ -45,16 +45,15 @@ def _floats_text(values) -> list | None:
 
 
 def _encode(obj) -> str:
-    kind = type(obj)
-    if kind is float and obj - obj == 0.0:
+    if type(obj) is float and obj - obj == 0.0:
         return "%.12g" % obj
-    if kind is str:
+    if isinstance(obj, str):
         return _escape(obj)
-    if kind is list or kind is tuple:
+    if isinstance(obj, (list, tuple)):
         return "[" + ",".join(_encode_items(obj)) + "]"
-    if kind is dict and _STR.issuperset(map(type, obj)):
-        keys = sorted(obj)
-        items = zip(map(_escape, keys), _encode_items(list(map(obj.__getitem__, keys))))
+    if isinstance(obj, Mapping):
+        keys = sorted(obj, key=str)
+        items = zip(map(_escape, map(str, keys)), _encode_items([obj[k] for k in keys]))
         return "{" + ",".join(map("%s:%s".__mod__, items)) + "}"
     if obj is None:
         return "null"
@@ -66,13 +65,6 @@ def _encode(obj) -> str:
         if math.isinf(obj):
             return '"inf"' if obj > 0 else '"-inf"'
         return fmt12(obj)
-    if isinstance(obj, str):
-        return _escape(obj)
-    if isinstance(obj, Mapping):
-        items = sorted(obj.items(), key=lambda kv: str(kv[0]))
-        return "{" + ",".join(_escape(str(k)) + ":" + _encode(v) for k, v in items) + "}"
-    if isinstance(obj, (list, tuple)):
-        return "[" + ",".join(map(_encode, obj)) + "]"
     if isinstance(obj, np.ndarray):
         return _encode(obj.tolist())
     if isinstance(obj, np.floating):
@@ -141,15 +133,12 @@ _CELL_TEXT = {str: _quote, float: fmt12, int: str, bool: fmt12}
 
 def _column_text(cells: list) -> list:
     """The CSV text of each cell of one column: finite floats and strs that
-    need no quotes in bulk, a column of one type through its helper, and a
-    mixed one cell by cell."""
+    need no quotes in bulk, any other column cell by cell."""
     kinds = set(map(type, cells))
     if kinds == _FLOAT and (texts := _floats_text(cells)) is not None:
         return texts
     if kinds == _STR and "," not in (joined := "".join(cells)) and '"' not in joined:
         return cells
-    if len(kinds) == 1:
-        return list(map(_CELL_TEXT.get(kinds.pop(), _any_cell), cells))
     return [_CELL_TEXT.get(type(cell), _any_cell)(cell) for cell in cells]
 
 

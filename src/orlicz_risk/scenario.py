@@ -9,7 +9,7 @@ validation with path-and-field diagnostics.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Mapping
 
@@ -102,27 +102,18 @@ def _all_conform(values, schema: Mapping) -> bool:
     """True when every item of `values` certainly satisfies `schema`, decided
     in bulk on the item types; False leaves the answer to the walker.
 
-    Decides strings (with `minLength`), numbers, arrays (with `minItems`), by
-    checking all their items as one column, and objects that must have
-    exactly their `properties`, by checking each property as a column."""
+    Decides strings (with `minLength`), numbers, and arrays (with
+    `minItems`), by checking all their items as one column."""
     kind = schema.get("type")
     keys = schema.keys()
     if kind in _EXACT and keys <= {"type", "minLength"}:
         shortest = schema.get("minLength", 0)
         return _EXACT[kind].issuperset(map(type, values)) and (
             kind != "string" or min(map(len, values), default=shortest) >= shortest)
-    if kind == "array" and keys == {"type", "minItems", "items"}:
-        return ({list}.issuperset(map(type, values))
-                and min(map(len, values), default=schema["minItems"]) >= schema["minItems"]
-                and _all_conform([item for v in values for item in v], schema["items"]))
-    if kind != "object" or keys != {"type", "required", "additionalProperties", "properties"}:
-        return False
-    props = schema["properties"]
-    return (schema["additionalProperties"] is False and set(schema["required"]) == props.keys()
-            and {dict}.issuperset(map(type, values))
-            and set(map(len, values)) <= {len(props)}
-            # a missing property reads None, which conforms to no schema
-            and all(_all_conform([v.get(k) for v in values], sub) for k, sub in props.items()))
+    return (kind == "array" and keys == {"type", "minItems", "items"}
+            and {list}.issuperset(map(type, values))
+            and min(map(len, values), default=schema["minItems"]) >= schema["minItems"]
+            and _all_conform([item for v in values for item in v], schema["items"]))
 
 
 def _check_schema(value, schema: Mapping, path: str = "$") -> None:
@@ -183,10 +174,19 @@ class Scenario:
     raw: dict
 
     @classmethod
-    def from_dict(cls, data: Mapping, copy: bool = True) -> "Scenario":
-        """Validate `data` and build its scenario.  `raw` is a JSON copy of
-        `data`, or with `copy=False` `data` itself, for a caller that hands
-        over a dict nobody else holds."""
+    def from_dict(cls, data: Mapping) -> "Scenario":
+        """Validate `data` and build its scenario; `raw` is a JSON copy of `data`."""
+        return replace(cls._build(data), raw=json.loads(json.dumps(data)))
+
+    @classmethod
+    def from_file(cls, path: str | Path) -> "Scenario":
+        with open(path, "r", encoding="utf-8") as fh:
+            data = json.load(fh, object_pairs_hook=_reject_duplicates)
+        return cls._build(data)
+
+    @classmethod
+    def _build(cls, data: Mapping) -> "Scenario":
+        """Validate `data` and build its scenario, with `data` itself as `raw`."""
         _check_schema(data, SCENARIO_SCHEMA)
 
         outcomes = data["outcomes"]
@@ -263,14 +263,8 @@ class Scenario:
             positions=positions,
             young=young,
             risk=risk,
-            raw=json.loads(json.dumps(data)) if copy else data,
+            raw=data,
         )
-
-    @classmethod
-    def from_file(cls, path: str | Path) -> "Scenario":
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh, object_pairs_hook=_reject_duplicates)
-        return cls.from_dict(data, copy=False)
 
 
 def _reject_duplicates(pairs):

@@ -11,7 +11,9 @@ import numpy as np
 import pytest
 
 from orlicz_risk import SCENARIO_SCHEMA, Scenario, ScenarioValidationError
+import orlicz_risk.cli as cli_module
 from orlicz_risk.cli import main
+import orlicz_risk.scenario as scenario_module
 from orlicz_risk.scenario import _check_schema
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -155,12 +157,16 @@ class TestScenarioParsing:
         assert list(sc.positions["x"].values[1:3]) == [math.inf, -math.inf]
         assert sc.raw["positions"]["x"]["w2"] == math.inf
 
-    def test_from_file_keeps_the_parsed_dict_and_from_dict_copies(self, entropic4):
+    def test_from_file_keeps_the_parsed_dict_and_from_dict_copies(self, entropic4, monkeypatch):
         data = json.loads((SCENARIOS / "entropic4.json").read_text())
         assert entropic4.raw == data
         sc = Scenario.from_dict(data)
         assert sc.raw == data and sc.raw is not data
-        assert Scenario.from_dict(data, copy=False).raw is data
+        parsed = []
+        hook = scenario_module._reject_duplicates
+        monkeypatch.setattr(scenario_module, "_reject_duplicates",
+                            lambda pairs: parsed.append(hook(pairs)) or parsed[-1])
+        assert Scenario.from_file(SCENARIOS / "entropic4.json").raw is parsed[-1]
 
     def test_filtration_refinement_checked(self):
         data = {
@@ -353,6 +359,28 @@ class TestCli:
             "dynamic  stage-wise evaluation along the scenario filtration",
         ]:
             assert f"\n  {line}\n" in out
+
+    def test_help_survives_stripped_docstrings(self):
+        out = subprocess.run(
+            [sys.executable, "-OO", "-m", "orlicz_risk.cli", "--help"],
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(
+                [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])},
+            capture_output=True, text=True, check=True,
+        ).stdout
+        assert "\n  dual     robust-representation certificates (density, penalty, gap)\n" in out
+        assert "None" not in out
+
+    def test_nan_in_rows_only_leaves_neither_file(self, tmp_path, monkeypatch, capsys):
+        argv = ["verify", str(SCENARIOS / "entropic4.json"), "--out-dir", str(tmp_path)]
+        (tmp_path / "other.report.json").write_text("{}\n")
+        assert main(argv) == 0
+        assert len(list(tmp_path.iterdir())) == 3
+        row = {"check": "norm", "algebra": "F0", "atom": 0, "position": "x",
+               "quantity": "gap", "value": math.nan, "allowed": 1e-8, "passed": True}
+        monkeypatch.setattr(cli_module, "verify_scenario", lambda sc, **kw: ([row], True))
+        assert main(argv) == 2
+        assert capsys.readouterr().err.endswith("column 'value': NaN has no CSV text\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["other.report.json"]
 
     @pytest.mark.parametrize("argv", [["cosh", "scenarios/entropic4.json"], ["dual"], []],
                              ids=["unknown_command", "no_scenario", "nothing"])
