@@ -115,7 +115,7 @@ def _cmd_dynamic(sc: Scenario, args) -> tuple[dict, list[dict], bool]:
     results = {}
     rows = []
     for pos_name, x in sc.positions.items():
-        stage_values = dynamic_evaluate(dyn, x, check_stages=True, seed=args.seed)
+        stage_values = dynamic_evaluate(dyn, x, seed=args.seed)
         results[pos_name] = {}
         for t, (alg_name, value) in enumerate(zip(sc.filtration_names, stage_values)):
             alg = sc.algebras[alg_name]

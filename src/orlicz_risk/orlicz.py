@@ -48,15 +48,12 @@ class CondNorm:
     only approached."""
 
     per_atom: RandomVar
-    method_tag: str
-    tolerance_used: float
     attained: tuple[bool, ...]
     atom_values: np.ndarray
 
 
-def _cond_norm(x: RandomVar, alg: SubAlgebra, method: str, rel_tol: float,
-               values: np.ndarray, attained) -> CondNorm:
-    return CondNorm(RandomVar(alg.broadcast(values), x.space), method, rel_tol,
+def _cond_norm(x: RandomVar, alg: SubAlgebra, values: np.ndarray, attained) -> CondNorm:
+    return CondNorm(RandomVar(alg.broadcast(values), x.space),
                     tuple(bool(a) for a in attained), values)
 
 
@@ -99,10 +96,10 @@ def luxemburg_norm(x: RandomVar, alg: SubAlgebra, phi: YoungFn,
     if phi.step_threshold is not None:
         values = alg.atom_max(np.abs(x.values)) / phi.step_threshold
         at_threshold = phi.eval(phi.step_threshold) <= 1.0
-        return _cond_norm(x, alg, "luxemburg", rel_tol, values, at_threshold | (values == 0.0))
+        return _cond_norm(x, alg, values, at_threshold | (values == 0.0))
     report, peak, _ = _smallest_scale(x, alg, phi.eval, rel_tol)
     values = np.where(peak > 0.0, report.arg, 0.0)
-    return _cond_norm(x, alg, "luxemburg", rel_tol, values, [True] * alg.n_atoms)
+    return _cond_norm(x, alg, values, [True] * alg.n_atoms)
 
 
 def amemiya_norm(x: RandomVar, alg: SubAlgebra, phi: YoungFn,
@@ -148,8 +145,7 @@ def amemiya_norm(x: RandomVar, alg: SubAlgebra, phi: YoungFn,
     if math.isfinite(phi.sup_slope):
         values = np.where(limit, phi.sup_slope * expect(lambda t: t, np.ones_like(mu)), values)
     attained = ~limit & (included | ~barrier)
-    return _cond_norm(x, alg, "amemiya", rel_tol, np.where(peak > 0.0, values, 0.0),
-                      attained | (peak == 0.0))
+    return _cond_norm(x, alg, np.where(peak > 0.0, values, 0.0), attained | (peak == 0.0))
 
 
 def pairing(x: RandomVar, y: RandomVar, alg: SubAlgebra) -> RandomVar:
@@ -171,9 +167,7 @@ def pairing_operator_norm(y: RandomVar, alg: SubAlgebra, phi: YoungFn,
     supremum, and the pairing bound it certifies is safe.
     """
     _require_finite(y, "pairing_operator_norm")
-    conj = conjugate_young_fn(phi)
-    cn = amemiya_norm(abs(y), alg, conj, rel_tol)
-    return CondNorm(cn.per_atom, "pairing_operator", rel_tol, cn.attained, cn.atom_values)
+    return amemiya_norm(abs(y), alg, conjugate_young_fn(phi), rel_tol)
 
 
 def recover_density(mu: Callable[[RandomVar], RandomVar], space: FiniteProbSpace,

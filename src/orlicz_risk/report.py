@@ -4,9 +4,11 @@ for inspection.
 Floats are written with 12 significant digits and dictionary keys are sorted,
 so identical inputs produce byte-identical files.  Non-finite values appear
 as the strings "inf" / "-inf".  NaN has no text: writing it raises
-ContractError naming its key or column.  Plain floats, strs, lists and
-str-keyed dicts are encoded in bulk; every other value (np.float64 and other
-subclasses, numpy arrays and scalars, other keys) one by one, to the same text.
+ContractError naming its key or column.  A CSV cell holding a lone
+surrogate, which has no UTF-8 text, raises ContractError too.  Plain
+floats, strs, lists and str-keyed dicts are encoded in bulk; every other
+value (np.float64 and other subclasses, numpy arrays and scalars, other
+keys) one by one, to the same text.
 """
 
 from __future__ import annotations
@@ -118,7 +120,8 @@ def write_report_json(path: str | Path, report: Mapping) -> None:
 
 
 def _quote(text: str) -> str:
-    if "," in text or '"' in text:
+    """`text` as a CSV cell; a text that needs no quotes is returned itself."""
+    if "," in text or '"' in text or "\n" in text or "\r" in text:
         return '"' + text.replace('"', '""') + '"'
     return text
 
@@ -127,7 +130,7 @@ def _any_cell(cell) -> str:
     return fmt12(cell) if isinstance(cell, (bool, float)) else _quote(str(cell))
 
 
-# exact cell type -> its text; no float, int or bool text holds a comma
+# exact cell type -> its text; no float, int or bool text needs quotes
 _CELL_TEXT = {str: _quote, float: fmt12, int: str, bool: fmt12}
 
 
@@ -137,7 +140,7 @@ def _column_text(cells: list) -> list:
     kinds = set(map(type, cells))
     if kinds == _FLOAT and (texts := _floats_text(cells)) is not None:
         return texts
-    if kinds == _STR and "," not in (joined := "".join(cells)) and '"' not in joined:
+    if kinds == _STR and _quote(joined := "".join(cells)) is joined:
         return cells
     return [_CELL_TEXT.get(type(cell), _any_cell)(cell) for cell in cells]
 
@@ -150,4 +153,8 @@ def write_atoms_csv(path: str | Path, rows: Sequence[Mapping]) -> None:
         except ContractError:
             raise ContractError(f"column {col!r}: NaN has no CSV text") from None
     lines = [",".join(CSV_COLUMNS), *map(",".join, zip(*columns))]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    try:
+        data = ("\n".join(lines) + "\n").encode("utf-8")
+    except UnicodeEncodeError as exc:  # a lone surrogate, which JSON can carry
+        raise ContractError(f"{exc.object[exc.start]!r} has no UTF-8 text") from None
+    Path(path).write_bytes(data)

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 import weakref
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -172,10 +172,11 @@ def linear() -> CondRiskMeasure:
 
 
 def custom(evaluate: Callable[[RandomVar, SubAlgebra], RandomVar],
-           conjugate_closed_form=None, params: Mapping | None = None) -> CondRiskMeasure:
-    """Wrap a black-box evaluation map.  Conjugation demands that the map
-    first passes the axiom and locality probes."""
-    return CondRiskMeasure(evaluate, conjugate_closed_form, "custom", params or {})
+           params: Mapping | None = None) -> CondRiskMeasure:
+    """Wrap a black-box evaluation map; its penalty is computed numerically.
+    Conjugation demands that the map first passes the axiom and locality
+    probes."""
+    return CondRiskMeasure(evaluate, None, "custom", params or {})
 
 
 def risk_from_spec(spec: Mapping) -> CondRiskMeasure:
@@ -211,8 +212,11 @@ def _ensure_custom_validated(rho: CondRiskMeasure, space: FiniteProbSpace,
     _validated_customs.add(rho)
 
 
-def _coordinate_ascent_sup(objective: Callable[[np.ndarray], float], n: int,
-                           max_sweeps: int = 120) -> float:
+# sweeps of the coordinate ascent; it stops earlier once a sweep gains nothing
+_MAX_SWEEPS = 120
+
+
+def _coordinate_ascent_sup(objective: Callable[[np.ndarray], float], n: int) -> float:
     """Supremum of a concave objective over R^n by cyclic coordinate ascent
     started at 0, with per-coordinate golden section line searches.
 
@@ -221,7 +225,7 @@ def _coordinate_ascent_sup(objective: Callable[[np.ndarray], float], n: int,
     x = np.zeros(n)
     fx = objective(x)
     radius = np.ones(n)
-    for sweep in range(max_sweeps):
+    for sweep in range(_MAX_SWEEPS):
         improved = 0.0
         tol = 1e-4 if sweep == 0 else max(1e-11, 1e-4 * 10.0 ** (-sweep))
         for i in range(n):
@@ -235,8 +239,7 @@ def _coordinate_ascent_sup(objective: Callable[[np.ndarray], float], n: int,
 
             r = max(radius[i], 1e-6)
             rep = solvers.golden_min(
-                line, xi - r, xi + r, rel_tol=tol,
-                expand_factor=4.0, max_expand=80, limit_rel_improvement=1e-13,
+                line, xi - r, xi + r, rel_tol=tol, max_expand=80, limit_rel_improvement=1e-13,
             )
             if not rep.converged and rep.boundary is not None:
                 return INF
@@ -250,23 +253,17 @@ def _coordinate_ascent_sup(objective: Callable[[np.ndarray], float], n: int,
     return fx
 
 
-def fenchel_conjugate(rho: CondRiskMeasure, y: RandomVar, alg: SubAlgebra) -> RandomVar:
-    """Penalty value per atom: sup over positions x of E[x*y|atom] - rho(x).
-
-    Uses the closed form when available; otherwise densities that violate
-    y <= 0 or E[y|F] = -1 on an atom are assigned inf outright (the supremum
-    diverges there), and feasible atoms are maximized numerically by
-    coordinate ascent started at 0."""
-    if rho.conjugate_closed_form is not None:
-        return rho.conjugate_closed_form(y, alg)
+def _numeric_conjugate(rho: CondRiskMeasure, y: RandomVar, alg: SubAlgebra) -> Iterator[float]:
+    """Per atom in turn, sup over positions x of E[x*y|atom] - rho(x) on the
+    atom, by coordinate ascent over the atom's outcomes started at 0.
+    Locality lets each atom be maximized on its own.  Atoms where y violates
+    y <= 0 or E[y|F] = -1 get inf outright: the supremum diverges there."""
     _ensure_custom_validated(rho, y.space, alg)
-    feas = dual_feasible_atoms(y, alg)
     space = y.space
     weights = _atom_weights(space, alg)
-    vals = []
-    for ok, idx in zip(feas, np.split(alg.order, alg.starts[1:])):
+    for ok, idx in zip(dual_feasible_atoms(y, alg), np.split(alg.order, alg.starts[1:])):
         if not ok:
-            vals.append(INF)
+            yield INF
             continue
         w = weights[idx]
         ya = y.values[idx]
@@ -277,8 +274,16 @@ def fenchel_conjugate(rho: CondRiskMeasure, y: RandomVar, alg: SubAlgebra) -> Ra
             rv = RandomVar(base.copy(), space)
             return float(np.dot(w, xa * ya)) - float(rho.evaluate(rv, alg).values[idx[0]])
 
-        vals.append(_coordinate_ascent_sup(objective, len(idx)))
-    return RandomVar(alg.broadcast(vals), y.space)
+        yield _coordinate_ascent_sup(objective, len(idx))
+
+
+def fenchel_conjugate(rho: CondRiskMeasure, y: RandomVar, alg: SubAlgebra) -> RandomVar:
+    """Penalty value per atom: sup over positions x of E[x*y|atom] - rho(x).
+
+    Uses the closed form when available, otherwise `_numeric_conjugate`."""
+    if rho.conjugate_closed_form is not None:
+        return rho.conjugate_closed_form(y, alg)
+    return RandomVar(alg.broadcast(list(_numeric_conjugate(rho, y, alg))), y.space)
 
 
 def _envelope_density(rho: CondRiskMeasure, x: RandomVar, alg: SubAlgebra,
@@ -360,7 +365,6 @@ class AttainmentReport:
     attained_per_atom: tuple[bool, ...]
     max_equality_gap: float
     certificate: DualCertificate
-    note: str
     passed: bool
 
 
@@ -372,13 +376,7 @@ def attainment_check(rho: CondRiskMeasure, x: RandomVar, alg: SubAlgebra,
     cert = robust_representation(rho, x, alg)
     gaps = np.abs(cert.gap.values[alg.first])
     attained = tuple((gaps <= tol).tolist())
-    return AttainmentReport(
-        attained,
-        float(gaps.max()),
-        cert,
-        "finite outcome space: dual attainment holds for continuous risk measures",
-        all(attained),
-    )
+    return AttainmentReport(attained, float(gaps.max()), cert, all(attained))
 
 
 @dataclass(frozen=True)
@@ -418,8 +416,9 @@ def lebesgue_check(rho: CondRiskMeasure, space: FiniteProbSpace, alg: SubAlgebra
 @dataclass(frozen=True)
 class ScalarizedRisk:
     """The static risk functional x -> E[rho(x | F)] with its conjugate
-    computable two ways: definitionally (numeric supremum over positions) and
-    as the expectation of the conditional penalty."""
+    computable two ways: definitionally (numeric supremum over positions,
+    one atom at a time by locality) and as the expectation of the
+    conditional penalty."""
 
     rho: CondRiskMeasure
     space: FiniteProbSpace
@@ -431,21 +430,17 @@ class ScalarizedRisk:
 
     def conjugate_expected(self, y: RandomVar) -> float:
         pen = fenchel_conjugate(self.rho, y, self.alg)
-        if np.isinf(pen.values).any():
-            return INF
         return float(np.dot(self.space.probs, pen.values))
 
     def conjugate_numeric(self, y: RandomVar) -> float:
-        if not all(dual_feasible_atoms(y, self.alg)):
-            return INF
-        p = self.space.probs
-        yv = y.values
-
-        def objective(xv: np.ndarray) -> float:
-            rv = RandomVar(xv.copy(), self.space)
-            return float(np.dot(p, xv * yv)) - self.evaluate(rv)
-
-        return _coordinate_ascent_sup(objective, self.space.n_outcomes)
+        # no atom's supremum is -inf, so the sum is inf at the first inf atom
+        total = 0.0
+        atom_probs = self.alg.atom_sum(self.space.probs).tolist()
+        for prob, value in zip(atom_probs, _numeric_conjugate(self.rho, y, self.alg)):
+            total += prob * value
+            if total == INF:
+                break
+        return total
 
 
 def scalarize(rho: CondRiskMeasure, space: FiniteProbSpace,
@@ -586,18 +581,16 @@ def uniform_order_continuity_check(C: Sequence[RandomVar], alg: SubAlgebra,
     return UniformOrderContinuityReport(rows, tail, all(v <= tol for v in tail))
 
 
-def dynamic_evaluate(D: DynamicRiskMeasure, x: RandomVar,
-                     check_stages: bool = True, seed: int = 0) -> list[RandomVar]:
-    """Evaluate every stage of a dynamic risk measure; each stage value is
-    measurable w.r.t. its own algebra.  No relation across stages is
-    asserted."""
+def dynamic_evaluate(D: DynamicRiskMeasure, x: RandomVar, seed: int = 0) -> list[RandomVar]:
+    """Evaluate every stage of a dynamic risk measure after probing its
+    axioms; each stage value is measurable w.r.t. its own algebra.  No
+    relation across stages is asserted."""
     _require_finite(x, "dynamic_evaluate")
     out = []
     for alg, rho in D.stages:
-        if check_stages:
-            report = check_axioms(rho, x.space, alg, trials=4, seed=seed)
-            if not report.passed:
-                raise ContractError(f"stage measure fails the axiom probes: {report}")
+        report = check_axioms(rho, x.space, alg, trials=4, seed=seed)
+        if not report.passed:
+            raise ContractError(f"stage measure fails the axiom probes: {report}")
         value = rho.evaluate(x, alg)
         if not is_measurable(value, alg):
             raise ContractError("stage value is not measurable w.r.t. its algebra")

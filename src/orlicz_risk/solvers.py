@@ -28,6 +28,8 @@ __all__ = [
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 # parts a bracket is cut into per step of bisect_monotone
 _SECTIONS = 8
+# factor a golden_min bracket grows by per expansion
+_EXPAND = 4.0
 
 
 @dataclass(frozen=True)
@@ -109,10 +111,9 @@ def bisect_monotone(f: Callable[[np.ndarray], np.ndarray], target: float,
 
 def golden_min(f: Callable[[float], float], lo: float, hi: float, *,
                rel_tol: float = 1e-10, expand_left: bool = True,
-               expand_right: bool = True, expand_factor: float = 4.0,
-               max_expand: int = 200,
+               expand_right: bool = True, max_expand: int = 200,
                limit_rel_improvement: float = 1e-12) -> SolveReport:
-    """Minimize a unimodal f.  The bracket grows by `expand_factor` toward a
+    """Minimize a unimodal f.  The bracket grows 4-fold toward a
     downhill edge; when an expansion's new edge improves the running minimum,
     but by less than `limit_rel_improvement` relative, the edge value is
     reported as a non-attained limit.  Hitting the expansion cap while still improving
@@ -147,7 +148,7 @@ def golden_min(f: Callable[[float], float], lo: float, hi: float, *,
         if expansions >= max_expand:
             boundary, attained, converged = side, False, False
             break
-        span = (b - a) * (expand_factor - 1.0)
+        span = (b - a) * (_EXPAND - 1.0)
         if abs(b + span) > 1e300 or abs(a - span) > 1e300:
             boundary, attained, converged = side, False, False
             break

@@ -259,23 +259,18 @@ def conjugate(phi: YoungFn, s: float, use_closed_form: bool = True,
             return INF
         return v - s * t
 
-    if math.isinf(phi.finite_sup):
-        hi0 = max(1.0, 1.0 / s)
-        report = solvers.golden_min(
-            neg_obj, 0.0, hi0, rel_tol=rel_tol, expand_left=False,
-            expand_right=True, expand_factor=4.0, max_expand=200,
-        )
-        if report.boundary == "right" and not report.converged:
-            return INF
-        return -report.value
-    # finite domain: stay strictly below the (possibly infinite) boundary
-    hi = phi.finite_sup
-    if math.isinf(phi.eval(hi)):
-        hi = hi * (1.0 - 1e-12)
+    unbounded_domain = math.isinf(phi.finite_sup)
+    if unbounded_domain:
+        hi = max(1.0, 1.0 / s)
+    else:
+        # stay strictly below the (possibly infinite) boundary
+        hi = phi.finite_sup
+        if math.isinf(phi.eval(hi)):
+            hi = hi * (1.0 - 1e-12)
     report = solvers.golden_min(
-        neg_obj, 0.0, hi, rel_tol=rel_tol, expand_left=False, expand_right=False,
+        neg_obj, 0.0, hi, rel_tol=rel_tol, expand_left=False, expand_right=unbounded_domain,
     )
-    return -report.value
+    return -report.value if report.converged else INF
 
 
 def conjugate_young_fn(phi: YoungFn) -> YoungFn:
@@ -287,19 +282,16 @@ def conjugate_young_fn(phi: YoungFn) -> YoungFn:
     def conj_eval(s):
         return np.where(s > phi.sup_slope, INF, closed(s))[()]
 
-    # the conjugate of a linear phi is a pure step: 0 up to the slope, inf beyond
-    step = None
-    if phi.family_tag == "power" and phi.params.get("p") == 1.0:
-        step = 1.0
-    elif phi.family_tag == "piecewise" and len(set(phi.params["slopes"])) == 1:
-        step = phi.sup_slope
+    # phi is linear when its slope at 0 is already its largest; the conjugate
+    # of a linear phi is a pure step: 0 up to the slope, inf beyond
+    linear = phi.deriv is not None and phi.deriv(0.0) == phi.sup_slope
     return YoungFn(
         conj_eval,
         phi.sup_slope,
         phi.eval,
         phi.family_tag + "*",
         sup_slope=phi.finite_sup,
-        step_threshold=step,
+        step_threshold=phi.sup_slope if linear else None,
         deriv=phi.conjugate_deriv,
         conjugate_deriv=phi.deriv,
     )

@@ -14,7 +14,8 @@ from orlicz_risk import ContractError
 from orlicz_risk.report import CSV_COLUMNS, canonical_dumps, write_atoms_csv, write_report_json
 
 
-# --- oracle: the writers before the bulk encoders, unchanged -----------------
+# --- oracle: the writers before the bulk encoders, unchanged apart from ------
+# --- quoting CSV cells that hold a line break ---------------------------------
 
 def _oracle_fmt12(value: float) -> str:
     if isinstance(value, bool):
@@ -65,7 +66,7 @@ def _oracle_write_atoms_csv(path, rows) -> None:
                 cell = _oracle_fmt12(cell)
             else:
                 cell = str(cell)
-            if "," in cell or '"' in cell:
+            if any(c in cell for c in ',"\n\r'):
                 cell = '"' + cell.replace('"', '""') + '"'
             cells.append(cell)
         lines.append(",".join(cells))
@@ -80,7 +81,7 @@ FLOATS = st.one_of(
     st.sampled_from([0.0, -0.0, math.inf, -math.inf]),
     st.floats(allow_nan=False),
 )
-TEXT = st.text(st.one_of(st.characters(), st.sampled_from('",\n%é☃\\')), max_size=8)
+TEXT = st.text(st.one_of(st.characters(), st.sampled_from('",\n\r%é☃\\')), max_size=8)
 INT64 = st.integers(-2**63, 2**63 - 1)
 SCALARS = st.one_of(
     st.none(), st.booleans(), st.integers(), FLOATS, TEXT,
@@ -122,8 +123,16 @@ def test_canonical_dumps_matches_the_oracle(value):
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(st.one_of(TABLES, ROWS))
 def test_write_atoms_csv_matches_the_oracle(tmp_path, rows):
+    (tmp_path / "new.csv").unlink(missing_ok=True)
+    try:
+        _oracle_write_atoms_csv(tmp_path / "old.csv", rows)
+    except UnicodeEncodeError:
+        # a lone surrogate has no UTF-8 text: the writer refuses it, writing nothing
+        with pytest.raises(ContractError, match="has no UTF-8 text"):
+            write_atoms_csv(tmp_path / "new.csv", rows)
+        assert not (tmp_path / "new.csv").exists()
+        return
     write_atoms_csv(tmp_path / "new.csv", rows)
-    _oracle_write_atoms_csv(tmp_path / "old.csv", rows)
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
 
@@ -156,13 +165,15 @@ def test_writers_refuse_nan_and_write_nothing(tmp_path):
     rows = [{"check": "dual", "value": 1.0}, {"check": "dual", "value": math.nan}]
     with pytest.raises(ContractError, match="column 'value'"):
         write_atoms_csv(tmp_path / "r.csv", rows)
+    with pytest.raises(ContractError, match="'\\\\ud800' has no UTF-8 text"):
+        write_atoms_csv(tmp_path / "r.csv", [{"check": "dual", "quantity": "y[\ud800]"}])
     assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("cells", [
-    ['say "hi"', "plain"], ["a,b", "plain"], ["line\nbreak", "é☃"], [1.5, math.inf, -0.0],
-    [1.5, ""], [True, "", False], [np.float64(2.5), np.int64(7), None], [3, 10**30],
-], ids=["quotes", "comma", "newline", "inf", "mixed", "bools", "numpy", "ints"])
+    ['say "hi"', "plain"], ["a,b", "plain"], ["line\nbreak", "é☃"], ["cr\rret", "plain"],
+    [1.5, math.inf, -0.0], [1.5, ""], [True, "", False], [np.float64(2.5), np.int64(7), None], [3, 10**30],
+], ids=["quotes", "comma", "newline", "return", "inf", "mixed", "bools", "numpy", "ints"])
 def test_write_atoms_csv_fixed_columns(tmp_path, cells):
     rows = [{col: cell for col in CSV_COLUMNS} for cell in cells]
     write_atoms_csv(tmp_path / "new.csv", rows)

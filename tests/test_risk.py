@@ -343,7 +343,50 @@ class TestLebesgue:
             np.testing.assert_allclose(shifted, base + 1.0 / n, rtol=1e-12)
 
 
+@pytest.fixture
+def mixed_atoms():
+    """Atoms of 1, 2 and 5 outcomes under unequal probabilities."""
+    probs = np.arange(1.0, 9.0)
+    space = FiniteProbSpace(probs / probs.sum())
+    return space, SubAlgebra.from_atoms([(0,), (1, 6), (2, 3, 4, 5, 7)], 8)
+
+
 class TestScalarize:
+    @pytest.mark.parametrize("rho", [entropic(1.0), worst_case()], ids=["entropic", "worst_case"])
+    def test_numeric_route_is_the_weighted_custom_penalty(self, mixed_atoms, rho):
+        space, alg = mixed_atoms
+        y = feasible_density(np.random.default_rng(41), space, alg)
+        penalty = fenchel_conjugate(custom(rho.evaluate), y, alg)
+        weighted = float(np.dot(space.probs, penalty.values))
+        assert math.isfinite(weighted)
+        numeric = scalarize(rho, space, alg).conjugate_numeric(y)
+        assert numeric == pytest.approx(weighted, rel=1e-12, abs=1e-14)
+
+    def test_numeric_penalty_is_inf_only_off_the_feasible_atoms(self, mixed_atoms):
+        space, alg = mixed_atoms
+        y = feasible_density(np.random.default_rng(43), space, alg)
+        assert y.values[0] == -1.0
+        out = fenchel_conjugate(custom(linear().evaluate), y, alg)
+        assert out.values.tolist() == [0.0] + [math.inf] * 7
+
+    def test_numeric_route_stops_at_the_first_unbounded_atom(self, mixed_atoms):
+        space, alg = mixed_atoms
+        calls = []
+
+        def counted(x, a):
+            calls.append(a)
+            return linear().evaluate(x, a)
+
+        rho = custom(counted)
+        y = feasible_density(np.random.default_rng(43), space, alg)
+        fenchel_conjugate(rho, y, alg)  # runs the axiom probes once
+        calls.clear()
+        fenchel_conjugate(rho, y, alg)
+        every_atom = len(calls)
+        calls.clear()
+        assert scalarize(rho, space, alg).conjugate_numeric(y) == math.inf
+        assert len(calls) < every_atom
+
     def test_trivial_algebra_identity(self, quarter_space):
         trivial = SubAlgebra.trivial(4)
         rho = entropic(1.0)
@@ -529,6 +572,15 @@ class TestDynamic:
         rho = entropic(1.0)
         with pytest.raises(StructuralError):
             DynamicRiskMeasure(((pairs, rho), (SubAlgebra.trivial(4), rho)))
+
+    def test_non_monotone_stage_rejected(self, quarter_space, pairs):
+        def not_monotone(v, alg):
+            return cond_expectation(v, alg)  # increasing, not decreasing
+
+        dyn = DynamicRiskMeasure(((SubAlgebra.trivial(4), entropic(1.0)),
+                                  (pairs, custom(not_monotone))))
+        with pytest.raises(ContractError, match="axiom probes"):
+            dynamic_evaluate(dyn, quarter_space.var([0.3, -1.0, 0.5, 2.0]))
 
 
 class TestAxiomProbe:

@@ -1,4 +1,5 @@
 import copy
+import csv
 import json
 import math
 import os
@@ -302,6 +303,24 @@ class TestCli:
             assert main(["verify", str(SCENARIOS / "entropic4.json"), "--out-dir", str(out)]) == 0
         assert (d1 / "entropic4.report.json").read_bytes() == (d2 / "entropic4.report.json").read_bytes()
         assert (d1 / "entropic4.atoms.csv").read_bytes() == (d2 / "entropic4.atoms.csv").read_bytes()
+
+    def test_dual_csv_quotes_a_label_with_a_line_break(self, tmp_path):
+        path = tmp_path / "entropic4.json"
+        path.write_text((SCENARIOS / "entropic4.json").read_text().replace('"w1"', '"w\\n1"'))
+        assert main(["dual", str(path), "--out-dir", str(tmp_path / "out")]) == 0
+        with open(tmp_path / "out" / "entropic4.atoms.csv", newline="", encoding="utf-8") as f:
+            rows = list(csv.reader(f))
+        assert rows[0] == ["check", "algebra", "atom", "position", "quantity", "value",
+                           "allowed", "passed"]
+        assert all(len(row) == 8 for row in rows)
+        assert "y[w\n1]" in {row[4] for row in rows}
+
+    def test_dual_refuses_a_label_without_utf8_text(self, tmp_path, capsys):
+        path = tmp_path / "entropic4.json"
+        path.write_text((SCENARIOS / "entropic4.json").read_text().replace('"w1"', '"\\ud800"'))
+        assert main(["dual", str(path), "--out-dir", str(tmp_path / "out")]) == 2
+        assert "'\\ud800' has no UTF-8 text" in capsys.readouterr().err
+        assert list((tmp_path / "out").iterdir()) == []
 
     def test_report_inputs_round_trip(self, tmp_path):
         main(["verify", str(SCENARIOS / "entropic4.json"), "--out-dir", str(tmp_path)])

@@ -174,6 +174,17 @@ class TestConjugateYoungFn:
         assert conj.eval(1.0) == 0.0
         assert conj.eval(1.0 + 1e-9) == INF
 
+    @pytest.mark.parametrize("phi, step", [
+        (make_power(1), 1.0),
+        (make_piecewise([], [2.5]), 2.5),
+        (make_piecewise([0.5, 1.5], [0.0, 1.0, 2.5]), None),
+        (make_exp(), None),
+        (make_power(2), None),
+        (make_linf(), None),
+    ], ids=["power1", "one_slope", "three_slopes", "exp", "power2", "linf"])
+    def test_step_threshold_only_for_linear_phi(self, phi, step):
+        assert conjugate_young_fn(phi).step_threshold == step
+
     def test_linf_conjugate_domain(self):
         conj = conjugate_young_fn(make_linf())
         assert conj.eval(5.0) == 5.0

@@ -1,0 +1,61 @@
+"""Count the lines of Python source that carry code.
+
+A line counts when it holds at least one token that is not a comment, and
+is not part of a docstring (the first string statement of a module, class
+or function).  Blank lines, comment lines and docstrings do not count.
+
+    python tools/code_lines.py src/orlicz_risk      # per file, then the total
+    python tools/code_lines.py path/to/module.py
+"""
+
+from __future__ import annotations
+
+import ast
+import sys
+import tokenize
+from pathlib import Path
+
+_NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
+             tokenize.DEDENT, tokenize.ENCODING, tokenize.ENDMARKER}
+
+
+def _docstring_lines(tree: ast.AST) -> set[int]:
+    lines = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            body = node.body
+            if (body and isinstance(body[0], ast.Expr)
+                    and isinstance(body[0].value, ast.Constant)
+                    and isinstance(body[0].value.value, str)):
+                lines.update(range(body[0].lineno, body[0].end_lineno + 1))
+    return lines
+
+
+def code_lines(path: Path) -> int:
+    """The number of lines of `path` that carry code."""
+    with path.open("rb") as f:
+        tokens = list(tokenize.tokenize(f.readline))
+    lines = set()
+    for tok in tokens:
+        if tok.type not in _NOT_CODE:
+            lines.update(range(tok.start[0], tok.end[0] + 1))
+    return len(lines - _docstring_lines(ast.parse(path.read_bytes())))
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 1:
+        print("usage: python tools/code_lines.py <directory or .py file>", file=sys.stderr)
+        return 2
+    root = Path(argv[0])
+    files = sorted(root.rglob("*.py")) if root.is_dir() else [root]
+    total = 0
+    for path in files:
+        n = code_lines(path)
+        total += n
+        print(f"{n:6d}  {path}")
+    print(f"{total:6d}  total")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
