@@ -21,17 +21,12 @@ from pathlib import Path
 
 from .errors import ContractError, OrliczRiskError
 from .orlicz import amemiya_norm, luxemburg_norm
-from .report import write_atoms_csv, write_report_json
+from .report import CSV_COLUMNS, atom_rows, write_atoms_csv, write_report_json
 from .risk import DynamicRiskMeasure, dynamic_evaluate, robust_representation
 from .scenario import Scenario
 from .verification import verify_scenario
 
 __all__ = ["main"]
-
-
-def _row(check, algebra, atom, position, quantity, value, allowed="", passed="") -> dict:
-    return {"check": check, "algebra": algebra, "atom": atom, "position": position,
-            "quantity": quantity, "value": value, "allowed": allowed, "passed": passed}
 
 
 def _cmd_norm(sc: Scenario, args) -> tuple[dict, list[dict], bool]:
@@ -40,8 +35,8 @@ def _cmd_norm(sc: Scenario, args) -> tuple[dict, list[dict], bool]:
     for pos_name, x in sc.positions.items():
         results[pos_name] = {}
         for alg_name, alg in sc.algebras.items():
-            lux = luxemburg_norm(x, alg, sc.young, rel_tol=1e-10)
-            ame = amemiya_norm(x, alg, sc.young, rel_tol=1e-10)
+            lux = luxemburg_norm(x, alg, sc.young)
+            ame = amemiya_norm(x, alg, sc.young)
             lux_values = lux.atom_values.tolist()
             ame_values = ame.atom_values.tolist()
             results[pos_name][alg_name] = {
@@ -50,9 +45,9 @@ def _cmd_norm(sc: Scenario, args) -> tuple[dict, list[dict], bool]:
                 "luxemburg_attained": list(lux.attained),
                 "amemiya_attained": list(ame.attained),
             }
-            for k, (lux_k, ame_k) in enumerate(zip(lux_values, ame_values)):
-                rows.append(_row("norm", alg_name, k, pos_name, "luxemburg", lux_k))
-                rows.append(_row("norm", alg_name, k, pos_name, "amemiya", ame_k))
+            blank = [""] * alg.n_atoms
+            rows += atom_rows("norm", alg_name, pos_name, ("luxemburg", lux_values, "", blank),
+                              ("amemiya", ame_values, "", blank))
     return results, rows, True
 
 
@@ -65,8 +60,8 @@ def _cmd_risk(sc: Scenario, args) -> tuple[dict, list[dict], bool]:
             value = sc.risk.evaluate(x, alg)
             per_atom = value.values[alg.first].tolist()
             results[pos_name][alg_name] = per_atom
-            for k, v in enumerate(per_atom):
-                rows.append(_row("risk", alg_name, k, pos_name, sc.risk.tag, v))
+            rows += atom_rows("risk", alg_name, pos_name,
+                              (sc.risk.tag, per_atom, "", [""] * alg.n_atoms))
     return results, rows, True
 
 
@@ -82,13 +77,14 @@ def _cmd_dual(sc: Scenario, args) -> tuple[dict, list[dict], bool]:
             pen = cert.penalty.values[alg.first].tolist()
             y = cert.y.values.tolist()
             results[pos_name][alg_name] = {"y": y, "penalty": pen, "gap": gap}
-            for k, (gap_k, pen_k) in enumerate(zip(gap, pen)):
-                passed = abs(gap_k) <= args.tol_gap
-                ok = ok and passed
-                rows.append(_row("dual", alg_name, k, pos_name, "gap", gap_k, args.tol_gap, passed))
-                rows.append(_row("dual", alg_name, k, pos_name, "penalty", pen_k))
-            rows += [_row("dual", alg_name, atom, pos_name, f"y[{lab}]", y_i)
-                     for lab, atom, y_i in zip(sc.labels, alg.atom_of.tolist(), y)]
+            passed = [abs(gap_k) <= args.tol_gap for gap_k in gap]
+            ok = ok and all(passed)
+            rows += atom_rows("dual", alg_name, pos_name, ("gap", gap, args.tol_gap, passed),
+                              ("penalty", pen, "", [""] * alg.n_atoms))
+            rows += [
+                dict(zip(CSV_COLUMNS, ("dual", alg_name, atom, pos_name, f"y[{lab}]", y_i, "", "")))
+                for lab, atom, y_i in zip(sc.labels, alg.atom_of.tolist(), y)
+            ]
     return results, rows, ok
 
 
@@ -121,8 +117,8 @@ def _cmd_dynamic(sc: Scenario, args) -> tuple[dict, list[dict], bool]:
             alg = sc.algebras[alg_name]
             per_atom = value.values[alg.first].tolist()
             results[pos_name][f"stage{t}:{alg_name}"] = per_atom
-            for k, v in enumerate(per_atom):
-                rows.append(_row("dynamic", alg_name, k, pos_name, f"stage{t}", v))
+            rows += atom_rows("dynamic", alg_name, pos_name,
+                              (f"stage{t}", per_atom, "", [""] * alg.n_atoms))
     return results, rows, True
 
 

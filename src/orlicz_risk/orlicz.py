@@ -40,6 +40,9 @@ __all__ = [
     "recover_density",
 ]
 
+# relative width to which every norm root-find is solved
+_REL_TOL = 1e-10
+
 
 @dataclass(frozen=True)
 class CondNorm:
@@ -57,7 +60,7 @@ def _cond_norm(x: RandomVar, alg: SubAlgebra, values: np.ndarray, attained) -> C
                     tuple(bool(a) for a in attained), values)
 
 
-def _smallest_scale(x: RandomVar, alg: SubAlgebra, F: Callable, rel_tol: float):
+def _smallest_scale(x: RandomVar, alg: SubAlgebra, F: Callable):
     """Per atom, the smallest scale mu with E[F(|x|/mu) | atom] <= 1 for a
     nondecreasing F, by one bisection over all atoms from the bracket
     [max|x| * 2**-60, max|x|].  Returns the solve report, the largest |x| per
@@ -74,15 +77,14 @@ def _smallest_scale(x: RandomVar, alg: SubAlgebra, F: Callable, rel_tol: float):
     m = np.where(peak > 0.0, peak, 1.0)
     try:
         report = solvers.bisect_monotone(lambda mu: expect(F, mu), 1.0, m * 2.0 ** -60, m,
-                                         rel_tol)
+                                         _REL_TOL)
     except BracketError as exc:
         # the solver's elements are the atoms, in order
         raise DivergenceError(f"modular never reached 1 on an atom: {exc}") from exc
     return report, peak, expect
 
 
-def luxemburg_norm(x: RandomVar, alg: SubAlgebra, phi: YoungFn,
-                   rel_tol: float = 1e-10) -> CondNorm:
+def luxemburg_norm(x: RandomVar, alg: SubAlgebra, phi: YoungFn) -> CondNorm:
     """Per atom: inf{lam > 0 : E[phi(|x|/lam) | atom] <= 1}, by one lock-step
     bisection on lam over all atoms (the modular is nonincreasing in lam).
     Atoms where x vanishes get 0.  The modular is continuous in lam for the
@@ -97,13 +99,12 @@ def luxemburg_norm(x: RandomVar, alg: SubAlgebra, phi: YoungFn,
         values = alg.atom_max(np.abs(x.values)) / phi.step_threshold
         at_threshold = phi.eval(phi.step_threshold) <= 1.0
         return _cond_norm(x, alg, values, at_threshold | (values == 0.0))
-    report, peak, _ = _smallest_scale(x, alg, phi.eval, rel_tol)
+    report, peak, _ = _smallest_scale(x, alg, phi.eval)
     values = np.where(peak > 0.0, report.arg, 0.0)
     return _cond_norm(x, alg, values, [True] * alg.n_atoms)
 
 
-def amemiya_norm(x: RandomVar, alg: SubAlgebra, phi: YoungFn,
-                 rel_tol: float = 1e-10) -> CondNorm:
+def amemiya_norm(x: RandomVar, alg: SubAlgebra, phi: YoungFn) -> CondNorm:
     """Per atom: inf over mu > 0 of mu * (1 + E[phi(|x|/mu) | atom]).
 
     The objective is convex in mu with right derivative 1 - E[psi(|x|/mu)],
@@ -134,10 +135,10 @@ def amemiya_norm(x: RandomVar, alg: SubAlgebra, phi: YoungFn,
             conj = np.where(gap & ~np.isnan(diff), diff, conj)
         return conj
 
-    report, peak, expect = _smallest_scale(x, alg, psi, rel_tol)
+    report, peak, expect = _smallest_scale(x, alg, psi)
     mu = report.arg
     mu_lo = peak / phi.finite_sup
-    barrier = (mu_lo > 0.0) & (mu - mu_lo <= rel_tol * mu)
+    barrier = (mu_lo > 0.0) & (mu - mu_lo <= _REL_TOL * mu)
     included = math.isfinite(phi.finite_sup) and math.isfinite(phi.eval(phi.finite_sup))
     mu = np.where(barrier & included, mu_lo, mu)
     values = mu * (1.0 + expect(phi.eval, mu))
@@ -155,8 +156,7 @@ def pairing(x: RandomVar, y: RandomVar, alg: SubAlgebra) -> RandomVar:
     return cond_expectation(x * y, alg)
 
 
-def pairing_operator_norm(y: RandomVar, alg: SubAlgebra, phi: YoungFn,
-                          rel_tol: float = 1e-10) -> CondNorm:
+def pairing_operator_norm(y: RandomVar, alg: SubAlgebra, phi: YoungFn) -> CondNorm:
     """Per atom: sup{|E[x*y | atom]| : Luxemburg norm of x on the atom <= 1}.
 
     The supremum of this linear functional over the unit ball equals, by
@@ -167,18 +167,18 @@ def pairing_operator_norm(y: RandomVar, alg: SubAlgebra, phi: YoungFn,
     supremum, and the pairing bound it certifies is safe.
     """
     _require_finite(y, "pairing_operator_norm")
-    return amemiya_norm(abs(y), alg, conjugate_young_fn(phi), rel_tol)
+    return amemiya_norm(abs(y), alg, conjugate_young_fn(phi))
 
 
 def recover_density(mu: Callable[[RandomVar], RandomVar], space: FiniteProbSpace,
-                    alg: SubAlgebra, probes: int = 4, seed: int = 0,
-                    rel_tol: float = 1e-9) -> RandomVar:
+                    alg: SubAlgebra, seed: int = 0) -> RandomVar:
     """Invert a linear, local functional mu into its density: the y with
     mu(x) = E[x*y | algebra] for all x.
 
-    Linearity and locality are verified on random probes before inversion,
-    and the recovered density is cross-checked on fresh probes; violations
-    raise a ContractError identifying the failing probe.
+    Linearity and locality are verified on 4 random probes before inversion,
+    and the recovered density is cross-checked on 4 fresh probes, each to a
+    relative 1e-9; violations raise a ContractError identifying the failing
+    probe.
     """
     rng = np.random.default_rng(seed)
     n = space.n_outcomes
@@ -186,13 +186,13 @@ def recover_density(mu: Callable[[RandomVar], RandomVar], space: FiniteProbSpace
     def rand_var() -> RandomVar:
         return RandomVar(rng.normal(size=n), space)
 
-    for _ in range(probes):
+    for _ in range(4):
         a, b = rand_var(), rand_var()
         alpha = float(rng.normal())
         lhs = mu(a * alpha + b).values
         rhs = alpha * mu(a).values + mu(b).values
         scale = 1.0 + np.abs(rhs).max()
-        if np.abs(lhs - rhs).max() > rel_tol * scale:
+        if np.abs(lhs - rhs).max() > 1e-9 * scale:
             raise ContractError(
                 f"functional is not linear: probe alpha={alpha!r} deviates by "
                 f"{np.abs(lhs - rhs).max():.3e}"
@@ -200,7 +200,7 @@ def recover_density(mu: Callable[[RandomVar], RandomVar], space: FiniteProbSpace
         for atom in alg.atoms:
             ind = space.indicator(atom)
             masked = np.abs((mu(a * ind) * ind - mu(a) * ind).values).max()
-            if masked > rel_tol * scale:
+            if masked > 1e-9 * scale:
                 raise ContractError(
                     f"functional is not local on atom {atom}: deviation {masked:.3e}"
                 )
@@ -211,12 +211,12 @@ def recover_density(mu: Callable[[RandomVar], RandomVar], space: FiniteProbSpace
         y[omega] = mu(space.indicator([omega])).values[omega] * atom_prob[omega] / space.probs[omega]
     density = RandomVar(y, space)
 
-    for _ in range(probes):
+    for _ in range(4):
         a = rand_var()
         lhs = mu(a).values
         rhs = pairing(a, density, alg).values
         scale = 1.0 + np.abs(rhs).max()
-        if np.abs(lhs - rhs).max() > rel_tol * scale:
+        if np.abs(lhs - rhs).max() > 1e-9 * scale:
             raise ContractError(
                 "recovered density fails to reproduce the functional on a probe"
             )

@@ -111,9 +111,7 @@ class SubAlgebra:
         return len(self.atoms)
 
     @classmethod
-    def from_atoms(cls, atoms: Sequence[Sequence[int]], n_outcomes: int | None = None) -> "SubAlgebra":
-        if n_outcomes is None:
-            n_outcomes = sum(len(a) for a in atoms)
+    def from_atoms(cls, atoms: Sequence[Sequence[int]], n_outcomes: int) -> "SubAlgebra":
         return cls(tuple(tuple(a) for a in atoms), n_outcomes)
 
     @classmethod

@@ -22,7 +22,8 @@ import numpy as np
 
 from .errors import ContractError
 
-__all__ = ["fmt12", "canonical_dumps", "write_report_json", "write_atoms_csv", "CSV_COLUMNS"]
+__all__ = ["fmt12", "canonical_dumps", "write_report_json", "write_atoms_csv", "atom_rows",
+           "CSV_COLUMNS"]
 
 CSV_COLUMNS = ("check", "algebra", "atom", "position", "quantity", "value", "allowed", "passed")
 _FLOAT, _STR, _DICT = {float}, {str}, {dict}
@@ -143,6 +144,16 @@ def _column_text(cells: list) -> list:
     if kinds == _STR and _quote(joined := "".join(cells)) is joined:
         return cells
     return [_CELL_TEXT.get(type(cell), _any_cell)(cell) for cell in cells]
+
+
+def atom_rows(check: str, algebra: str, position: str, *quantities) -> list[dict]:
+    """Table rows of one check: atom by atom and, within an atom, one row per
+    quantity in the order given.  Each quantity is (name, values, allowed,
+    passed), with one value and one flag per atom."""
+    per_quantity = [[(name, value, allowed, flag) for value, flag in zip(values, passed)]
+                    for name, values, allowed, passed in quantities]
+    return [dict(zip(CSV_COLUMNS, (check, algebra, k, position, *cells)))
+            for k, atom in enumerate(zip(*per_quantity)) for cells in atom]
 
 
 def write_atoms_csv(path: str | Path, rows: Sequence[Mapping]) -> None:

@@ -2,7 +2,8 @@
 
 A Young function is a convex nondecreasing map phi: [0, inf) -> [0, inf] with
 phi(0) = 0, finite near 0, and phi(t) -> inf.  +inf is a first-class value
-here; multiplying 0 by inf is trapped as a contract violation.
+here.  `ext_mul` traps 0*inf as a contract violation, but no library code
+calls it: elsewhere 0*inf is plain float arithmetic, which gives NaN.
 """
 
 from __future__ import annotations
@@ -237,13 +238,13 @@ def young_from_spec(spec: Mapping) -> YoungFn:
     raise ParameterError(f"unknown Young family {family!r}")
 
 
-def conjugate(phi: YoungFn, s: float, use_closed_form: bool = True,
-              rel_tol: float = 1e-10) -> float:
+def conjugate(phi: YoungFn, s: float, use_closed_form: bool = True) -> float:
     """Conjugate value phi*(s) = sup_{t >= 0} (s*t - phi(t)).
 
     Uses the closed form when the family provides one (all four families
-    do), otherwise maximizes the concave objective by golden section with
-    bracket expansion (factor 4, at most 200 expansions); an objective still
+    do), otherwise maximizes the concave objective by golden section to a
+    relative width of 1e-10, with bracket expansion (factor 4, at most 200
+    expansions); an objective still
     improving at the expansion cap is reported as inf.  This numeric path is
     the oracle the closed forms are tested against."""
     if s < 0.0:
@@ -268,7 +269,7 @@ def conjugate(phi: YoungFn, s: float, use_closed_form: bool = True,
         if math.isinf(phi.eval(hi)):
             hi = hi * (1.0 - 1e-12)
     report = solvers.golden_min(
-        neg_obj, 0.0, hi, rel_tol=rel_tol, expand_left=False, expand_right=unbounded_domain,
+        neg_obj, 0.0, hi, rel_tol=1e-10, expand_left=False, expand_right=unbounded_domain,
     )
     return -report.value if report.converged else INF
 
@@ -308,10 +309,10 @@ class YoungValidation:
     first_violation: tuple | None
 
 
-def validate(phi: YoungFn, n_grid: int = 48) -> YoungValidation:
-    """Check the defining properties on a sampled geometric grid: phi(0) = 0
-    exactly, monotonicity and midpoint convexity on the open finite domain,
-    and divergence beyond 1e6 at some probe.  Left-continuity at the domain
+def validate(phi: YoungFn) -> YoungValidation:
+    """Check the defining properties on a sampled geometric grid of 48
+    points: phi(0) = 0 exactly, monotonicity and midpoint convexity on the
+    open finite domain, and divergence beyond 1e6 at some probe.  Left-continuity at the domain
     edge is a convention the families supply and is not sampled."""
 
     def safe(t: float) -> float:
@@ -326,7 +327,7 @@ def validate(phi: YoungFn, n_grid: int = 48) -> YoungValidation:
         first_violation = ("origin", (0.0,), (safe(0.0),))
 
     t_hi = min(phi.finite_sup, 1e6)
-    grid = [t_hi * (1.0 - 1e-9) * (1e-8) ** (1.0 - k / (n_grid - 1.0)) for k in range(n_grid)]
+    grid = [t_hi * (1.0 - 1e-9) * (1e-8) ** (1.0 - k / 47.0) for k in range(48)]
 
     finite_near_zero = math.isfinite(safe(grid[0]))
     if not finite_near_zero and first_violation is None:

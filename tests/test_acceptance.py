@@ -234,7 +234,7 @@ def test_criterion_07_penalty_bound():
             cert = robust_representation(rho, x, alg)
             y = cert.y
             beta = 1e-3 + float(np.max(-rho.evaluate(x, alg).values))
-        rep = penalty_bound_check(rho, x, y, beta, alg, tol=1e-8)
+        rep = penalty_bound_check(rho, x, y, beta, alg)
         for row in rep.atoms:
             if row.hypothesis_holds:
                 checked_atoms += 1

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from orlicz_risk import (
     ContractError,
+    DivergenceError,
     ParameterError,
     FiniteProbSpace,
     SubAlgebra,
@@ -84,6 +85,12 @@ class TestLuxemburg:
     def test_rejects_infinite_input(self, coin):
         with pytest.raises(ContractError):
             luxemburg_norm(coin.var([np.inf, 1.0]), SubAlgebra.trivial(2), make_power(2))
+
+    def test_modular_above_one_at_every_scale_diverges(self, coin):
+        # phi(t) = 2 for t > 0: no scale brings E[phi(|x|/lam)] down to 1
+        phi = YoungFn(lambda t: np.where(t > 0.0, 2.0, 0.0)[()], math.inf, None, "two")
+        with pytest.raises(DivergenceError, match="never reached 1"):
+            luxemburg_norm(coin.var([1.0, -0.5]), SubAlgebra.trivial(2), phi)
 
     def test_pnorm_oracle_random(self):
         rng = np.random.default_rng(17)

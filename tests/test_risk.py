@@ -18,6 +18,7 @@ from orlicz_risk import (
     dual_feasible_atoms,
     dynamic_evaluate,
     entropic,
+    ess_inf_cond,
     extension_check,
     fenchel_conjugate,
     lebesgue_check,
@@ -542,6 +543,11 @@ class TestUniformOrderContinuity:
         with pytest.raises(ContractError):
             uniform_order_continuity_check([quarter_space.var(np.ones(4))], pairs, us)
 
+    def test_negative_element_rejected(self, quarter_space, pairs):
+        us = [quarter_space.var([0.1, 0.1, -0.1, 0.1])]
+        with pytest.raises(ContractError, match="nonnegative"):
+            uniform_order_continuity_check([quarter_space.var(np.ones(4))], pairs, us)
+
 
 class TestDynamic:
     def test_single_stage_matches_evaluate(self, quarter_space, pairs):
@@ -582,6 +588,12 @@ class TestDynamic:
         with pytest.raises(ContractError, match="axiom probes"):
             dynamic_evaluate(dyn, quarter_space.var([0.3, -1.0, 0.5, 2.0]))
 
+    def test_non_measurable_stage_rejected(self, quarter_space, pairs):
+        # -x passes the axiom probes but is not constant on the atoms
+        dyn = DynamicRiskMeasure(((pairs, custom(lambda x, a: -x)),))
+        with pytest.raises(ContractError, match="not measurable"):
+            dynamic_evaluate(dyn, quarter_space.var([0.3, -1.0, 0.5, 2.0]))
+
 
 class TestAxiomProbe:
     def test_broken_measure_detected(self, quarter_space, pairs):
@@ -591,3 +603,17 @@ class TestAxiomProbe:
         rep = check_axioms(custom(not_monotone), quarter_space, pairs)
         assert not rep.passed
         assert not rep.monotone_ok
+
+    @pytest.mark.parametrize("evaluate, flags", [
+        # -2 E[x|F]: monotone and linear, but shifts by 2m for an amount m
+        (lambda x, a: cond_expectation(x, a) * -2.0, (True, False, True)),
+        # -max of x per atom: monotone and cash invariant, but concave
+        (lambda x, a: ess_inf_cond(-x, a), (True, True, False)),
+        # inf everywhere: every deviation is inf - inf, NaN, which fails
+        pytest.param(lambda x, a: x * 0.0 + math.inf, (False, False, False),
+                     marks=pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")),
+    ], ids=["cash", "convex", "inf"])
+    def test_each_flag_on_its_own(self, quarter_space, pairs, evaluate, flags):
+        rep = check_axioms(custom(evaluate), quarter_space, pairs)
+        assert (rep.monotone_ok, rep.cash_ok, rep.convex_ok) == flags
+        assert rep.passed is all(flags)

@@ -258,8 +258,10 @@ class TestSchemaChecker:
         (lambda d: d["outcomes"][3].update(prob=-math.inf), "$.outcomes[3].prob"),
         (lambda d: d["outcomes"][0].update(prob=0), "$.outcomes[0].prob"),
         (lambda d: d["positions"]["z"].update(w3=math.nan), "$.positions.z.w3"),
+        (lambda d: d["outcomes"][1].update(label="w1"), "$.outcomes"),
+        (lambda d: d["filtration"].append("F9"), "$.filtration[2]"),
     ], ids=["bool_prob", "unknown_family", "nan_prob", "inf_prob", "neg_inf_prob", "zero_prob",
-            "nan_position"])
+            "nan_position", "duplicate_label", "unknown_filtration_algebra"])
     def test_from_dict_raises_scenario_error_with_path(self, edit, path):
         data = json.loads((SCENARIOS / "entropic4.json").read_text())
         edit(data)
@@ -296,6 +298,15 @@ class TestCli:
             assert code == 0
             report = json.loads((tmp_path / f"{name}.report.json").read_text())
             assert report["passed"] is True
+
+    def test_failing_verify_lists_at_most_20_rows(self, tmp_path, capsys):
+        code = main(["verify", str(SCENARIOS / "entropic4.json"), "--out-dir", str(tmp_path),
+                     "--tol-gap", "-1", "--tol-norm", "-1"])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 1
+        assert len(err) == 20 and all(line.startswith("FAIL ") for line in err)
+        with open(tmp_path / "entropic4.atoms.csv", newline="") as f:
+            assert sum(row["passed"] == "false" for row in csv.DictReader(f)) == 55
 
     def test_verify_reports_are_deterministic(self, tmp_path):
         d1, d2 = tmp_path / "a", tmp_path / "b"
