@@ -14,8 +14,7 @@ for the Amemiya norm.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -44,8 +43,7 @@ __all__ = [
 _REL_TOL = 1e-10
 
 
-@dataclass(frozen=True)
-class CondNorm:
+class CondNorm(NamedTuple):
     """A conditional norm value: one number per atom, broadcast to a
     measurable variable, with per-atom attainment flags for infima that are
     only approached."""

@@ -8,7 +8,8 @@ ContractError naming its key or column.  A CSV cell holding a lone
 surrogate, which has no UTF-8 text, raises ContractError too.  Plain
 floats, strs, lists and str-keyed dicts are encoded in bulk; every other
 value (np.float64 and other subclasses, numpy arrays and scalars, other
-keys) one by one, to the same text.
+keys) one by one, to the same text.  Each writer encodes first, then
+removes any file or link at its path and writes a new file in its place.
 """
 
 from __future__ import annotations
@@ -116,8 +117,18 @@ def canonical_dumps(obj) -> str:
         raise ContractError(f"{_nan_path(obj, '$')}: NaN has no JSON encoding") from None
 
 
+def _write_new(path: str | Path, data: bytes) -> None:
+    """Write `data` as a new file at `path`, first removing any file or link
+    there.  The old file is never truncated: on ext4, truncating a file with
+    unflushed data and rewriting it makes `close` start writeback, and a
+    hard link to the old file keeps its bytes."""
+    Path(path).unlink(missing_ok=True)
+    with open(path, "xb") as fh:
+        fh.write(data)
+
+
 def write_report_json(path: str | Path, report: Mapping) -> None:
-    Path(path).write_text(canonical_dumps(report) + "\n", encoding="utf-8")
+    _write_new(path, (canonical_dumps(report) + "\n").encode("utf-8"))
 
 
 def _quote(text: str) -> str:
@@ -168,4 +179,4 @@ def write_atoms_csv(path: str | Path, rows: Sequence[Mapping]) -> None:
         data = ("\n".join(lines) + "\n").encode("utf-8")
     except UnicodeEncodeError as exc:  # a lone surrogate, which JSON can carry
         raise ContractError(f"{exc.object[exc.start]!r} has no UTF-8 text") from None
-    Path(path).write_bytes(data)
+    _write_new(path, data)

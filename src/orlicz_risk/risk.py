@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 import weakref
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -79,8 +79,7 @@ class CondRiskMeasure:
     params: Mapping[str, float] = field(default_factory=dict)
 
 
-@dataclass(frozen=True)
-class DualCertificate:
+class DualCertificate(NamedTuple):
     """A dual density y (y <= 0, E[y|F] = -1 per atom) with its penalty and
     the primal-dual gap, all measurable w.r.t. the conditioning algebra."""
 
@@ -359,8 +358,7 @@ def robust_representation(rho: CondRiskMeasure, x: RandomVar,
     )
 
 
-@dataclass(frozen=True)
-class AttainmentReport:
+class AttainmentReport(NamedTuple):
     max_equality_gap: float
     passed: bool
 
@@ -374,8 +372,7 @@ def attainment_check(rho: CondRiskMeasure, x: RandomVar, alg: SubAlgebra,
     return AttainmentReport(float(gaps.max()), bool((gaps <= tol).all()))
 
 
-@dataclass(frozen=True)
-class LebesgueReport:
+class LebesgueReport(NamedTuple):
     deviations: tuple[tuple[int, float], ...]
     max_tail_deviation: float
     passed: bool
@@ -404,8 +401,7 @@ def lebesgue_check(rho: CondRiskMeasure, space: FiniteProbSpace, alg: SubAlgebra
     return LebesgueReport(tuple((n, worst[n]) for n in indices), tail, tail <= tol)
 
 
-@dataclass(frozen=True)
-class ScalarizedRisk:
+class ScalarizedRisk(NamedTuple):
     """The static risk functional x -> E[rho(x | F)] with its conjugate
     computable two ways: definitionally (numeric supremum over positions,
     one atom at a time by locality) and as the expectation of the
@@ -442,8 +438,7 @@ def scalarize(rho: CondRiskMeasure, space: FiniteProbSpace,
     return ScalarizedRisk(rho, space, alg)
 
 
-@dataclass(frozen=True)
-class LocalityReport:
+class LocalityReport(NamedTuple):
     passed: bool
     max_deviation: float
     witness: tuple | None
@@ -473,8 +468,7 @@ def locality_check(f: Callable[[RandomVar], RandomVar], space: FiniteProbSpace,
     return LocalityReport(max_dev <= 1e-9, max_dev, witness)
 
 
-@dataclass(frozen=True)
-class ExtensionReport:
+class ExtensionReport(NamedTuple):
     passed: bool
     max_deviation: float
 
@@ -502,8 +496,7 @@ def extension_check(rho: CondRiskMeasure, space: FiniteProbSpace, alg: SubAlgebr
     return ExtensionReport(max_dev <= 1e-9, max_dev)
 
 
-@dataclass(frozen=True)
-class PenaltyBoundAtom:
+class PenaltyBoundAtom(NamedTuple):
     atom: int
     hypothesis_holds: bool
     penalty: float
@@ -511,8 +504,7 @@ class PenaltyBoundAtom:
     ok: bool
 
 
-@dataclass(frozen=True)
-class PenaltyBoundReport:
+class PenaltyBoundReport(NamedTuple):
     atoms: tuple[PenaltyBoundAtom, ...]
     passed: bool
 
@@ -540,8 +532,7 @@ def penalty_bound_check(rho: CondRiskMeasure, x: RandomVar, y: RandomVar,
     return PenaltyBoundReport(rows, all(r.ok for r in rows))
 
 
-@dataclass(frozen=True)
-class UniformOrderContinuityReport:
+class UniformOrderContinuityReport(NamedTuple):
     sup_pairings: np.ndarray  # one row per sequence element, one column per atom
     tail_per_atom: tuple[float, ...]
     passed: bool
@@ -586,8 +577,7 @@ def dynamic_evaluate(D: DynamicRiskMeasure, x: RandomVar, seed: int = 0) -> list
     return out
 
 
-@dataclass(frozen=True)
-class AxiomReport:
+class AxiomReport(NamedTuple):
     monotone_ok: bool
     cash_ok: bool
     convex_ok: bool

@@ -9,9 +9,8 @@ validation with path-and-field diagnostics.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -96,20 +95,30 @@ class ScenarioValidationError(StructuralError):
 _TYPES = {"object": dict, "array": list, "string": str}
 # exact types that satisfy a `string` or `number` schema
 _EXACT = {"string": {str}, "number": {int, float}}
+_CLOSED_RECORD = {"type", "required", "additionalProperties", "properties"}
 
 
 def _all_conform(values, schema: Mapping) -> bool:
     """True when every item of `values` certainly satisfies `schema`, decided
     in bulk on the item types; False leaves the answer to the walker.
 
-    Decides strings (with `minLength`), numbers, and arrays (with
-    `minItems`), by checking all their items as one column."""
+    Decides strings (with `minLength`), numbers, arrays (with `minItems`),
+    by checking all their items as one column, and closed records: objects
+    with `additionalProperties: false` whose `required` names every
+    property, by checking each property's values as one column."""
     kind = schema.get("type")
     keys = schema.keys()
     if kind in _EXACT and keys <= {"type", "minLength"}:
         shortest = schema.get("minLength", 0)
         return _EXACT[kind].issuperset(map(type, values)) and (
             kind != "string" or min(map(len, values), default=shortest) >= shortest)
+    if kind == "object" and keys == _CLOSED_RECORD and schema["additionalProperties"] is False:
+        properties = schema["properties"]
+        return (properties.keys() == set(schema["required"])
+                and {dict}.issuperset(map(type, values))
+                and all(v.keys() == properties.keys() for v in values)
+                and all(_all_conform([v[name] for v in values], sub)
+                        for name, sub in properties.items()))
     return (kind == "array" and keys == {"type", "minItems", "items"}
             and {list}.issuperset(map(type, values))
             and min(map(len, values), default=schema["minItems"]) >= schema["minItems"]
@@ -161,8 +170,7 @@ def _check_schema(value, schema: Mapping, path: str = "$") -> None:
                     _check_schema(item, sub, f"{path}.{key}")
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(NamedTuple):
     name: str
     space: FiniteProbSpace
     labels: tuple[str, ...]
@@ -176,7 +184,7 @@ class Scenario:
     @classmethod
     def from_dict(cls, data: Mapping) -> "Scenario":
         """Validate `data` and build its scenario; `raw` is a JSON copy of `data`."""
-        return replace(cls._build(data), raw=json.loads(json.dumps(data)))
+        return cls._build(data)._replace(raw=json.loads(json.dumps(data)))
 
     @classmethod
     def from_file(cls, path: str | Path) -> "Scenario":

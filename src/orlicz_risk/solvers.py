@@ -10,8 +10,7 @@ functions over a weighted probability simplex.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -32,8 +31,7 @@ _SECTIONS = 8
 _EXPAND = 4.0
 
 
-@dataclass(frozen=True)
-class SolveReport:
+class SolveReport(NamedTuple):
     """Outcome of a solve.  `attained` is False when the optimum is only
     approached at a boundary or in an expansion limit; `boundary` names the
     side ('left'/'right') when that happens."""

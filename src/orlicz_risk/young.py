@@ -2,8 +2,7 @@
 
 A Young function is a convex nondecreasing map phi: [0, inf) -> [0, inf] with
 phi(0) = 0, finite near 0, and phi(t) -> inf.  +inf is a first-class value
-here.  `ext_mul` traps 0*inf as a contract violation, but no library code
-calls it: elsewhere 0*inf is plain float arithmetic, which gives NaN.
+here.
 """
 
 from __future__ import annotations
@@ -11,11 +10,11 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
-from typing import Callable, Mapping
+from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
 
-from .errors import ContractError, ParameterError
+from .errors import ParameterError
 from . import solvers
 
 __all__ = [
@@ -29,20 +28,12 @@ __all__ = [
     "conjugate_young_fn",
     "validate",
     "YoungValidation",
-    "ext_mul",
 ]
 
 INF = math.inf
 
 # exp(t) overflows float64 beyond this
 _EXP_OVERFLOW = 709.0
-
-
-def ext_mul(a: float, b: float) -> float:
-    """Extended-real product; 0*inf is undefined and trapped."""
-    if (a == 0.0 and math.isinf(b)) or (b == 0.0 and math.isinf(a)):
-        raise ContractError("0 * inf is undefined in extended-real arithmetic")
-    return a * b
 
 
 @dataclass(frozen=True, eq=False)
@@ -298,8 +289,7 @@ def conjugate_young_fn(phi: YoungFn) -> YoungFn:
     )
 
 
-@dataclass(frozen=True)
-class YoungValidation:
+class YoungValidation(NamedTuple):
     passed: bool
     origin_ok: bool
     finite_near_zero: bool

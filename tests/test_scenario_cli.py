@@ -10,12 +10,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from orlicz_risk import SCENARIO_SCHEMA, Scenario, ScenarioValidationError
 import orlicz_risk.cli as cli_module
 from orlicz_risk.cli import main
 import orlicz_risk.scenario as scenario_module
-from orlicz_risk.scenario import _check_schema
+from orlicz_risk.scenario import _all_conform, _check_schema
 
 ROOT = Path(__file__).resolve().parents[1]
 SCENARIOS = ROOT / "scenarios"
@@ -269,6 +270,53 @@ class TestSchemaChecker:
             Scenario.from_dict(data)
         assert err.value.path == path
 
+    def test_schema_work_does_not_grow_with_outcomes(self, monkeypatch):
+        # every outcome record is checked in one bulk pass, not walked
+        def scenario(n):
+            labels = [f"w{i}" for i in range(n)]
+            return {
+                "name": f"n{n}",
+                "outcomes": [{"label": lab, "prob": 1 / n} for lab in labels],
+                "algebras": {"F0": [labels], "F1": [labels[::2], labels[1::2]]},
+                "positions": {"x": {lab: float(i) for i, lab in enumerate(labels)}},
+                "young": {"family": "power", "params": {"p": 2}},
+                "risk": {"measure": "entropic", "params": {"gamma": 1.0}},
+            }
+
+        calls = []
+
+        def counted(value, schema, path="$", _check=_check_schema):
+            calls.append(path)
+            _check(value, schema, path)
+
+        monkeypatch.setattr(scenario_module, "_check_schema", counted)
+        per_size = []
+        for n in (10, 1000):
+            calls.clear()
+            Scenario.from_dict(scenario(n))
+            per_size.append(len(calls))
+        assert per_size[0] == per_size[1]
+        assert not any(path.startswith("$.outcomes[") for path in calls)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.one_of(
+        # missing and extra keys, empty labels, bool, str and None probabilities
+        st.fixed_dictionaries({}, optional={
+            "label": st.one_of(st.text(max_size=2), st.none(), st.integers()),
+            "prob": st.one_of(st.floats(), st.integers(), st.booleans(),
+                              st.text(max_size=2), st.none()),
+            "zz": st.none(),
+        }),
+        st.fixed_dictionaries({"label": st.text(min_size=1, max_size=2), "prob": st.floats()}),
+        st.one_of(st.none(), st.booleans(), st.text(max_size=2),
+                  st.lists(st.none(), max_size=1)),
+    ), max_size=6))
+    def test_bulk_check_accepts_no_record_the_walker_rejects(self, records):
+        schema = SCENARIO_SCHEMA["properties"]["outcomes"]["items"]
+        if _all_conform(records, schema):
+            for i, record in enumerate(records):
+                _check_schema(record, schema, f"$.outcomes[{i}]")
+
     def test_import_does_not_load_jsonschema(self):
         out = subprocess.run(
             [sys.executable, "-c",
@@ -479,6 +527,36 @@ class TestCli:
         expected = math.log(float(np.mean(np.exp(-entropic4.positions["x"].values))))
         assert x_f0[0] == pytest.approx(expected, rel=1e-9)
         assert len(report["results"]["x"]["F1"]) == 2
+
+    def test_rerun_replaces_both_files(self, tmp_path):
+        scenario = str(SCENARIOS / "entropic4.json")
+        out, fresh, kept = tmp_path / "out", tmp_path / "fresh", tmp_path / "kept"
+        names = ("entropic4.report.json", "entropic4.atoms.csv")
+        assert main(["dual", scenario, "--out-dir", str(out)]) == 0
+        first = [(out / name).read_bytes() for name in names]
+        kept.mkdir()
+        for name in names:
+            os.link(out / name, kept / name)
+        # a new gap tolerance changes both files
+        for d in (out, fresh):
+            assert main(["dual", scenario, "--out-dir", str(d), "--tol-gap", "1e-5"]) == 0
+        for name, old in zip(names, first):
+            assert (kept / name).read_bytes() == old
+            assert (out / name).read_bytes() == (fresh / name).read_bytes() != old
+
+    def test_symlinked_report_paths_are_replaced_not_followed(self, tmp_path):
+        scenario = str(SCENARIOS / "entropic4.json")
+        out, fresh = tmp_path / "out", tmp_path / "fresh"
+        out.mkdir()
+        for name in ("entropic4.report.json", "entropic4.atoms.csv"):
+            (tmp_path / f"target-{name}").write_text("keep\n")
+            (out / name).symlink_to(tmp_path / f"target-{name}")
+        for d in (out, fresh):
+            assert main(["dual", scenario, "--out-dir", str(d)]) == 0
+        for name in ("entropic4.report.json", "entropic4.atoms.csv"):
+            assert not (out / name).is_symlink()
+            assert (out / name).read_bytes() == (fresh / name).read_bytes()
+            assert (tmp_path / f"target-{name}").read_text() == "keep\n"
 
     def test_dual_command_gaps_pass(self, tmp_path):
         code = main(["dual", str(SCENARIOS / "entropic4.json"), "--out-dir", str(tmp_path)])

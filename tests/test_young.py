@@ -15,8 +15,7 @@ from orlicz_risk import (
     validate,
     young_from_spec,
 )
-from orlicz_risk.young import ext_mul, YoungFn
-from orlicz_risk.errors import ContractError
+from orlicz_risk.young import YoungFn
 
 INF = math.inf
 
@@ -269,18 +268,6 @@ class TestArrayContract:
         assert phi.deriv is None and phi.conjugate_deriv is None
         assert validate(phi).passed
         assert conjugate(phi, 4.0) == pytest.approx(4.0, rel=1e-9)
-
-
-class TestExtendedArithmetic:
-    def test_zero_times_inf_trapped(self):
-        with pytest.raises(ContractError):
-            ext_mul(0.0, INF)
-        with pytest.raises(ContractError):
-            ext_mul(-INF, 0.0)
-
-    def test_ordinary_products_pass(self):
-        assert ext_mul(2.0, INF) == INF
-        assert ext_mul(3.0, 4.0) == 12.0
 
 
 @settings(max_examples=80, deadline=None)

@@ -10,13 +10,16 @@ five commands (with `--seed N`), then every operation of the generated
 `norm`, `dual`, `verify` and `cli` workloads, in cycle order.  Each tree
 runs all of them in one interpreter of its own, importing its own
 `src/orlicz_risk`, with every operation writing into a directory of its own.
+Then each tree runs every bundled operation a second time, in a second
+interpreter, into the directory that operation first wrote: this exercises
+the path that replaces existing report files.
 
-Exit codes, stdout and stderr are compared with each tree's output
-directory replaced by `OUT`; then every written file.  Each difference is
-printed, then the operation and file counts.  The exit code is 1 on any
-difference, else 0.  Everything is written to a temporary directory, which
-is removed afterwards; neither tree is written to.  Standard library plus
-numpy.
+After each pass, exit codes, stdout and stderr are compared with each
+tree's output directory replaced by `OUT`; then every written file.  Each
+difference is printed, then the operation, rerun and file counts.  The exit
+code is 1 on any difference, else 0.  Everything is written to a temporary
+directory, which is removed afterwards; neither tree is written to.
+Standard library plus numpy.
 """
 
 from __future__ import annotations
@@ -63,38 +66,63 @@ def load_gen(tree: Path):
     return module
 
 
-def operations(parent: Path, seed: int, scenario_dir: Path) -> list[tuple[str, list[str]]]:
-    """(description, CLI arguments without `--out-dir`) of every operation."""
+def operations(parent: Path, seed: int, scenario_dir: Path) -> tuple[list, int]:
+    """(description, CLI arguments without `--out-dir`) of every operation,
+    the bundled ones first, and the number of bundled ones."""
     gen = load_gen(parent)
     ops = [(f"{cmd} {path.name}", [cmd, str(path), "--seed", str(seed)])
            for path in sorted((parent / "scenarios").glob("*.json")) for cmd in COMMANDS]
+    n_bundled = len(ops)
     for workload in WORKLOADS:
         generated = gen.generate(workload, seed, scenario_dir / workload, parent / "scenarios")
         for op in generated.ops:
             args = [op["command"], op["path"], "--seed", str(op["seed"])]
             ops.append((f"{workload}: {op['command']} {Path(op['path']).name}", args))
-    return ops
+    return ops, n_bundled
 
 
-def start(tree: Path, argvs: list[list[str]], work: Path) -> subprocess.Popen:
+def start(tree: Path, argvs: list[list[str]], work: Path, name: str) -> subprocess.Popen:
     """Run `argvs` in a fresh interpreter that imports `tree`'s package."""
-    (work / "ops.json").write_text(json.dumps(argvs))
+    (work / f"{name}.ops.json").write_text(json.dumps(argvs))
     env = {**os.environ, "PYTHONPATH": str(tree / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
     return subprocess.Popen(
-        [sys.executable, "-c", RUNNER, str(work / "ops.json"), str(work / "results.json")],
+        [sys.executable, "-c", RUNNER, str(work / f"{name}.ops.json"),
+         str(work / f"{name}.results.json")],
         cwd=work, env=env,
     )
 
 
-def compare(descriptions: list[str], outs: list[Path], works: list[Path]) -> tuple[list, int]:
-    """The differences between the two trees' runs, and the file count."""
-    runs = [json.loads((work / "results.json").read_text())["results"] for work in works]
+def run_pass(trees: list[Path], works: list[Path], ops: list, name: str) -> list | None:
+    """Each tree's [exit code, stdout, stderr] per (description, index, CLI
+    arguments) of `ops`, operation i writing into `out/op<i>` of the tree's
+    work directory; None after printing why a runner failed."""
+    procs = []
+    for tree, work in zip(trees, works):
+        argvs = [[*op, "--out-dir", str(work / "out" / f"op{i:03d}")] for _, i, op in ops]
+        procs.append(start(tree, argvs, work, name))
+    codes = [proc.wait() for proc in procs]
+    if any(codes):
+        print(f"error: a runner exited {codes}", file=sys.stderr)
+        return None
+    runs = []
+    for tree, work in zip(trees, works):
+        run = json.loads((work / f"{name}.results.json").read_text())
+        if not Path(run["package"]).is_relative_to(tree):
+            print(f"error: imported {run['package']}, not the package of {tree}", file=sys.stderr)
+            return None
+        runs.append(run["results"])
+    return runs
+
+
+def compare(ops: list, outs: list[Path], runs: list) -> tuple[list, int]:
+    """The differences between the two trees' runs of `ops`, as in
+    `run_pass`, and the file count."""
     diffs, n_files = [], 0
-    for i, desc in enumerate(descriptions):
+    for j, (desc, i, _) in enumerate(ops):
         dirs = [out / f"op{i:03d}" for out in outs]
         streams = []
         for run, d in zip(runs, dirs):
-            code, out, err = run[i]
+            code, out, err = run[j]
             streams.append((code, out.replace(str(d), "OUT"), err.replace(str(d), "OUT")))
         for name, a, b in zip(("exit code", "stdout", "stderr"), *streams):
             if a != b:
@@ -118,27 +146,25 @@ def main(argv=None) -> int:
     trees = [args.parent.resolve(), args.change.resolve()]
     with tempfile.TemporaryDirectory(prefix="compare_outputs_") as tmp:
         tmp = Path(tmp)
-        ops = operations(trees[0], args.seed, tmp / "scenarios")
+        ops, n_bundled = operations(trees[0], args.seed, tmp / "scenarios")
         works = [tmp / "parent", tmp / "change"]
-        outs = [work / "out" for work in works]
-        procs = []
-        for tree, work, out in zip(trees, works, outs):
+        for work in works:
             work.mkdir()
-            argvs = [[*op, "--out-dir", str(out / f"op{i:03d}")] for i, (_, op) in enumerate(ops)]
-            procs.append(start(tree, argvs, work))
-        codes = [proc.wait() for proc in procs]
-        if any(codes):
-            print(f"error: a runner exited {codes}", file=sys.stderr)
-            return 2
-        for tree, work in zip(trees, works):
-            package = json.loads((work / "results.json").read_text())["package"]
-            if not Path(package).is_relative_to(tree):
-                print(f"error: imported {package}, not the package of {tree}", file=sys.stderr)
+        numbered = [(desc, i, op) for i, (desc, op) in enumerate(ops)]
+        passes = (("first", numbered),
+                  ("rerun", [(f"rerun {desc}", i, op) for desc, i, op in numbered[:n_bundled]]))
+        diffs, n_files = [], 0
+        for name, selected in passes:
+            runs = run_pass(trees, works, selected, name)
+            if runs is None:
                 return 2
-        diffs, n_files = compare([desc for desc, _ in ops], outs, works)
+            pass_diffs, pass_files = compare(selected, [work / "out" for work in works], runs)
+            diffs += pass_diffs
+            n_files += pass_files
     for line in diffs:
         print(line)
-    print(f"{len(ops)} operations, {n_files} files: {len(diffs)} differences")
+    print(f"{len(ops)} operations and {n_bundled} reruns, {n_files} files: "
+          f"{len(diffs)} differences")
     return 1 if diffs else 0
 
 
