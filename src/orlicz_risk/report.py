@@ -119,9 +119,9 @@ def canonical_dumps(obj) -> str:
 
 def _write_new(path: str | Path, data: bytes) -> None:
     """Write `data` as a new file at `path`, first removing any file or link
-    there.  The old file is never truncated: on ext4, truncating a file with
-    unflushed data and rewriting it makes `close` start writeback, and a
-    hard link to the old file keeps its bytes."""
+    there.  The old file is never truncated, so a hard link to it or a
+    reader holding it open keeps its bytes, and a link's target is never
+    written."""
     Path(path).unlink(missing_ok=True)
     with open(path, "xb") as fh:
         fh.write(data)
