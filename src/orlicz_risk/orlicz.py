@@ -9,6 +9,11 @@ root-find in the scale mu = 1/lam, solved for all atoms at once by a
 lock-step bisection: the smallest mu with E[F(|x|/mu) | atom] <= 1, where F
 is phi for the Luxemburg norm and psi(t) = t*phi'(t) - phi(t) = phi*(phi'(t))
 for the Amemiya norm.
+
+The two norms and the pairing operator norm also take a stack of positions,
+one per row, and solve every row and atom in the same bisection.  Their
+`atom_values` are then one row per position, `per_atom` the stack of the
+broadcast rows, and `attained` one tuple of flags per position.
 """
 
 from __future__ import annotations
@@ -24,6 +29,7 @@ from .prob_space import (
     SubAlgebra,
     FiniteProbSpace,
     _atom_weights,
+    _check_dims,
     _require_finite,
     cond_expectation,
 )
@@ -46,7 +52,7 @@ _REL_TOL = 1e-10
 class CondNorm(NamedTuple):
     """A conditional norm value: one number per atom, broadcast to a
     measurable variable, with per-atom attainment flags for infima that are
-    only approached."""
+    only approached; for a stack of positions, one row of each per position."""
 
     per_atom: RandomVar
     attained: tuple[bool, ...]
@@ -54,8 +60,9 @@ class CondNorm(NamedTuple):
 
 
 def _cond_norm(x: RandomVar, alg: SubAlgebra, values: np.ndarray, attained) -> CondNorm:
-    return CondNorm(RandomVar(alg.broadcast(values), x.space),
-                    tuple(bool(a) for a in attained), values)
+    flags = np.broadcast_to(attained, values.shape).tolist()
+    flags = tuple(map(tuple, flags)) if values.ndim == 2 else tuple(flags)
+    return CondNorm(RandomVar(alg.broadcast(values), x.space), flags, values)
 
 
 def _smallest_scale(x: RandomVar, alg: SubAlgebra, F: Callable):
@@ -64,13 +71,13 @@ def _smallest_scale(x: RandomVar, alg: SubAlgebra, F: Callable):
     [max|x| * 2**-60, max|x|].  Returns the solve report, the largest |x| per
     atom, and `expect(G, mu)`, the conditional expectations of G(|x|/mu).
     An atom where x vanishes is reported at its left edge (attained False)."""
-    absx = np.abs(x.values)[alg.order]
+    absx = np.abs(x.values).take(alg.order, -1)
     weights = _atom_weights(x.space, alg)[alg.order]
     atom = alg.atom_of[alg.order]
-    peak = np.maximum.reduceat(absx, alg.starts)
+    peak = np.maximum.reduceat(absx, alg.starts, axis=-1)
 
     def expect(G: Callable, mu: np.ndarray) -> np.ndarray:
-        return np.add.reduceat(weights * G(absx / mu[..., atom]), alg.starts, axis=-1)
+        return np.add.reduceat(weights * G(absx / mu.take(atom, -1)), alg.starts, axis=-1)
 
     m = np.where(peak > 0.0, peak, 1.0)
     try:
@@ -93,13 +100,14 @@ def luxemburg_norm(x: RandomVar, alg: SubAlgebra, phi: YoungFn) -> CondNorm:
     the sup-norm case is exact.
     """
     _require_finite(x, "luxemburg_norm")
+    _check_dims(x, alg, True)
     if phi.step_threshold is not None:
         values = alg.atom_max(np.abs(x.values)) / phi.step_threshold
         at_threshold = phi.eval(phi.step_threshold) <= 1.0
         return _cond_norm(x, alg, values, at_threshold | (values == 0.0))
     report, peak, _ = _smallest_scale(x, alg, phi.eval)
     values = np.where(peak > 0.0, report.arg, 0.0)
-    return _cond_norm(x, alg, values, [True] * alg.n_atoms)
+    return _cond_norm(x, alg, values, True)
 
 
 def amemiya_norm(x: RandomVar, alg: SubAlgebra, phi: YoungFn) -> CondNorm:
@@ -116,6 +124,7 @@ def amemiya_norm(x: RandomVar, alg: SubAlgebra, phi: YoungFn) -> CondNorm:
     Needs the `deriv` and `conjugate_closed_form` fields of phi.
     """
     _require_finite(x, "amemiya_norm")
+    _check_dims(x, alg, True)
     for name in ("deriv", "conjugate_closed_form"):
         if getattr(phi, name) is None:
             raise ParameterError(f"amemiya_norm needs the Young function field {name!r}")

@@ -6,6 +6,11 @@ plain equality and no null-set bookkeeping is needed.  A sub-sigma-algebra of
 the full power set is represented by the partition of outcome indices into its
 atoms; a random variable is measurable w.r.t. it iff it is constant on every
 atom.
+
+A random variable holds one position, a vector of outcome values, or a stack
+of m positions, an (m, n) array with one position per row.  The conditional
+expectation and essential sup/inf map a stack row by row; `concatenate` and
+`is_measurable` take one position and raise StructuralError on a stack.
 """
 
 from __future__ import annotations
@@ -124,15 +129,15 @@ class SubAlgebra:
 
     def atom_sum(self, values) -> np.ndarray:
         """Sum over each atom along the last (outcome) axis."""
-        return np.add.reduceat(np.asarray(values)[..., self.order], self.starts, axis=-1)
+        return np.add.reduceat(np.asarray(values).take(self.order, -1), self.starts, axis=-1)
 
     def atom_max(self, values) -> np.ndarray:
         """Maximum over each atom along the last (outcome) axis."""
-        return np.maximum.reduceat(np.asarray(values)[..., self.order], self.starts, axis=-1)
+        return np.maximum.reduceat(np.asarray(values).take(self.order, -1), self.starts, axis=-1)
 
     def atom_min(self, values) -> np.ndarray:
         """Minimum over each atom along the last (outcome) axis."""
-        return np.minimum.reduceat(np.asarray(values)[..., self.order], self.starts, axis=-1)
+        return np.minimum.reduceat(np.asarray(values).take(self.order, -1), self.starts, axis=-1)
 
     def refines(self, coarser: "SubAlgebra") -> bool:
         """True iff every atom of self lies inside a single atom of `coarser`."""
@@ -142,26 +147,28 @@ class SubAlgebra:
         return bool(np.array_equal(label, label[self.first][self.atom_of]))
 
     def broadcast(self, atom_values: Sequence[float]) -> np.ndarray:
-        """Expand one value per atom into a full outcome vector."""
+        """Expand one value per atom into a full outcome vector, along the
+        last axis."""
         atom_values = np.asarray(atom_values, dtype=float)
-        if atom_values.size != self.n_atoms:
+        if atom_values.shape[-1:] != (self.n_atoms,):
             raise StructuralError("need exactly one value per atom")
-        return atom_values[self.atom_of]
+        return atom_values.take(self.atom_of, -1)
 
 
 @dataclass(frozen=True)
 class RandomVar:
-    """A real vector indexed by outcomes.  Values may be +/-inf where an
-    operation's contract permits it; NaN never."""
+    """A real vector indexed by outcomes, or a stack of them, one per row.
+    Values may be +/-inf where an operation's contract permits it; NaN
+    never."""
 
     values: np.ndarray
     space: FiniteProbSpace
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float)
-        if values.ndim != 1 or values.size != self.space.n_outcomes:
+        if values.ndim not in (1, 2) or values.shape[-1] != self.space.n_outcomes:
             raise StructuralError(
-                f"value vector has length {values.size}, space has {self.space.n_outcomes} outcomes"
+                f"values have shape {values.shape}, space has {self.space.n_outcomes} outcomes"
             )
         if np.isnan(values).any():
             raise StructuralError("NaN is not a permitted value")
@@ -203,7 +210,11 @@ class RandomVar:
         return RandomVar(np.abs(self.values), self.space)
 
 
-def _check_dims(x: RandomVar, alg: SubAlgebra):
+def _check_dims(x: RandomVar, alg: SubAlgebra, stack: bool = False):
+    """Raise StructuralError unless x is one position, or with `stack` also
+    a stack of them, on as many outcomes as the algebra indexes."""
+    if x.values.ndim != 1 and not stack:
+        raise StructuralError(f"expected one position, got a stack of {len(x.values)}")
     if alg.n_outcomes != x.space.n_outcomes:
         raise StructuralError(
             f"algebra indexes {alg.n_outcomes} outcomes, variable has {x.space.n_outcomes}"
@@ -223,7 +234,7 @@ def _atom_weights(space: FiniteProbSpace, alg: SubAlgebra) -> np.ndarray:
 def cond_expectation(x: RandomVar, alg: SubAlgebra) -> RandomVar:
     """Conditional expectation of x given the algebra: on each atom A the
     probability-weighted average sum(p_w x_w) / P(A)."""
-    _check_dims(x, alg)
+    _check_dims(x, alg, True)
     _require_finite(x, "conditional expectation")
     p = x.space.probs
     return RandomVar(alg.broadcast(alg.atom_sum(p * x.values) / alg.atom_sum(p)), x.space)
@@ -231,13 +242,13 @@ def cond_expectation(x: RandomVar, alg: SubAlgebra) -> RandomVar:
 
 def ess_sup_cond(x: RandomVar, alg: SubAlgebra) -> RandomVar:
     """Per-atom maximum of x, as a measurable variable of the algebra."""
-    _check_dims(x, alg)
+    _check_dims(x, alg, True)
     return RandomVar(alg.broadcast(alg.atom_max(x.values)), x.space)
 
 
 def ess_inf_cond(x: RandomVar, alg: SubAlgebra) -> RandomVar:
     """Per-atom minimum of x, as a measurable variable of the algebra."""
-    _check_dims(x, alg)
+    _check_dims(x, alg, True)
     return RandomVar(alg.broadcast(alg.atom_min(x.values)), x.space)
 
 

@@ -9,6 +9,11 @@ those densities.  On a finite space everything decomposes per atom, and the
 maximizing density, the dual certificate, is computed in closed form for the
 entropic, worst-case and expected-loss measures and read off the gradient for
 a black-box one.
+
+A measure's `evaluate` also takes a stack of positions, one per row, and
+returns the stack of their values; `custom` runs its map row by row.  Every
+other entry point here takes one position and raises StructuralError on a
+stack.
 """
 
 from __future__ import annotations
@@ -27,8 +32,8 @@ from .prob_space import (
     RandomVar,
     SubAlgebra,
     _atom_weights,
+    _check_dims,
     _require_finite,
-    concatenate,
     cond_expectation,
     ess_sup_cond,
     is_measurable,
@@ -107,6 +112,7 @@ def _xlogx(q: np.ndarray) -> np.ndarray:
 
 def dual_feasible_atoms(y: RandomVar, alg: SubAlgebra) -> list[bool]:
     """Per atom: y <= 0 within 1e-12 and E[y | atom] = -1 within 1e-10."""
+    _check_dims(y, alg)
     sign_ok = alg.atom_max(y.values) <= _FEAS_SIGN_TOL
     mean = alg.atom_sum(_atom_weights(y.space, alg) * y.values)
     return (sign_ok & (np.abs(mean + 1.0) <= _FEAS_MEAN_TOL)).tolist()
@@ -122,12 +128,13 @@ def entropic(gamma: float) -> CondRiskMeasure:
 
     def evaluate(x: RandomVar, alg: SubAlgebra) -> RandomVar:
         _require_finite(x, "entropic risk")
+        _check_dims(x, alg, True)
         p = x.space.probs
         a = -gamma * x.values
         shift = alg.atom_max(a)
         # the numerator and the denominator go through the same reduction,
         # so on a constant position they are equal and rho(const) is exact
-        mean = alg.atom_sum(p * np.exp(a - shift[alg.atom_of])) / alg.atom_sum(p)
+        mean = alg.atom_sum(p * np.exp(a - shift.take(alg.atom_of, -1))) / alg.atom_sum(p)
         return RandomVar(alg.broadcast((shift + np.log(mean)) / gamma), x.space)
 
     def conj(y: RandomVar, alg: SubAlgebra) -> RandomVar:
@@ -173,8 +180,16 @@ def linear() -> CondRiskMeasure:
 def custom(evaluate: Callable[[RandomVar, SubAlgebra], RandomVar]) -> CondRiskMeasure:
     """Wrap a black-box evaluation map; its penalty is computed numerically.
     Conjugation demands that the map first passes the axiom and locality
-    probes."""
-    return CondRiskMeasure(evaluate, None, "custom")
+    probes.  The map sees one position at a time: a stack is evaluated row
+    by row."""
+
+    def rowwise(x: RandomVar, alg: SubAlgebra) -> RandomVar:
+        if x.values.ndim == 1:
+            return evaluate(x, alg)
+        rows = [evaluate(RandomVar(row, x.space), alg).values for row in x.values]
+        return RandomVar(np.reshape(rows, x.values.shape), x.space)
+
+    return CondRiskMeasure(rowwise, None, "custom")
 
 
 def risk_from_spec(spec: Mapping) -> CondRiskMeasure:
@@ -279,6 +294,7 @@ def fenchel_conjugate(rho: CondRiskMeasure, y: RandomVar, alg: SubAlgebra) -> Ra
     """Penalty value per atom: sup over positions x of E[x*y|atom] - rho(x).
 
     Uses the closed form when available, otherwise `_numeric_conjugate`."""
+    _check_dims(y, alg)
     if rho.conjugate_closed_form is not None:
         return rho.conjugate_closed_form(y, alg)
     return RandomVar(alg.broadcast(list(_numeric_conjugate(rho, y, alg))), y.space)
@@ -321,6 +337,7 @@ def robust_representation(rho: CondRiskMeasure, x: RandomVar,
     so it measures how good the certificate is.
     """
     _require_finite(x, "robust_representation")
+    _check_dims(x, alg)
     space = x.space
     primal = rho.evaluate(x, alg)
     if rho.tag not in ("worst_case", "linear", "entropic"):
@@ -388,17 +405,16 @@ def lebesgue_check(rho: CondRiskMeasure, space: FiniteProbSpace, alg: SubAlgebra
     monotonicity bound the deviation at index n by amplitude/n; the check
     asserts the measured tail deviation at n = 10000, not just the bound."""
     rng = np.random.default_rng(seed)
+    n = space.n_outcomes
     indices = [1, 10, 100, 10_000]
-    worst = {n: 0.0 for n in indices}
-    for _ in range(trials):
-        x = RandomVar(rng.normal(size=space.n_outcomes), space)
-        u = RandomVar(rng.uniform(-amplitude, amplitude, size=space.n_outcomes), space)
-        rx = rho.evaluate(x, alg).values
-        for n in indices:
-            rn = rho.evaluate(x + u * (1.0 / n), alg).values
-            worst[n] = max(worst[n], float(np.abs(rn - rx).max()))
-    tail = worst[10_000]
-    return LebesgueReport(tuple((n, worst[n]) for n in indices), tail, tail <= tol)
+    # x, then u, of each trial in turn; x and every x + u/k go in one call
+    draws = np.array([(rng.normal(size=n), rng.uniform(-amplitude, amplitude, size=n))
+                      for _ in range(trials)]).reshape(trials, 2, n)
+    x, u = draws[:, :1], draws[:, 1:]
+    stack = np.concatenate([x, x + u * np.array([1.0 / k for k in indices])[:, None]], axis=1)
+    r = rho.evaluate(RandomVar(stack.reshape(-1, n), space), alg).values.reshape(stack.shape)
+    worst = np.max(np.abs(r[:, 1:] - r[:, :1]), axis=(0, 2), initial=0.0).tolist()
+    return LebesgueReport(tuple(zip(indices, worst)), worst[-1], worst[-1] <= tol)
 
 
 class ScalarizedRisk(NamedTuple):
@@ -412,6 +428,7 @@ class ScalarizedRisk(NamedTuple):
     alg: SubAlgebra
 
     def evaluate(self, x: RandomVar) -> float:
+        _check_dims(x, self.alg)
         vals = self.rho.evaluate(x, self.alg)
         return float(np.dot(self.space.probs, vals.values))
 
@@ -482,17 +499,16 @@ def extension_check(rho: CondRiskMeasure, space: FiniteProbSpace, alg: SubAlgebr
         raise StructuralError("partition pieces must be measurable: the "
                               "conditioning algebra must refine the partition")
     rng = np.random.default_rng(seed)
-    max_dev = 0.0
-    for _ in range(trials):
-        pieces = [
-            RandomVar(rng.normal(size=space.n_outcomes), space)
-            for _ in range(partition.n_atoms)
-        ]
-        glued = rho.evaluate(concatenate(pieces, partition), alg)
-        piecewise = concatenate(
-            [rho.evaluate(piece, alg) for piece in pieces], partition
-        )
-        max_dev = max(max_dev, float(np.abs((glued - piecewise).values).max()))
+    n = partition.n_outcomes  # a space of another size fails in RandomVar
+    pieces = rng.normal(size=(trials, partition.n_atoms, n))
+
+    def glue(stack: np.ndarray) -> np.ndarray:
+        return stack[:, partition.atom_of, np.arange(n)]
+
+    # each trial's glued position, then its pieces, all in one call
+    stack = np.concatenate([glue(pieces)[:, None], pieces], axis=1)
+    r = rho.evaluate(RandomVar(stack.reshape(-1, n), space), alg).values.reshape(stack.shape)
+    max_dev = float(np.max(np.abs(r[:, 0] - glue(r[:, 1:])), initial=0.0))
     return ExtensionReport(max_dev <= 1e-9, max_dev)
 
 
@@ -516,6 +532,7 @@ def penalty_bound_check(rho: CondRiskMeasure, x: RandomVar, y: RandomVar,
     normalized to rho(0) = 0 before checking; atoms failing the hypothesis
     are skipped, not the whole instance."""
     _require_finite(x, "penalty_bound_check")
+    _check_dims(x, alg)
     space = x.space
     zero_level = rho.evaluate(space.var(np.zeros(space.n_outcomes)), alg).values
     pen = fenchel_conjugate(rho, y, alg).values + zero_level
@@ -544,6 +561,10 @@ def uniform_order_continuity_check(C: Sequence[RandomVar], alg: SubAlgebra,
     quantities s_n = max over z in C of E[|u_n z| | atom] must drop to 1e-8
     at the tail; this is the finite-space surrogate for relative weak
     compactness of the solid hull of C."""
+    if not us:
+        raise StructuralError("the sequence us needs at least one element")
+    for u in (*us, *C):
+        _check_dims(u, alg)
     for u in us:
         if np.any(u.values < 0.0):
             raise ContractError("sequence elements must be nonnegative")
@@ -592,23 +613,17 @@ def check_axioms(rho: CondRiskMeasure, space: FiniteProbSpace, alg: SubAlgebra,
     largest deviation is at most 1e-9.  A probe whose deviation is NaN, as
     inf - inf, fails."""
     rng = np.random.default_rng(seed)
-    n = space.n_outcomes
-    worst = np.zeros(3)  # monotonicity, cash invariance, convexity
-    for _ in range(trials):
-        x = RandomVar(rng.normal(size=n), space)
-        d = RandomVar(np.abs(rng.normal(size=n)), space)
-        rx = rho.evaluate(x, alg).values
-        rxd = rho.evaluate(x + d, alg).values
-
-        m = RandomVar(alg.broadcast(rng.normal(size=alg.n_atoms)), space)
-        cash = rho.evaluate(x + m, alg).values - (rx - m.values)
-
-        y = RandomVar(rng.normal(size=n), space)
-        lam = RandomVar(alg.broadcast(rng.uniform(0.0, 1.0, size=alg.n_atoms)), space)
-        mix = rho.evaluate(x * lam + y * (1.0 - lam), alg).values
-        ry = rho.evaluate(y, alg).values
-        conv = mix - (lam.values * rx + (1.0 - lam.values) * ry)
-        worst = np.maximum(worst, [np.max(rxd - rx), np.abs(cash).max(), np.max(conv)])
+    n = alg.n_outcomes  # a space of another size fails in RandomVar
+    draws = [[rng.normal(size=n), np.abs(rng.normal(size=n)),
+              alg.broadcast(rng.normal(size=alg.n_atoms)), rng.normal(size=n),
+              alg.broadcast(rng.uniform(0.0, 1.0, size=alg.n_atoms))] for _ in range(trials)]
+    x, d, m, y, lam = np.array(draws).reshape(trials, 5, n).transpose(1, 0, 2)
+    stack = np.stack([x, x + d, x + m, x * lam + y * (1.0 - lam), y])
+    rx, rxd, rxm, mix, ry = rho.evaluate(
+        RandomVar(stack.reshape(-1, n), space), alg).values.reshape(stack.shape)
+    deviations = (rxd - rx, np.abs(rxm - (rx - m)), mix - (lam * rx + (1.0 - lam) * ry))
+    # monotonicity, cash invariance, convexity
+    worst = np.array([np.max(dev, initial=0.0) for dev in deviations])
     mono_ok, cash_ok, convex_ok = (worst <= 1e-9).tolist()
     return AxiomReport(mono_ok, cash_ok, convex_ok, float(worst.max()),
                        mono_ok and cash_ok and convex_ok)

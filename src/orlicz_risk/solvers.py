@@ -51,10 +51,12 @@ def bisect_monotone(f: Callable[[np.ndarray], np.ndarray], target: float,
 
     `lo` and `hi` are one bracket or arrays of independent brackets, and `f`
     maps an array of points to the array of their values, elementwise over
-    any leading axes.  Every bracket is expanded on its own, and all are
-    narrowed in lock-step: each step cuts every bracket into _SECTIONS equal
-    parts with one call of f on the interior points, stacked along a leading
-    axis.  Where f(hi) > target, hi doubles (at most `max_expand` times, else
+    any leading axes.  Every bracket is expanded on its own, and the
+    brackets along the last axis, a row, are narrowed in lock-step: each step
+    cuts every bracket into _SECTIONS equal parts with one call of f on the
+    interior points, stacked along a leading axis.  A row stops once all its
+    brackets are narrow, so every row of a 2-D array ends where it would on
+    its own.  Where f(hi) > target, hi doubles (at most `max_expand` times, else
     a BracketError names the element).  Where f(lo) <= target, f is probed
     once at lo * 2**-max_expand: if it is still <= target there, the bracket
     hit the left edge and lo itself is reported, with `attained` False for
@@ -87,17 +89,23 @@ def bisect_monotone(f: Callable[[np.ndarray], np.ndarray], target: float,
         hi = np.where(up, 2.0 * hi, hi)
         expansions += 1
 
-    # every step divides each width by _SECTIONS, so the first `steps` steps
-    # need no test
+    def row_max(a: np.ndarray) -> np.ndarray:
+        return a.max(axis=-1, keepdims=True) if a.ndim else a
+
+    def wide() -> np.ndarray:
+        return row_max((hi - lo) > rel_tol * np.maximum(hi, 1e-300))
+
+    # every step divides each width by _SECTIONS, so a row needs no test in
+    # its first `steps` steps
     cuts = np.arange(1.0, _SECTIONS).reshape((-1,) + (1,) * lo.ndim)
-    ratio = float(np.max((hi - lo) / (rel_tol * np.maximum(hi, 1e-300))))
-    steps = math.ceil(math.log(ratio, _SECTIONS)) if ratio > 1.0 else 0
+    ratio = row_max((hi - lo) / (rel_tol * np.maximum(hi, 1e-300)))
+    steps = np.ceil(np.log(np.maximum(ratio, 1.0)) / math.log(_SECTIONS))
     step = 0
-    while step < steps or ((hi - lo) > rel_tol * np.maximum(hi, 1e-300)).any():
+    while (active := step < steps).all() or (active := active | wide()).any():
         points = lo + cuts * ((hi - lo) / _SECTIONS)
         ok = f(points) <= target
-        hi = np.minimum.reduce(np.where(ok, points, hi), axis=0)
-        lo = np.maximum.reduce(np.where(ok, lo, points), axis=0)
+        hi = np.where(active, np.minimum.reduce(np.where(ok, points, hi), axis=0), hi)
+        lo = np.where(active, np.maximum.reduce(np.where(ok, lo, points), axis=0), lo)
         evals += 1
         step += 1
     fhi = ff(hi)

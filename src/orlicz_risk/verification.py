@@ -43,22 +43,20 @@ def _feasible_density(rng, space, alg: SubAlgebra) -> RandomVar:
 
 
 def _norm_axiom_rows(sc: Scenario, alg_name: str, alg, rng):
-    rows = []
     space = sc.space
-    phi = sc.young
     n = space.n_outcomes
-    norms = (("luxemburg", luxemburg_norm), ("amemiya", amemiya_norm))
+    x, z, lam = map(np.array, zip(*[
+        (rng.normal(size=n), rng.normal(size=n), rng.uniform(0.2, 3.0, size=alg.n_atoms))
+        for _ in range(3)]))
+    # rows 0-2 x, 3-5 z, 6-8 lam*x, 9-11 x+z per trial, and 12 the zero position
+    stack = space.var(np.concatenate([x, z, x * alg.broadcast(lam), x + z, np.zeros((1, n))]))
+    norms = {method: norm(stack, alg, sc.young).atom_values
+             for method, norm in (("luxemburg", luxemburg_norm), ("amemiya", amemiya_norm))}
+    rows = []
     for trial in range(3):
-        x = RandomVar(rng.normal(size=n), space)
-        z = RandomVar(rng.normal(size=n), space)
-        lam_atoms = rng.uniform(0.2, 3.0, size=alg.n_atoms)
-        lam = RandomVar(alg.broadcast(lam_atoms), space)
-        for method, norm in norms:
-            nx = norm(x, alg, phi).atom_values
-            nz = norm(z, alg, phi).atom_values
-            nlx = norm(x * lam, alg, phi).atom_values
-            nxz = norm(x + z, alg, phi).atom_values
-            hom_dev = np.abs(nlx - lam_atoms * nx) / np.maximum(1.0, lam_atoms * nx)
+        for method, values in norms.items():
+            nx, nz, nlx, nxz = values[trial:12:3]
+            hom_dev = np.abs(nlx - lam[trial] * nx) / np.maximum(1.0, lam[trial] * nx)
             tri = nxz - (nx + nz)
             rows += atom_rows(
                 "norm_axioms", alg_name, f"probe{trial}",
@@ -67,59 +65,45 @@ def _norm_axiom_rows(sc: Scenario, alg_name: str, alg, rng):
                 (f"{method}_triangle_excess", tri.tolist(), 1e-9, (tri <= 1e-9).tolist()),
                 (f"{method}_definite", nx.tolist(), math.inf, (nx > 0.0).tolist()),
             )
-    zero = space.var(np.zeros(n))
-    for method, norm in norms:
-        vals = norm(zero, alg, phi).atom_values
+    for method, values in norms.items():
         rows += atom_rows("norm_axioms", alg_name, "zero",
-                          (f"{method}_zero", vals.tolist(), 0.0, (vals == 0.0).tolist()))
+                          (f"{method}_zero", values[12].tolist(), 0.0, (values[12] == 0.0).tolist()))
     return rows
 
 
 def _equivalence_rows(sc: Scenario, alg_name: str, alg, rng, tol_norm):
     rows = []
-    space = sc.space
     phi = sc.young
     is_power2 = phi.family_tag == "power" and phi.params.get("p") == 2.0
-    probes = [(name, x) for name, x in sc.positions.items()]
-    for trial in range(3):
-        probes.append((f"probe{trial}", RandomVar(rng.normal(size=space.n_outcomes), space)))
-    for name, x in probes:
-        lux = luxemburg_norm(x, alg, phi).atom_values
-        ame = amemiya_norm(x, alg, phi).atom_values
+    names = [*sc.positions, "probe0", "probe1", "probe2"]
+    stack = sc.space.var([x.values for x in sc.positions.values()]
+                         + [rng.normal(size=sc.space.n_outcomes) for _ in range(3)])
+    lux = luxemburg_norm(stack, alg, phi).atom_values
+    ame = amemiya_norm(stack, alg, phi).atom_values
+    for name, lux_x, ame_x in zip(names, lux, ame):
         for k in range(alg.n_atoms):
-            low_ok = lux[k] - tol_norm <= ame[k]
-            high_ok = ame[k] <= 2.0 * lux[k] + tol_norm
-            rows.append(_row(
-                "equivalence", alg_name, k, name, "amemiya_minus_luxemburg",
-                ame[k] - lux[k], tol_norm, low_ok,
-            ))
-            rows.append(_row(
-                "equivalence", alg_name, k, name, "amemiya_minus_twice_luxemburg",
-                ame[k] - 2.0 * lux[k], tol_norm, high_ok,
-            ))
-            if is_power2 and lux[k] > 0.0:
-                ratio = ame[k] / lux[k]
-                rows.append(_row(
-                    "equivalence", alg_name, k, name, "power2_ratio_dev",
-                    abs(ratio - 2.0), 1e-6, abs(ratio - 2.0) <= 1e-6,
-                ))
+            for quantity, value in (("luxemburg_minus_amemiya", lux_x[k] - ame_x[k]),
+                                    ("amemiya_minus_twice_luxemburg", ame_x[k] - 2.0 * lux_x[k])):
+                rows.append(_row("equivalence", alg_name, k, name, quantity, value, tol_norm,
+                                 value <= tol_norm))
+            if is_power2 and lux_x[k] > 0.0:
+                dev = abs(ame_x[k] / lux_x[k] - 2.0)
+                rows.append(_row("equivalence", alg_name, k, name, "power2_ratio_dev",
+                                 dev, 1e-6, dev <= 1e-6))
     return rows
 
 
 def _hoelder_rows(sc: Scenario, alg_name: str, alg, rng, tol_norm):
+    n = sc.space.n_outcomes
+    x, y = map(sc.space.var, zip(*[(rng.normal(size=n), rng.normal(size=n)) for _ in range(4)]))
+    lhs = np.abs(pairing(x, y, alg).values[:, alg.first])
+    op = pairing_operator_norm(y, alg, sc.young).atom_values
+    excess = lhs - op * luxemburg_norm(x, alg, sc.young).atom_values
     rows = []
-    space = sc.space
-    phi = sc.young
-    for trial in range(4):
-        x = RandomVar(rng.normal(size=space.n_outcomes), space)
-        y = RandomVar(rng.normal(size=space.n_outcomes), space)
-        lhs = np.abs(pairing(x, y, alg).values[alg.first])
-        op = pairing_operator_norm(y, alg, phi).atom_values
-        lux = luxemburg_norm(x, alg, phi).atom_values
-        excess = lhs - op * lux
+    for trial, row in enumerate(excess):
         rows += atom_rows("hoelder", alg_name, f"probe{trial}",
-                          ("pairing_excess", excess.tolist(), float(tol_norm),
-                           (excess <= tol_norm).tolist()))
+                          ("pairing_excess", row.tolist(), float(tol_norm),
+                           (row <= tol_norm).tolist()))
     return rows
 
 

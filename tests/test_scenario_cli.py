@@ -347,6 +347,20 @@ class TestCli:
             report = json.loads((tmp_path / f"{name}.report.json").read_text())
             assert report["passed"] is True
 
+    @pytest.mark.parametrize("flags", [[], ["--tol-gap", "-1", "--tol-norm", "-1"]],
+                             ids=["default", "negative_tolerances"])
+    @pytest.mark.parametrize("path", BUNDLED, ids=lambda p: p.stem)
+    def test_verify_rows_read_by_one_rule(self, tmp_path, path, flags):
+        # a row with a finite `allowed` passes iff its value is at most that
+        main(["verify", str(path), "--out-dir", str(tmp_path), *flags])
+        with open(tmp_path / f"{path.stem}.atoms.csv", newline="") as f:
+            rows = list(csv.DictReader(f))
+        assert all(r["quantity"].endswith("_definite") for r in rows if r["allowed"] == "inf")
+        bounded = [r for r in rows if r["allowed"] != "inf"]
+        assert any(r["quantity"] == "luxemburg_minus_amemiya" for r in bounded)
+        for r in bounded:
+            assert (float(r["value"]) <= float(r["allowed"])) == (r["passed"] == "true"), r
+
     def test_failing_verify_lists_at_most_20_rows(self, tmp_path, capsys):
         code = main(["verify", str(SCENARIOS / "entropic4.json"), "--out-dir", str(tmp_path),
                      "--tol-gap", "-1", "--tol-norm", "-1"])

@@ -16,17 +16,24 @@ the path that replaces existing report files.
 
 After each pass, exit codes, stdout and stderr are compared with each
 tree's output directory replaced by `OUT`; then every written file.  Each
-difference is printed, then the operation, rerun and file counts.  The exit
-code is 1 on any difference, else 0.  Everything is written to a temporary
-directory, which is removed afterwards; neither tree is written to.
+difference is printed, then the operation, rerun and file counts.  Under a
+differing CSV table, each (check, quantity) pair whose rows differ is
+printed with its number of differing rows, its largest relative value
+change and the number of its `passed` flags that changed; a renamed check
+or quantity reads `old -> new`.  The exit code is 1 on any difference,
+else 0.  Everything is written to a temporary directory, which is removed
+afterwards; neither tree is written to.
 Standard library plus numpy.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import importlib.util
+import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -114,6 +121,37 @@ def run_pass(trees: list[Path], works: list[Path], ops: list, name: str) -> list
     return runs
 
 
+def _relative_change(a: str, b: str) -> float:
+    """|a - b| / max(|a|, |b|) of two value cells; inf when either is not
+    a finite number."""
+    try:
+        x, y = float(a), float(b)
+    except ValueError:
+        return math.inf
+    if x == y:
+        return 0.0
+    return abs(x - y) / max(abs(x), abs(y)) if math.isfinite(x - y) else math.inf
+
+
+def csv_changes(a: Path, b: Path) -> list[str]:
+    """One line per (check, quantity) pair whose rows differ between two
+    tables, matched row by row."""
+    tables = [list(csv.DictReader(io.StringIO(path.read_text()))) for path in (a, b)]
+    if len(tables[0]) != len(tables[1]):
+        return [f"  {len(tables[0])} rows != {len(tables[1])} rows"]
+    changes = {}
+    for row_a, row_b in zip(*tables):
+        if row_a != row_b:
+            key = tuple(row_a[c] if row_a[c] == row_b[c] else f"{row_a[c]} -> {row_b[c]}"
+                        for c in ("check", "quantity"))
+            count, worst, flips = changes.get(key, (0, 0.0, 0))
+            changes[key] = (count + 1, max(worst, _relative_change(row_a["value"], row_b["value"])),
+                            flips + (row_a["passed"] != row_b["passed"]))
+    return [f"  {check}, {quantity}: {count} rows, largest relative value change {worst:.3g}, "
+            f"{flips} passed flags changed"
+            for (check, quantity), (count, worst, flips) in changes.items()]
+
+
 def compare(ops: list, outs: list[Path], runs: list) -> tuple[list, int]:
     """The differences between the two trees' runs of `ops`, as in
     `run_pass`, and the file count."""
@@ -133,7 +171,8 @@ def compare(ops: list, outs: list[Path], runs: list) -> tuple[list, int]:
             if rel not in files[0] or rel not in files[1]:
                 diffs.append(f"{desc}: {rel} written by one tree only")
             elif files[0][rel].read_bytes() != files[1][rel].read_bytes():
-                diffs.append(f"{desc}: {rel} differs")
+                lines = csv_changes(files[0][rel], files[1][rel]) if rel.suffix == ".csv" else []
+                diffs.append("\n".join([f"{desc}: {rel} differs", *lines]))
     return diffs, n_files
 
 
