@@ -15,13 +15,16 @@ and flag set.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import math
 import sys
+from collections import Counter
 from pathlib import Path
 
 from .errors import ContractError, OrliczRiskError
 from .orlicz import amemiya_norm, luxemburg_norm
-from .report import CSV_COLUMNS, atom_rows, write_atoms_csv, write_report_json
+from .report import add_rows, atom_rows, new_table, write_atoms_csv, write_report_json
 from .risk import DynamicRiskMeasure, dynamic_evaluate, robust_representation
 from .scenario import Scenario
 from .verification import verify_scenario
@@ -29,9 +32,9 @@ from .verification import verify_scenario
 __all__ = ["main"]
 
 
-def _cmd_norm(sc: Scenario, args) -> tuple[dict, list[dict], bool]:
+def _cmd_norm(sc: Scenario, args) -> tuple[dict, dict, bool]:
     results = {}
-    rows = []
+    table = new_table()
     for pos_name, x in sc.positions.items():
         results[pos_name] = {}
         for alg_name, alg in sc.algebras.items():
@@ -46,29 +49,31 @@ def _cmd_norm(sc: Scenario, args) -> tuple[dict, list[dict], bool]:
                 "amemiya_attained": list(ame.attained),
             }
             blank = [""] * alg.n_atoms
-            rows += atom_rows("norm", alg_name, pos_name, ("luxemburg", lux_values, "", blank),
-                              ("amemiya", ame_values, "", blank))
-    return results, rows, True
+            atom_rows(table, "norm", alg_name, pos_name, ("luxemburg", lux_values, "", blank),
+                      ("amemiya", ame_values, "", blank))
+    return results, table, True
 
 
-def _cmd_risk(sc: Scenario, args) -> tuple[dict, list[dict], bool]:
+def _cmd_risk(sc: Scenario, args) -> tuple[dict, dict, bool]:
     results = {}
-    rows = []
+    table = new_table()
     for pos_name, x in sc.positions.items():
         results[pos_name] = {}
         for alg_name, alg in sc.algebras.items():
             value = sc.risk.evaluate(x, alg)
             per_atom = value.values[alg.first].tolist()
             results[pos_name][alg_name] = per_atom
-            rows += atom_rows("risk", alg_name, pos_name,
-                              (sc.risk.tag, per_atom, "", [""] * alg.n_atoms))
-    return results, rows, True
+            atom_rows(table, "risk", alg_name, pos_name,
+                      (sc.risk.tag, per_atom, "", [""] * alg.n_atoms))
+    return results, table, True
 
 
-def _cmd_dual(sc: Scenario, args) -> tuple[dict, list[dict], bool]:
+def _cmd_dual(sc: Scenario, args) -> tuple[dict, dict, bool]:
     results = {}
-    rows = []
+    table = new_table()
     ok = True
+    n = sc.space.n_outcomes
+    y_names, blank = [f"y[{lab}]" for lab in sc.labels], [""] * n
     for pos_name, x in sc.positions.items():
         results[pos_name] = {}
         for alg_name, alg in sc.algebras.items():
@@ -79,37 +84,29 @@ def _cmd_dual(sc: Scenario, args) -> tuple[dict, list[dict], bool]:
             results[pos_name][alg_name] = {"y": y, "penalty": pen, "gap": gap}
             passed = [abs(gap_k) <= args.tol_gap for gap_k in gap]
             ok = ok and all(passed)
-            rows += atom_rows("dual", alg_name, pos_name, ("gap", gap, args.tol_gap, passed),
-                              ("penalty", pen, "", [""] * alg.n_atoms))
-            rows += [
-                dict(zip(CSV_COLUMNS, ("dual", alg_name, atom, pos_name, f"y[{lab}]", y_i, "", "")))
-                for lab, atom, y_i in zip(sc.labels, alg.atom_of.tolist(), y)
-            ]
-    return results, rows, ok
+            atom_rows(table, "dual", alg_name, pos_name, ("gap", gap, args.tol_gap, passed),
+                      ("penalty", pen, "", blank[:alg.n_atoms]))
+            add_rows(table, ["dual"] * n, [alg_name] * n, alg.atom_of.tolist(), [pos_name] * n,
+                     y_names, y, blank, blank)
+    return results, table, ok
 
 
-def _cmd_verify(sc: Scenario, args) -> tuple[dict, list[dict], bool]:
-    rows, passed = verify_scenario(
-        sc, seed=args.seed, tol_gap=args.tol_gap, tol_norm=args.tol_norm
-    )
-    checks = sorted({r["check"] for r in rows})
-    summary = {
-        name: {
-            "rows": sum(1 for r in rows if r["check"] == name),
-            "failed": sum(1 for r in rows if r["check"] == name and not r["passed"]),
-        }
-        for name in checks
-    }
-    return {"summary": summary, "passed": passed}, rows, passed
+def _cmd_verify(sc: Scenario, args) -> tuple[dict, dict, bool]:
+    table, passed = verify_scenario(sc, seed=args.seed, tol_gap=args.tol_gap,
+                                    tol_norm=args.tol_norm)
+    rows = Counter(table["check"])
+    failed = Counter(name for name, ok in zip(table["check"], table["passed"]) if not ok)
+    summary = {name: {"rows": rows[name], "failed": failed[name]} for name in sorted(rows)}
+    return {"summary": summary, "passed": passed}, table, passed
 
 
-def _cmd_dynamic(sc: Scenario, args) -> tuple[dict, list[dict], bool]:
+def _cmd_dynamic(sc: Scenario, args) -> tuple[dict, dict, bool]:
     if sc.filtration_names is None:
         raise OrliczRiskError("scenario has no filtration; `dynamic` needs one")
     stages = tuple((sc.algebras[n], sc.risk) for n in sc.filtration_names)
     dyn = DynamicRiskMeasure(stages)
     results = {}
-    rows = []
+    table = new_table()
     for pos_name, x in sc.positions.items():
         stage_values = dynamic_evaluate(dyn, x, seed=args.seed)
         results[pos_name] = {}
@@ -117,9 +114,9 @@ def _cmd_dynamic(sc: Scenario, args) -> tuple[dict, list[dict], bool]:
             alg = sc.algebras[alg_name]
             per_atom = value.values[alg.first].tolist()
             results[pos_name][f"stage{t}:{alg_name}"] = per_atom
-            rows += atom_rows("dynamic", alg_name, pos_name,
-                              (f"stage{t}", per_atom, "", [""] * alg.n_atoms))
-    return results, rows, True
+            atom_rows(table, "dynamic", alg_name, pos_name,
+                      (f"stage{t}", per_atom, "", [""] * alg.n_atoms))
+    return results, table, True
 
 
 # command -> (function, its line in `--help`)
@@ -130,6 +127,13 @@ _COMMANDS = {
     "verify": (_cmd_verify, "full invariant suite; exit 0 iff every tolerance passes"),
     "dynamic": (_cmd_dynamic, "stage-wise evaluation along the scenario filtration"),
 }
+
+
+def _tolerance(text: str) -> float:
+    with contextlib.suppress(ValueError):
+        if 0.0 <= (value := float(text)) < math.inf:
+            return value
+    raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text!r}")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -147,9 +151,9 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="directory for report files (default: cwd)")
     parser.add_argument("--seed", type=int, default=0,
                         help="seed for randomized property sweeps")
-    parser.add_argument("--tol-gap", type=float, default=1e-6,
+    parser.add_argument("--tol-gap", type=_tolerance, default=1e-6,
                         help="duality-gap and scalarization tolerance")
-    parser.add_argument("--tol-norm", type=float, default=1e-8,
+    parser.add_argument("--tol-norm", type=_tolerance, default=1e-8,
                         help="norm inequality tolerance")
     return parser
 
@@ -162,10 +166,10 @@ def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
     try:
         sc = Scenario.from_file(args.scenario)
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         print(f"error: {args.scenario}: not valid JSON: {exc}", file=sys.stderr)
         return 2
     except OrliczRiskError as exc:
@@ -173,7 +177,7 @@ def main(argv=None) -> int:
         return 2
 
     try:
-        results, rows, passed = _COMMANDS[args.command][0](sc, args)
+        results, table, passed = _COMMANDS[args.command][0](sc, args)
         report = {
             "command": args.command,
             "flags": {"seed": args.seed, "tol_gap": args.tol_gap, "tol_norm": args.tol_norm},
@@ -186,14 +190,15 @@ def main(argv=None) -> int:
         paths = (args.out_dir / f"{stem}.report.json", args.out_dir / f"{stem}.atoms.csv")
         try:
             write_report_json(paths[0], report)
-            write_atoms_csv(paths[1], rows)
-        except ContractError:
-            # a refused file leaves neither, so no report sits beside a table
-            # from another run
+            write_atoms_csv(paths[1], table)
+        except (ContractError, OSError):
+            # a refused or failed file leaves neither, so no report sits beside
+            # a table from another run
             for path in paths:
-                path.unlink(missing_ok=True)
+                with contextlib.suppress(OSError):
+                    path.unlink(missing_ok=True)
             raise
-    except OrliczRiskError as exc:
+    except (OrliczRiskError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
@@ -201,13 +206,11 @@ def main(argv=None) -> int:
         for name, info in results["summary"].items():
             status = "PASS" if info["failed"] == 0 else "FAIL"
             print(f"{status} {name}: {info['rows'] - info['failed']}/{info['rows']} rows")
-    failures = [r for r in rows if r["passed"] is False]
-    for r in failures[:20]:
-        print(
-            f"FAIL {r['check']}/{r['quantity']} algebra={r['algebra']} atom={r['atom']}"
-            f" observed={r['value']:.6g} allowed={r['allowed']:.6g}",
-            file=sys.stderr,
-        )
+    columns = [table[col] for col in ("check", "quantity", "algebra", "atom", "value", "allowed")]
+    for i in [i for i, flag in enumerate(table["passed"]) if flag is False][:20]:
+        check, quantity, algebra, atom, value, allowed = (cells[i] for cells in columns)
+        print(f"FAIL {check}/{quantity} algebra={algebra} atom={atom}"
+              f" observed={value:.6g} allowed={allowed:.6g}", file=sys.stderr)
     print(f"{'ok' if passed else 'FAILED'}: report at {paths[0]}")
     return 0 if passed else 1
 

@@ -10,21 +10,25 @@ floats, strs, lists and str-keyed dicts are encoded in bulk; every other
 value (np.float64 and other subclasses, numpy arrays and scalars, other
 keys) one by one, to the same text.  Each writer encodes first, then
 removes any file or link at its path and writes a new file in its place.
+
+A per-atom table is a dict of columns: one list of cells per name of
+CSV_COLUMNS (`new_table`), appended to by `add_rows` and `atom_rows`.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import chain
 from json.encoder import encode_basestring_ascii as _escape
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
 from .errors import ContractError
 
-__all__ = ["fmt12", "canonical_dumps", "write_report_json", "write_atoms_csv", "atom_rows",
-           "CSV_COLUMNS"]
+__all__ = ["fmt12", "canonical_dumps", "write_report_json", "write_atoms_csv", "new_table",
+           "add_rows", "atom_rows", "CSV_COLUMNS"]
 
 CSV_COLUMNS = ("check", "algebra", "atom", "position", "quantity", "value", "allowed", "passed")
 _FLOAT, _STR, _DICT = {float}, {str}, {dict}
@@ -138,42 +142,74 @@ def _quote(text: str) -> str:
     return text
 
 
-def _any_cell(cell) -> str:
+def _cell_text(cell) -> str:
     return fmt12(cell) if isinstance(cell, (bool, float)) else _quote(str(cell))
 
 
-# exact cell type -> its text; no float, int or bool text needs quotes
-_CELL_TEXT = {str: _quote, float: fmt12, int: str, bool: fmt12}
+# the text of each cell of a flag column
+_FLAG_TEXT = {True: "true", False: "false", "": ""}
+_FLAG_KINDS, _FLOAT_KINDS, _INT = {bool, str}, {float, str}, {int}
+
+
+def _csv_floats(values: list) -> list:
+    """The CSV text of each of `values`, plain floats; "inf" and "-inf" as
+    fmt12 gives them."""
+    text = ("%.12g," * len(values))[:-1] % tuple(values)
+    if "nan" in text:
+        raise ContractError("NaN has no text")
+    return text.split(",")
 
 
 def _column_text(cells: list) -> list:
-    """The CSV text of each cell of one column: finite floats and strs that
-    need no quotes in bulk, any other column cell by cell."""
+    """The CSV text of each cell of one column: in bulk for a column of strs,
+    of bools and "", of ints, or of floats and ""; any other cell by cell."""
     kinds = set(map(type, cells))
-    if kinds == _FLOAT and (texts := _floats_text(cells)) is not None:
-        return texts
     if kinds == _STR and _quote(joined := "".join(cells)) is joined:
         return cells
-    return [_CELL_TEXT.get(type(cell), _any_cell)(cell) for cell in cells]
+    if kinds <= _FLAG_KINDS and None not in (texts := list(map(_FLAG_TEXT.get, cells))):
+        return texts
+    if kinds == _INT:
+        return (("%d," * len(cells))[:-1] % tuple(cells)).split(",")
+    if kinds == _FLOAT:
+        return _csv_floats(cells)
+    floats = [c for c in cells if type(c) is float] if kinds == _FLOAT_KINDS else ()
+    if len(floats) + cells.count("") == len(cells):
+        texts = iter(_csv_floats(floats))
+        return [next(texts) if type(c) is float else "" for c in cells]
+    return list(map(_cell_text, cells))
 
 
-def atom_rows(check: str, algebra: str, position: str, *quantities) -> list[dict]:
-    """Table rows of one check: atom by atom and, within an atom, one row per
-    quantity in the order given.  Each quantity is (name, values, allowed,
-    passed), with one value and one flag per atom."""
-    per_quantity = [[(name, value, allowed, flag) for value, flag in zip(values, passed)]
-                    for name, values, allowed, passed in quantities]
-    return [dict(zip(CSV_COLUMNS, (check, algebra, k, position, *cells)))
-            for k, atom in enumerate(zip(*per_quantity)) for cells in atom]
+def new_table() -> dict:
+    return {col: [] for col in CSV_COLUMNS}
 
 
-def write_atoms_csv(path: str | Path, rows: Sequence[Mapping]) -> None:
+def add_rows(table: dict, *columns) -> None:
+    """Append rows given as one list of cells per column, in CSV_COLUMNS order."""
+    for col, cells in zip(CSV_COLUMNS, columns, strict=True):
+        table[col] += cells
+
+
+def atom_rows(table: dict, check: str, algebra: str, position: str, *quantities) -> None:
+    """Append the rows of one check: atom by atom and, within an atom, one row
+    per quantity in the order given.  Each quantity is (name, values,
+    allowed, passed), with one value and one flag per atom."""
+    names, values, allowed, passed = zip(*quantities)
+    n_atoms, n_rows = len(values[0]), len(values[0]) * len(names)
+    add_rows(table, [check] * n_rows, [algebra] * n_rows,
+             [k for k in range(n_atoms) for _ in names], [position] * n_rows,
+             list(names) * n_atoms, list(chain.from_iterable(zip(*values))),
+             list(allowed) * n_atoms, list(chain.from_iterable(zip(*passed))))
+
+
+def write_atoms_csv(path: str | Path, table: Mapping) -> None:
     columns = []
     for col in CSV_COLUMNS:
         try:
-            columns.append(_column_text([row.get(col, "") for row in rows]))
+            columns.append(_column_text(table[col]))
         except ContractError:
             raise ContractError(f"column {col!r}: NaN has no CSV text") from None
+    if len(set(map(len, columns))) > 1:
+        raise ContractError("table columns differ in length")
     lines = [",".join(CSV_COLUMNS), *map(",".join, zip(*columns))]
     try:
         data = ("\n".join(lines) + "\n").encode("utf-8")

@@ -1,7 +1,7 @@
 """The invariant suite behind the `verify` command.
 
-Each check produces per-atom rows with the columns of `report.CSV_COLUMNS`;
-the suite passes iff every row passes.  Random
+Each check appends its per-atom rows to one table of `report.CSV_COLUMNS`
+columns; the suite passes iff every row passes.  Random
 probes are seeded, so a given scenario, seed, and tolerance set always
 produces the same rows.
 """
@@ -23,15 +23,15 @@ from .risk import (
     robust_representation,
     scalarize,
 )
-from .report import CSV_COLUMNS, atom_rows
+from .report import add_rows, atom_rows, new_table
 from .scenario import Scenario
 
 __all__ = ["verify_scenario"]
 
 
-def _row(check, algebra, atom, position, quantity, value, allowed, passed):
-    return dict(zip(CSV_COLUMNS, (check, algebra, atom, position, quantity,
-                                  float(value), float(allowed), bool(passed))))
+def _row(table, check, algebra, atom, position, quantity, value, allowed, passed):
+    add_rows(table, [check], [algebra], [atom], [position], [quantity], [float(value)],
+             [float(allowed)], [bool(passed)])
 
 
 def _feasible_density(rng, space, alg: SubAlgebra) -> RandomVar:
@@ -42,7 +42,7 @@ def _feasible_density(rng, space, alg: SubAlgebra) -> RandomVar:
     return RandomVar(-q / mean[alg.atom_of], space)
 
 
-def _norm_axiom_rows(sc: Scenario, alg_name: str, alg, rng):
+def _norm_axiom_rows(sc: Scenario, alg_name: str, alg, rng, table):
     space = sc.space
     n = space.n_outcomes
     x, z, lam = map(np.array, zip(*[
@@ -52,27 +52,24 @@ def _norm_axiom_rows(sc: Scenario, alg_name: str, alg, rng):
     stack = space.var(np.concatenate([x, z, x * alg.broadcast(lam), x + z, np.zeros((1, n))]))
     norms = {method: norm(stack, alg, sc.young).atom_values
              for method, norm in (("luxemburg", luxemburg_norm), ("amemiya", amemiya_norm))}
-    rows = []
     for trial in range(3):
         for method, values in norms.items():
             nx, nz, nlx, nxz = values[trial:12:3]
             hom_dev = np.abs(nlx - lam[trial] * nx) / np.maximum(1.0, lam[trial] * nx)
             tri = nxz - (nx + nz)
-            rows += atom_rows(
-                "norm_axioms", alg_name, f"probe{trial}",
+            atom_rows(
+                table, "norm_axioms", alg_name, f"probe{trial}",
                 (f"{method}_homogeneity_rel_dev", hom_dev.tolist(), 1e-9,
                  (hom_dev <= 1e-9).tolist()),
                 (f"{method}_triangle_excess", tri.tolist(), 1e-9, (tri <= 1e-9).tolist()),
                 (f"{method}_definite", nx.tolist(), math.inf, (nx > 0.0).tolist()),
             )
     for method, values in norms.items():
-        rows += atom_rows("norm_axioms", alg_name, "zero",
-                          (f"{method}_zero", values[12].tolist(), 0.0, (values[12] == 0.0).tolist()))
-    return rows
+        atom_rows(table, "norm_axioms", alg_name, "zero",
+                  (f"{method}_zero", values[12].tolist(), 0.0, (values[12] == 0.0).tolist()))
 
 
-def _equivalence_rows(sc: Scenario, alg_name: str, alg, rng, tol_norm):
-    rows = []
+def _equivalence_rows(sc: Scenario, alg_name: str, alg, rng, tol_norm, table):
     phi = sc.young
     is_power2 = phi.family_tag == "power" and phi.params.get("p") == 2.0
     names = [*sc.positions, "probe0", "probe1", "probe2"]
@@ -84,31 +81,26 @@ def _equivalence_rows(sc: Scenario, alg_name: str, alg, rng, tol_norm):
         for k in range(alg.n_atoms):
             for quantity, value in (("luxemburg_minus_amemiya", lux_x[k] - ame_x[k]),
                                     ("amemiya_minus_twice_luxemburg", ame_x[k] - 2.0 * lux_x[k])):
-                rows.append(_row("equivalence", alg_name, k, name, quantity, value, tol_norm,
-                                 value <= tol_norm))
+                _row(table, "equivalence", alg_name, k, name, quantity, value, tol_norm,
+                     value <= tol_norm)
             if is_power2 and lux_x[k] > 0.0:
                 dev = abs(ame_x[k] / lux_x[k] - 2.0)
-                rows.append(_row("equivalence", alg_name, k, name, "power2_ratio_dev",
-                                 dev, 1e-6, dev <= 1e-6))
-    return rows
+                _row(table, "equivalence", alg_name, k, name, "power2_ratio_dev",
+                     dev, 1e-6, dev <= 1e-6)
 
 
-def _hoelder_rows(sc: Scenario, alg_name: str, alg, rng, tol_norm):
+def _hoelder_rows(sc: Scenario, alg_name: str, alg, rng, tol_norm, table):
     n = sc.space.n_outcomes
     x, y = map(sc.space.var, zip(*[(rng.normal(size=n), rng.normal(size=n)) for _ in range(4)]))
     lhs = np.abs(pairing(x, y, alg).values[:, alg.first])
     op = pairing_operator_norm(y, alg, sc.young).atom_values
     excess = lhs - op * luxemburg_norm(x, alg, sc.young).atom_values
-    rows = []
     for trial, row in enumerate(excess):
-        rows += atom_rows("hoelder", alg_name, f"probe{trial}",
-                          ("pairing_excess", row.tolist(), float(tol_norm),
-                           (row <= tol_norm).tolist()))
-    return rows
+        atom_rows(table, "hoelder", alg_name, f"probe{trial}",
+                  ("pairing_excess", row.tolist(), float(tol_norm), (row <= tol_norm).tolist()))
 
 
-def _scalarization_rows(sc: Scenario, alg_name: str, alg, rng, tol_gap):
-    rows = []
+def _scalarization_rows(sc: Scenario, alg_name: str, alg, rng, tol_gap, table):
     s = scalarize(sc.risk, sc.space, alg)
     for trial in range(3):
         y = _feasible_density(rng, sc.space, alg)
@@ -118,32 +110,23 @@ def _scalarization_rows(sc: Scenario, alg_name: str, alg, rng, tol_gap):
             dev = 0.0
         else:
             dev = abs(via_sup - via_exp)
-        rows.append(_row(
-            "scalarization", alg_name, -1, f"probe{trial}", "conjugate_route_dev",
-            dev, tol_gap, dev <= tol_gap,
-        ))
-    return rows
+        _row(table, "scalarization", alg_name, -1, f"probe{trial}", "conjugate_route_dev",
+             dev, tol_gap, dev <= tol_gap)
 
 
-def _locality_rows(sc: Scenario, alg_name: str, alg, seed):
-    rep = locality_check(
-        lambda v: sc.risk.evaluate(v, alg), sc.space, alg, trials=3, seed=seed
-    )
-    return [_row(
-        "locality", alg_name, -1, "", "max_deviation",
-        rep.max_deviation, 1e-9, rep.passed,
-    )]
+def _locality_rows(sc: Scenario, alg_name: str, alg, seed, table):
+    rep = locality_check(lambda v: sc.risk.evaluate(v, alg), sc.space, alg, trials=3, seed=seed)
+    _row(table, "locality", alg_name, -1, "", "max_deviation", rep.max_deviation, 1e-9,
+         rep.passed)
 
 
-def _extension_rows(sc: Scenario, alg_name: str, alg, seed):
+def _extension_rows(sc: Scenario, alg_name: str, alg, seed, table):
     rep = extension_check(sc.risk, sc.space, alg, alg, trials=3, seed=seed)
-    return [_row(
-        "extension", alg_name, -1, "", "max_deviation",
-        rep.max_deviation, 1e-9, rep.passed,
-    )]
+    _row(table, "extension", alg_name, -1, "", "max_deviation", rep.max_deviation, 1e-9,
+         rep.passed)
 
 
-def _penalty_bound_rows(sc: Scenario, alg_name: str, alg, rng):
+def _penalty_bound_rows(sc: Scenario, alg_name: str, alg, rng, table):
     probes = []
     for name, x in list(sc.positions.items())[:2]:
         beta = 1e-3 + float(np.max(-sc.risk.evaluate(x, alg).values))
@@ -152,54 +135,44 @@ def _penalty_bound_rows(sc: Scenario, alg_name: str, alg, rng):
         x = RandomVar(rng.normal(size=sc.space.n_outcomes), sc.space)
         y = _feasible_density(rng, sc.space, alg)
         probes.append((f"probe{trial}", x, y, float(rng.uniform(0.0, 2.0))))
-    rows = []
     for name, x, y, beta in probes:
         for atom_row in penalty_bound_check(sc.risk, x, y, beta, alg).atoms:
-            rows.append(_row(
-                "penalty_bound", alg_name, atom_row.atom, name,
-                "penalty_minus_bound" if atom_row.hypothesis_holds else "hypothesis_skipped",
-                atom_row.penalty - atom_row.bound if atom_row.hypothesis_holds else 0.0,
-                1e-8, atom_row.ok,
-            ))
-    return rows
+            _row(table, "penalty_bound", alg_name, atom_row.atom, name,
+                 "penalty_minus_bound" if atom_row.hypothesis_holds else "hypothesis_skipped",
+                 atom_row.penalty - atom_row.bound if atom_row.hypothesis_holds else 0.0,
+                 1e-8, atom_row.ok)
 
 
-def _lebesgue_rows(sc: Scenario, alg_name: str, alg, seed, tol_gap):
+def _lebesgue_rows(sc: Scenario, alg_name: str, alg, seed, tol_gap, table):
     rep = lebesgue_check(sc.risk, sc.space, alg, trials=4, seed=seed, tol=tol_gap)
-    return [_row(
-        "lebesgue", alg_name, -1, "", "tail_deviation_n10000",
-        rep.max_tail_deviation, tol_gap, rep.passed,
-    )]
+    _row(table, "lebesgue", alg_name, -1, "", "tail_deviation_n10000",
+         rep.max_tail_deviation, tol_gap, rep.passed)
 
 
-def _attainment_rows(sc: Scenario, alg_name: str, alg, rng, tol_gap):
-    rows = []
+def _attainment_rows(sc: Scenario, alg_name: str, alg, rng, tol_gap, table):
     probes = list(sc.positions.items())
     for trial in range(2):
         probes.append((f"probe{trial}", RandomVar(rng.normal(size=sc.space.n_outcomes), sc.space)))
     for name, x in probes:
         rep = attainment_check(sc.risk, x, alg, tol=tol_gap)
-        rows.append(_row(
-            "attainment", alg_name, -1, name, "max_equality_gap",
-            rep.max_equality_gap, tol_gap, rep.passed,
-        ))
-    return rows
+        _row(table, "attainment", alg_name, -1, name, "max_equality_gap",
+             rep.max_equality_gap, tol_gap, rep.passed)
 
 
 def verify_scenario(sc: Scenario, seed: int = 0, tol_gap: float = 1e-6,
-                    tol_norm: float = 1e-8) -> tuple[list[dict], bool]:
-    """Run the full invariant suite on a scenario; returns per-atom rows and
-    an overall pass flag."""
-    rows: list[dict] = []
+                    tol_norm: float = 1e-8) -> tuple[dict, bool]:
+    """Run the full invariant suite on a scenario; returns the per-atom table
+    (`report.new_table`) and an overall pass flag."""
+    table = new_table()
     for alg_name, alg in sc.algebras.items():
         rng = np.random.default_rng(seed)
-        rows += _norm_axiom_rows(sc, alg_name, alg, rng)
-        rows += _equivalence_rows(sc, alg_name, alg, rng, tol_norm)
-        rows += _hoelder_rows(sc, alg_name, alg, rng, tol_norm)
-        rows += _scalarization_rows(sc, alg_name, alg, rng, tol_gap)
-        rows += _locality_rows(sc, alg_name, alg, seed)
-        rows += _extension_rows(sc, alg_name, alg, seed)
-        rows += _penalty_bound_rows(sc, alg_name, alg, rng)
-        rows += _lebesgue_rows(sc, alg_name, alg, seed, tol_gap)
-        rows += _attainment_rows(sc, alg_name, alg, rng, tol_gap)
-    return rows, all(r["passed"] for r in rows)
+        _norm_axiom_rows(sc, alg_name, alg, rng, table)
+        _equivalence_rows(sc, alg_name, alg, rng, tol_norm, table)
+        _hoelder_rows(sc, alg_name, alg, rng, tol_norm, table)
+        _scalarization_rows(sc, alg_name, alg, rng, tol_gap, table)
+        _locality_rows(sc, alg_name, alg, seed, table)
+        _extension_rows(sc, alg_name, alg, seed, table)
+        _penalty_bound_rows(sc, alg_name, alg, rng, table)
+        _lebesgue_rows(sc, alg_name, alg, seed, tol_gap, table)
+        _attainment_rows(sc, alg_name, alg, rng, tol_gap, table)
+    return table, all(table["passed"])

@@ -1,5 +1,6 @@
 """The report writers against the earlier one-value-at-a-time writers, kept
-below as an oracle: the bulk encoders must give the same bytes."""
+below as an oracle: the bulk encoders must give the same bytes.  The CSV
+oracle writes rows; the writer takes the same cells as columns."""
 
 import json
 import math
@@ -11,7 +12,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from orlicz_risk import ContractError
-from orlicz_risk.report import CSV_COLUMNS, canonical_dumps, write_atoms_csv, write_report_json
+from orlicz_risk.report import (CSV_COLUMNS, add_rows, atom_rows, canonical_dumps, new_table,
+                                write_atoms_csv, write_report_json)
 
 
 # --- oracle: the writers before the bulk encoders, unchanged apart from ------
@@ -73,6 +75,12 @@ def _oracle_write_atoms_csv(path, rows) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def _columns(rows) -> dict:
+    """The table of `rows` as the writer takes it: one list per column, with
+    "" for a cell a row lacks, as the oracle writes it."""
+    return {col: [row.get(col, "") for row in rows] for col in CSV_COLUMNS}
+
+
 # --- generated values --------------------------------------------------------
 
 FLOATS = st.one_of(
@@ -108,7 +116,9 @@ VALUES = st.recursive(st.one_of(SCALARS, ARRAYS, st.lists(FLOATS, max_size=8)), 
                       max_leaves=20)
 # one kind of cell per column, so the bulk paths of the CSV writer run
 CELLS = [st.none(), st.booleans(), st.integers(), FLOATS, TEXT, FLOATS.map(np.float64),
-         INT64.map(np.int64), st.one_of(st.just(""), FLOATS, st.booleans()), SCALARS]
+         INT64.map(np.int64), st.one_of(st.just(""), FLOATS, st.booleans()), SCALARS,
+         st.one_of(st.just(""), st.booleans()), st.one_of(st.just(""), FLOATS),
+         st.one_of(st.integers(), FLOATS, TEXT), st.sampled_from(["", "nan", "inf", "a,b"])]
 TABLES = st.lists(st.sampled_from(CELLS), min_size=len(CSV_COLUMNS), max_size=len(CSV_COLUMNS)).flatmap(
     lambda kinds: st.lists(st.fixed_dictionaries(dict(zip(CSV_COLUMNS, kinds))), max_size=8))
 ROWS = st.lists(st.dictionaries(st.sampled_from(CSV_COLUMNS), SCALARS), max_size=8)
@@ -129,10 +139,10 @@ def test_write_atoms_csv_matches_the_oracle(tmp_path, rows):
     except UnicodeEncodeError:
         # a lone surrogate has no UTF-8 text: the writer refuses it, writing nothing
         with pytest.raises(ContractError, match="has no UTF-8 text"):
-            write_atoms_csv(tmp_path / "new.csv", rows)
+            write_atoms_csv(tmp_path / "new.csv", _columns(rows))
         assert not (tmp_path / "new.csv").exists()
         return
-    write_atoms_csv(tmp_path / "new.csv", rows)
+    write_atoms_csv(tmp_path / "new.csv", _columns(rows))
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
 
@@ -164,18 +174,58 @@ def test_writers_refuse_nan_and_write_nothing(tmp_path):
         write_report_json(tmp_path / "r.json", {"results": {"gap": [math.nan]}})
     rows = [{"check": "dual", "value": 1.0}, {"check": "dual", "value": math.nan}]
     with pytest.raises(ContractError, match="column 'value'"):
-        write_atoms_csv(tmp_path / "r.csv", rows)
+        write_atoms_csv(tmp_path / "r.csv", _columns(rows))
     with pytest.raises(ContractError, match="'\\\\ud800' has no UTF-8 text"):
-        write_atoms_csv(tmp_path / "r.csv", [{"check": "dual", "quantity": "y[\ud800]"}])
+        write_atoms_csv(tmp_path / "r.csv", _columns([{"check": "dual", "quantity": "y[\ud800]"}]))
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("cells", [
+    [1.0, math.nan], ["", math.nan, 2.0], [3, math.nan], ["", 1.0, np.float64(math.nan)],
+], ids=["floats", "blank_floats", "ints_floats", "numpy"])
+@pytest.mark.parametrize("col", ["value", "allowed"])
+def test_write_atoms_csv_refuses_nan_naming_its_column(tmp_path, col, cells):
+    table = _columns([{"check": "dual"}] * len(cells))
+    table[col] = cells
+    with pytest.raises(ContractError) as err:
+        write_atoms_csv(tmp_path / "r.csv", table)
+    assert str(err.value) == f"column {col!r}: NaN has no CSV text"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_write_atoms_csv_refuses_columns_of_unequal_length(tmp_path):
+    table = _columns([{"check": "dual"}] * 2)
+    table["value"].pop()
+    with pytest.raises(ContractError, match="differ in length"):
+        write_atoms_csv(tmp_path / "r.csv", table)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_atom_rows_appends_atom_by_atom_then_quantity_by_quantity():
+    table = new_table()
+    add_rows(table, ["dual"], ["F0"], [0], ["x"], ["y[w1]"], [0.5], [""], [""])
+    atom_rows(table, "dual", "F1", "x", ("gap", [0.0, 1.0], 1e-6, [True, False]),
+              ("penalty", [2.0, 3.0], "", ["", ""]))
+    assert list(table) == list(CSV_COLUMNS)
+    assert list(zip(*table.values())) == [
+        ("dual", "F0", 0, "x", "y[w1]", 0.5, "", ""),
+        ("dual", "F1", 0, "x", "gap", 0.0, 1e-6, True),
+        ("dual", "F1", 0, "x", "penalty", 2.0, "", ""),
+        ("dual", "F1", 1, "x", "gap", 1.0, 1e-6, False),
+        ("dual", "F1", 1, "x", "penalty", 3.0, "", ""),
+    ]
 
 
 @pytest.mark.parametrize("cells", [
     ['say "hi"', "plain"], ["a,b", "plain"], ["line\nbreak", "é☃"], ["cr\rret", "plain"],
     [1.5, math.inf, -0.0], [1.5, ""], [True, "", False], [np.float64(2.5), np.int64(7), None], [3, 10**30],
-], ids=["quotes", "comma", "newline", "return", "inf", "mixed", "bools", "numpy", "ints"])
+    [0, -1, 2, -1, 10], ["", True, False, "", True], ["", 1e-6, math.inf, "", -math.inf, -0.0],
+    [-1, 2.5, "", "w1", math.inf], ["nan", 1.0], ["inf", "-inf", ""], [1, "a,b"], [False, "x"],
+], ids=["quotes", "comma", "newline", "return", "inf", "mixed", "bools", "numpy", "ints",
+        "atoms", "flags", "blank_floats", "numbers_strs", "nan_text", "inf_text", "int_comma",
+        "flag_text"])
 def test_write_atoms_csv_fixed_columns(tmp_path, cells):
     rows = [{col: cell for col in CSV_COLUMNS} for cell in cells]
-    write_atoms_csv(tmp_path / "new.csv", rows)
+    write_atoms_csv(tmp_path / "new.csv", _columns(rows))
     _oracle_write_atoms_csv(tmp_path / "old.csv", rows)
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()

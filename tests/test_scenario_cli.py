@@ -15,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 from orlicz_risk import SCENARIO_SCHEMA, Scenario, ScenarioValidationError
 import orlicz_risk.cli as cli_module
 from orlicz_risk.cli import main
+from orlicz_risk.report import atom_rows, new_table
 import orlicz_risk.scenario as scenario_module
 from orlicz_risk.scenario import _all_conform, _check_schema
 
@@ -347,8 +348,8 @@ class TestCli:
             report = json.loads((tmp_path / f"{name}.report.json").read_text())
             assert report["passed"] is True
 
-    @pytest.mark.parametrize("flags", [[], ["--tol-gap", "-1", "--tol-norm", "-1"]],
-                             ids=["default", "negative_tolerances"])
+    @pytest.mark.parametrize("flags", [[], ["--tol-gap", "0", "--tol-norm", "0"]],
+                             ids=["default", "zero_tolerances"])
     @pytest.mark.parametrize("path", BUNDLED, ids=lambda p: p.stem)
     def test_verify_rows_read_by_one_rule(self, tmp_path, path, flags):
         # a row with a finite `allowed` passes iff its value is at most that
@@ -361,14 +362,41 @@ class TestCli:
         for r in bounded:
             assert (float(r["value"]) <= float(r["allowed"])) == (r["passed"] == "true"), r
 
-    def test_failing_verify_lists_at_most_20_rows(self, tmp_path, capsys):
-        code = main(["verify", str(SCENARIOS / "entropic4.json"), "--out-dir", str(tmp_path),
-                     "--tol-gap", "-1", "--tol-norm", "-1"])
-        err = capsys.readouterr().err.splitlines()
+    def test_failing_verify_lists_at_most_20_rows(self, tmp_path, capsys, monkeypatch):
+        # no valid tolerance fails more than 20 rows of a bundled scenario
+        table = new_table()
+        atom_rows(table, "locality", "F1", "", ("max_deviation", [0.0], 1e-9, [True]))
+        atom_rows(table, "hoelder", "F1", "probe0", ("pairing_excess", [0.5] * 55, 0.25,
+                                                     [False] * 55))
+        monkeypatch.setattr(cli_module, "verify_scenario", lambda sc, **kw: (table, False))
+        code = main(["verify", str(SCENARIOS / "entropic4.json"), "--out-dir", str(tmp_path)])
+        out, err = capsys.readouterr()
         assert code == 1
+        assert out.splitlines()[:2] == ["FAIL hoelder: 0/55 rows", "PASS locality: 1/1 rows"]
+        err = err.splitlines()
         assert len(err) == 20 and all(line.startswith("FAIL ") for line in err)
+        assert err[19] == ("FAIL hoelder/pairing_excess algebra=F1 atom=19 observed=0.5"
+                           " allowed=0.25")
         with open(tmp_path / "entropic4.atoms.csv", newline="") as f:
             assert sum(row["passed"] == "false" for row in csv.DictReader(f)) == 55
+
+    @pytest.mark.parametrize("path", BUNDLED, ids=lambda p: p.stem)
+    def test_verify_summary_counts_the_written_table(self, tmp_path, capsys, path):
+        main(["verify", str(path), "--out-dir", str(tmp_path), "--tol-gap", "0",
+              "--tol-norm", "0"])
+        report = json.loads((tmp_path / f"{path.stem}.report.json").read_text())
+        with open(tmp_path / f"{path.stem}.atoms.csv", newline="") as f:
+            rows = list(csv.DictReader(f))
+        counts = {}
+        for row in rows:
+            info = counts.setdefault(row["check"], {"rows": 0, "failed": 0})
+            info["rows"] += 1
+            info["failed"] += row["passed"] == "false"
+        assert report["results"]["summary"] == counts
+        assert report["passed"] is not any(info["failed"] for info in counts.values())
+        failed = [r for r in rows if r["passed"] == "false"]
+        assert [line.split()[1] for line in capsys.readouterr().err.splitlines()] == [
+            f"{r['check']}/{r['quantity']}" for r in failed[:20]]
 
     def test_verify_reports_are_deterministic(self, tmp_path):
         d1, d2 = tmp_path / "a", tmp_path / "b"
@@ -467,9 +495,9 @@ class TestCli:
         (tmp_path / "other.report.json").write_text("{}\n")
         assert main(argv) == 0
         assert len(list(tmp_path.iterdir())) == 3
-        row = {"check": "norm", "algebra": "F0", "atom": 0, "position": "x",
-               "quantity": "gap", "value": math.nan, "allowed": 1e-8, "passed": True}
-        monkeypatch.setattr(cli_module, "verify_scenario", lambda sc, **kw: ([row], True))
+        table = new_table()
+        atom_rows(table, "norm", "F0", "x", ("gap", [math.nan], 1e-8, [True]))
+        monkeypatch.setattr(cli_module, "verify_scenario", lambda sc, **kw: (table, True))
         assert main(argv) == 2
         assert capsys.readouterr().err.endswith("column 'value': NaN has no CSV text\n")
         assert [p.name for p in tmp_path.iterdir()] == ["other.report.json"]
@@ -481,6 +509,65 @@ class TestCli:
             main(argv)
         assert exc.value.code == 2
         assert "usage: orlicz-risk" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["nan", "-1", "inf", "-inf", "-1e-300", "tiny"])
+    @pytest.mark.parametrize("flag", ["--tol-gap", "--tol-norm"])
+    def test_tolerance_outside_finite_nonnegative_is_a_usage_error(
+            self, tmp_path, capsys, monkeypatch, flag, value):
+        def load(path):
+            raise AssertionError("the scenario is loaded before the flags are checked")
+        monkeypatch.setattr(Scenario, "from_file", load)
+        with pytest.raises(SystemExit) as exc:
+            main(["dual", str(SCENARIOS / "entropic4.json"), "--out-dir", str(tmp_path),
+                  f"{flag}={value}"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage: orlicz-risk" in err
+        assert f"argument {flag}: must be a finite number >= 0, got {value!r}" in err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("value", ["0", "-0", "1e-300", "1e300"])
+    def test_tolerance_zero_and_finite_accepted(self, tmp_path, value):
+        argv = ["dual", str(SCENARIOS / "entropic4.json"), "--out-dir", str(tmp_path),
+                "--tol-norm", value, "--tol-gap", "1e-6"]
+        assert main(argv) == 0
+        report = json.loads((tmp_path / "entropic4.report.json").read_text())
+        assert report["flags"]["tol_norm"] == float(value)
+
+    def test_scenario_path_that_is_a_directory_exits_two(self, tmp_path, capsys):
+        (tmp_path / "dir.json").mkdir()
+        out = tmp_path / "out"
+        assert main(["norm", str(tmp_path / "dir.json"), "--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Is a directory" in err
+        assert not out.exists()
+
+    def test_scenario_that_is_not_utf8_exits_two(self, tmp_path, capsys):
+        bad = tmp_path / "latin1.json"
+        bad.write_bytes(json.dumps({"name": "caf\u00e9"}, ensure_ascii=False).encode("latin-1"))
+        out = tmp_path / "out"
+        assert main(["norm", str(bad), "--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: not valid JSON: 'utf-8' codec can't decode")
+        assert not out.exists()
+
+    def test_out_dir_that_cannot_be_made_exits_two(self, tmp_path, capsys):
+        (tmp_path / "file").write_text("keep\n")
+        for out in (tmp_path / "file", tmp_path / "file" / "sub"):
+            assert main(["norm", str(SCENARIOS / "power2.json"), "--out-dir", str(out)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: [Errno ") and str(out) in err
+        assert [p.name for p in tmp_path.iterdir()] == ["file"]
+        assert (tmp_path / "file").read_text() == "keep\n"
+
+    def test_report_path_that_is_a_directory_leaves_no_table(self, tmp_path, capsys):
+        argv = ["norm", str(SCENARIOS / "power2.json"), "--out-dir", str(tmp_path)]
+        assert main(argv) == 0
+        (tmp_path / "power2.report.json").unlink()
+        (tmp_path / "power2.report.json").mkdir()
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: [Errno ")
+        assert [p.name for p in tmp_path.iterdir()] == ["power2.report.json"]
 
     def test_flags_parse_after_the_scenario(self, tmp_path):
         out = tmp_path / "out"
