@@ -129,11 +129,17 @@ _COMMANDS = {
 }
 
 
-def _tolerance(text: str) -> float:
-    with contextlib.suppress(ValueError):
-        if 0.0 <= (value := float(text)) < math.inf:
-            return value
-    raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text!r}")
+def _nonnegative(parse, kind: str):
+    """An argparse type: `parse(text)` when that is finite and >= 0, else a
+    usage error that names `kind`."""
+
+    def convert(text: str):
+        with contextlib.suppress(ValueError):
+            if 0 <= (value := parse(text)) < math.inf:
+                return value
+        raise argparse.ArgumentTypeError(f"must be {kind} >= 0, got {text!r}")
+
+    return convert
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -149,11 +155,12 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("scenario", type=Path, help="scenario JSON file")
     parser.add_argument("--out-dir", type=Path, default=Path("."),
                         help="directory for report files (default: cwd)")
-    parser.add_argument("--seed", type=int, default=0,
+    tolerance = _nonnegative(float, "a finite number")
+    parser.add_argument("--seed", type=_nonnegative(int, "an integer"), default=0,
                         help="seed for randomized property sweeps")
-    parser.add_argument("--tol-gap", type=_tolerance, default=1e-6,
+    parser.add_argument("--tol-gap", type=tolerance, default=1e-6,
                         help="duality-gap and scalarization tolerance")
-    parser.add_argument("--tol-norm", type=_tolerance, default=1e-8,
+    parser.add_argument("--tol-norm", type=tolerance, default=1e-8,
                         help="norm inequality tolerance")
     return parser
 

@@ -31,6 +31,7 @@ from .prob_space import (
     _atom_weights,
     _check_dims,
     _require_finite,
+    _rng,
     cond_expectation,
 )
 from .young import YoungFn, conjugate_young_fn
@@ -187,7 +188,7 @@ def recover_density(mu: Callable[[RandomVar], RandomVar], space: FiniteProbSpace
     relative 1e-9; violations raise a ContractError identifying the failing
     probe.
     """
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     n = space.n_outcomes
 
     def rand_var() -> RandomVar:

@@ -20,7 +20,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import ContractError, StructuralError
+from .errors import ContractError, ParameterError, StructuralError
 
 __all__ = [
     "FiniteProbSpace",
@@ -37,10 +37,11 @@ __all__ = [
 _PROB_SUM_TOL = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FiniteProbSpace:
     """Outcome probabilities of a finite sample space; the ambient algebra is
-    the full power set."""
+    the full power set.  Two spaces are equal only when they are the same
+    object; operations that mix variables accept equal probabilities."""
 
     probs: np.ndarray
 
@@ -155,11 +156,11 @@ class SubAlgebra:
         return atom_values.take(self.atom_of, -1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RandomVar:
     """A real vector indexed by outcomes, or a stack of them, one per row.
     Values may be +/-inf where an operation's contract permits it; NaN
-    never."""
+    never.  Equality is identity, as for the space."""
 
     values: np.ndarray
     space: FiniteProbSpace
@@ -224,6 +225,14 @@ def _check_dims(x: RandomVar, alg: SubAlgebra, stack: bool = False):
 def _require_finite(x: RandomVar, what: str):
     if not x.is_finite():
         raise ContractError(f"{what} requires finite values")
+
+
+def _rng(seed: int) -> np.random.Generator:
+    """The generator of a probe seed, an integer >= 0; any other seed,
+    True included, raises ParameterError."""
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ParameterError(f"seed must be an integer >= 0, got {seed!r}")
+    return np.random.default_rng(seed)
 
 
 def _atom_weights(space: FiniteProbSpace, alg: SubAlgebra) -> np.ndarray:

@@ -19,7 +19,6 @@ stack.
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -34,6 +33,7 @@ from .prob_space import (
     _atom_weights,
     _check_dims,
     _require_finite,
+    _rng,
     cond_expectation,
     ess_sup_cond,
     is_measurable,
@@ -179,9 +179,9 @@ def linear() -> CondRiskMeasure:
 
 def custom(evaluate: Callable[[RandomVar, SubAlgebra], RandomVar]) -> CondRiskMeasure:
     """Wrap a black-box evaluation map; its penalty is computed numerically.
-    Conjugation demands that the map first passes the axiom and locality
-    probes.  The map sees one position at a time: a stack is evaluated row
-    by row."""
+    Each call that conjugates it first runs the axiom and locality probes on
+    that call's space and algebra.  The map sees one position at a time: a
+    stack is evaluated row by row."""
 
     def rowwise(x: RandomVar, alg: SubAlgebra) -> RandomVar:
         if x.values.ndim == 1:
@@ -209,12 +209,11 @@ def risk_from_spec(spec: Mapping) -> CondRiskMeasure:
     raise ParameterError(f"unknown risk measure {measure!r}")
 
 
-_validated_customs: "weakref.WeakSet[CondRiskMeasure]" = weakref.WeakSet()
-
-
-def _ensure_custom_validated(rho: CondRiskMeasure, space: FiniteProbSpace,
-                             alg: SubAlgebra):
-    if rho.tag != "custom" or rho in _validated_customs:
+def _validate_custom(rho: CondRiskMeasure, space: FiniteProbSpace, alg: SubAlgebra):
+    """Raise ContractError unless a custom measure passes the axiom and
+    locality probes on this space and algebra; other measures pass as they
+    are.  A pass on one algebra says nothing about another."""
+    if rho.tag != "custom":
         return
     axioms = check_axioms(rho, space, alg, trials=6, seed=7)
     if not axioms.passed:
@@ -222,7 +221,6 @@ def _ensure_custom_validated(rho: CondRiskMeasure, space: FiniteProbSpace,
     loc = locality_check(lambda v: rho.evaluate(v, alg), space, alg, trials=4, seed=7)
     if not loc.passed:
         raise ContractError("custom risk measure fails the locality probes")
-    _validated_customs.add(rho)
 
 
 # sweeps of the coordinate ascent; it stops earlier once a sweep gains nothing
@@ -270,8 +268,8 @@ def _numeric_conjugate(rho: CondRiskMeasure, y: RandomVar, alg: SubAlgebra) -> I
     """Per atom in turn, sup over positions x of E[x*y|atom] - rho(x) on the
     atom, by coordinate ascent over the atom's outcomes started at 0.
     Locality lets each atom be maximized on its own.  Atoms where y violates
-    y <= 0 or E[y|F] = -1 get inf outright: the supremum diverges there."""
-    _ensure_custom_validated(rho, y.space, alg)
+    y <= 0 or E[y|F] = -1 get inf outright: the supremum diverges there.
+    The caller validates a custom measure first."""
     space = y.space
     weights = _atom_weights(space, alg)
     for ok, idx in zip(dual_feasible_atoms(y, alg), np.split(alg.order, alg.starts[1:])):
@@ -297,6 +295,11 @@ def fenchel_conjugate(rho: CondRiskMeasure, y: RandomVar, alg: SubAlgebra) -> Ra
     _check_dims(y, alg)
     if rho.conjugate_closed_form is not None:
         return rho.conjugate_closed_form(y, alg)
+    _validate_custom(rho, y.space, alg)
+    return _numeric_penalty(rho, y, alg)
+
+
+def _numeric_penalty(rho: CondRiskMeasure, y: RandomVar, alg: SubAlgebra) -> RandomVar:
     return RandomVar(alg.broadcast(list(_numeric_conjugate(rho, y, alg))), y.space)
 
 
@@ -341,9 +344,9 @@ def robust_representation(rho: CondRiskMeasure, x: RandomVar,
     space = x.space
     primal = rho.evaluate(x, alg)
     if rho.tag not in ("worst_case", "linear", "entropic"):
-        _ensure_custom_validated(rho, space, alg)
+        _validate_custom(rho, space, alg)
         y = RandomVar(-_envelope_density(rho, x, alg, primal), space)
-        penalty = fenchel_conjugate(rho, y, alg)
+        penalty = _numeric_penalty(rho, y, alg)
         return DualCertificate(y, penalty, primal - (cond_expectation(x * y, alg) - penalty))
     w = _atom_weights(space, alg)
     xv = x.values
@@ -395,6 +398,14 @@ class LebesgueReport(NamedTuple):
     passed: bool
 
 
+def _evaluate_stack(rho: CondRiskMeasure, stack: np.ndarray, space: FiniteProbSpace,
+                    alg: SubAlgebra) -> np.ndarray:
+    """rho of every position in a (..., n) stack, in one call, shaped like
+    the stack; a space or algebra of another size raises StructuralError."""
+    flat = RandomVar(stack.reshape(-1, stack.shape[-1]), space)
+    return rho.evaluate(flat, alg).values.reshape(stack.shape)
+
+
 def lebesgue_check(rho: CondRiskMeasure, space: FiniteProbSpace, alg: SubAlgebra,
                    trials: int = 10, amplitude: float = 5e-3, seed: int = 0,
                    tol: float = 1e-6) -> LebesgueReport:
@@ -404,7 +415,7 @@ def lebesgue_check(rho: CondRiskMeasure, space: FiniteProbSpace, alg: SubAlgebra
     Perturbations have sup-norm at most `amplitude`, so cash invariance and
     monotonicity bound the deviation at index n by amplitude/n; the check
     asserts the measured tail deviation at n = 10000, not just the bound."""
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     n = space.n_outcomes
     indices = [1, 10, 100, 10_000]
     # x, then u, of each trial in turn; x and every x + u/k go in one call
@@ -412,7 +423,7 @@ def lebesgue_check(rho: CondRiskMeasure, space: FiniteProbSpace, alg: SubAlgebra
                       for _ in range(trials)]).reshape(trials, 2, n)
     x, u = draws[:, :1], draws[:, 1:]
     stack = np.concatenate([x, x + u * np.array([1.0 / k for k in indices])[:, None]], axis=1)
-    r = rho.evaluate(RandomVar(stack.reshape(-1, n), space), alg).values.reshape(stack.shape)
+    r = _evaluate_stack(rho, stack, space, alg)
     worst = np.max(np.abs(r[:, 1:] - r[:, :1]), axis=(0, 2), initial=0.0).tolist()
     return LebesgueReport(tuple(zip(indices, worst)), worst[-1], worst[-1] <= tol)
 
@@ -437,6 +448,7 @@ class ScalarizedRisk(NamedTuple):
         return float(np.dot(self.space.probs, pen.values))
 
     def conjugate_numeric(self, y: RandomVar) -> float:
+        _validate_custom(self.rho, y.space, self.alg)
         # no atom's supremum is -inf, so the sum is inf at the first inf atom
         total = 0.0
         atom_probs = self.alg.atom_sum(self.space.probs).tolist()
@@ -469,7 +481,7 @@ def locality_check(f: Callable[[RandomVar], RandomVar], space: FiniteProbSpace,
 
     Locality on every atom implies it on every union B of atoms: for an atom
     A inside B, 1_A f(1_B x) = 1_A f(1_A 1_B x) = 1_A f(1_A x) = 1_A f(x)."""
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     max_dev = 0.0
     witness = None
     for _ in range(trials):
@@ -498,7 +510,7 @@ def extension_check(rho: CondRiskMeasure, space: FiniteProbSpace, alg: SubAlgebr
     if not alg.refines(partition):
         raise StructuralError("partition pieces must be measurable: the "
                               "conditioning algebra must refine the partition")
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     n = partition.n_outcomes  # a space of another size fails in RandomVar
     pieces = rng.normal(size=(trials, partition.n_atoms, n))
 
@@ -507,7 +519,7 @@ def extension_check(rho: CondRiskMeasure, space: FiniteProbSpace, alg: SubAlgebr
 
     # each trial's glued position, then its pieces, all in one call
     stack = np.concatenate([glue(pieces)[:, None], pieces], axis=1)
-    r = rho.evaluate(RandomVar(stack.reshape(-1, n), space), alg).values.reshape(stack.shape)
+    r = _evaluate_stack(rho, stack, space, alg)
     max_dev = float(np.max(np.abs(r[:, 0] - glue(r[:, 1:])), initial=0.0))
     return ExtensionReport(max_dev <= 1e-9, max_dev)
 
@@ -612,15 +624,14 @@ def check_axioms(rho: CondRiskMeasure, space: FiniteProbSpace, alg: SubAlgebra,
     amounts, and convexity against measurable weights; each holds when its
     largest deviation is at most 1e-9.  A probe whose deviation is NaN, as
     inf - inf, fails."""
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     n = alg.n_outcomes  # a space of another size fails in RandomVar
     draws = [[rng.normal(size=n), np.abs(rng.normal(size=n)),
               alg.broadcast(rng.normal(size=alg.n_atoms)), rng.normal(size=n),
               alg.broadcast(rng.uniform(0.0, 1.0, size=alg.n_atoms))] for _ in range(trials)]
     x, d, m, y, lam = np.array(draws).reshape(trials, 5, n).transpose(1, 0, 2)
     stack = np.stack([x, x + d, x + m, x * lam + y * (1.0 - lam), y])
-    rx, rxd, rxm, mix, ry = rho.evaluate(
-        RandomVar(stack.reshape(-1, n), space), alg).values.reshape(stack.shape)
+    rx, rxd, rxm, mix, ry = _evaluate_stack(rho, stack, space, alg)
     deviations = (rxd - rx, np.abs(rxm - (rx - m)), mix - (lam * rx + (1.0 - lam) * ry))
     # monotonicity, cash invariance, convexity
     worst = np.array([np.max(dev, initial=0.0) for dev in deviations])

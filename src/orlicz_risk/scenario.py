@@ -218,11 +218,12 @@ class Scenario(NamedTuple):
         n = len(labels)
         algebras: dict[str, SubAlgebra] = {}
         for alg_name, atoms in data["algebras"].items():
-            index_atoms = [tuple(map(index_of.get, atom)) for atom in atoms]
-            covered = set().union(*index_atoms)
-            if None in covered or len(covered) != n or sum(map(len, atoms)) != n:
-                raise _partition_error(f"$.algebras.{alg_name}", atoms, index_of)
-            algebras[alg_name] = SubAlgebra.from_atoms(index_atoms, n)
+            # an unknown label becomes -1, which no partition of 0..n-1 covers
+            index_atoms = [[index_of.get(lab, -1) for lab in atom] for atom in atoms]
+            try:
+                algebras[alg_name] = SubAlgebra.from_atoms(index_atoms, n)
+            except StructuralError:
+                raise _partition_error(f"$.algebras.{alg_name}", atoms, index_of) from None
 
         filtration_names = None
         if "filtration" in data:

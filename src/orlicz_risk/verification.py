@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .prob_space import RandomVar, SubAlgebra, _atom_weights
+from .prob_space import RandomVar, SubAlgebra, _atom_weights, _rng
 from .orlicz import amemiya_norm, luxemburg_norm, pairing, pairing_operator_norm
 from .risk import (
     attainment_check,
@@ -165,7 +165,7 @@ def verify_scenario(sc: Scenario, seed: int = 0, tol_gap: float = 1e-6,
     (`report.new_table`) and an overall pass flag."""
     table = new_table()
     for alg_name, alg in sc.algebras.items():
-        rng = np.random.default_rng(seed)
+        rng = _rng(seed)
         _norm_axiom_rows(sc, alg_name, alg, rng, table)
         _equivalence_rows(sc, alg_name, alg, rng, tol_norm, table)
         _hoelder_rows(sc, alg_name, alg, rng, tol_norm, table)

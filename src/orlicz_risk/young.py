@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
@@ -65,22 +65,15 @@ class YoungFn:
         return self.eval(t)
 
 
-def _const(value: float) -> Callable[[float], float]:
-    return lambda t: np.full(np.shape(t), value)[()]
-
-
 def make_power(p: float) -> YoungFn:
     """phi(t) = t**p for p >= 1.  Conjugate: (p-1)*(s/p)**(p/(p-1)) for p > 1;
-    for p = 1 the conjugate is 0 on [0, 1] and inf beyond."""
+    for p = 1, phi is the piecewise-linear t with a single slope 1, whose
+    conjugate is 0 on [0, 1] and inf beyond."""
     p = float(p)
     if p < 1.0:
         raise ParameterError(f"power exponent must be >= 1, got {p}")
     if p == 1.0:
-        return YoungFn(
-            lambda t: t, INF, lambda s: np.where(s <= 1.0, 0.0, INF)[()], "power",
-            sup_slope=1.0, params={"p": 1.0}, deriv=_const(1.0),
-            conjugate_deriv=lambda s: np.where(s < 1.0, 0.0, INF)[()],
-        )
+        return replace(make_piecewise((), (1.0,)), family_tag="power", params={"p": 1.0})
 
     q = p / (p - 1.0)
     quiet = np.errstate(over="ignore")  # inf on overflow
@@ -101,7 +94,7 @@ def make_linf() -> YoungFn:
         return np.where(t < 1.0, 0.0, INF)[()]
 
     return YoungFn(step, 1.0, lambda s: s, "linf", sup_slope=INF, step_threshold=1.0,
-                   deriv=step, conjugate_deriv=_const(1.0))
+                   deriv=step, conjugate_deriv=lambda s: np.full(np.shape(s), 1.0)[()])
 
 
 def make_exp(scale: float = 1.0) -> YoungFn:

@@ -50,6 +50,18 @@ class TestConstruction:
         with pytest.raises(StructuralError):
             SubAlgebra.from_atoms([(0,), (2,)], 3)
 
+    def test_space_and_variable_compare_and_hash_by_identity(self):
+        probs = np.array([0.25, 0.75])
+        space, twin = FiniteProbSpace(probs), FiniteProbSpace(probs)
+        x, x_twin = space.var([1.0, 2.0]), space.var([1.0, 2.0])
+        for a, b in ((space, twin), (x, x_twin)):
+            assert a == a and a != b
+            assert hash(a) == hash(a)
+            assert {a, b, a} == {a, b} and len({a, b}) == 2
+            assert a in {a} and b not in {a}
+        # arithmetic still accepts a variable on a space of equal probabilities
+        assert (x + twin.var([1.0, 1.0])).values.tolist() == [2.0, 3.0]
+
     def test_filtration_requires_refinement(self):
         coarse = SubAlgebra.from_atoms([(0, 1), (2, 3)], 4)
         fine = SubAlgebra.discrete(4)

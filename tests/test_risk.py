@@ -1,14 +1,17 @@
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import orlicz_risk.risk as risk_module
 from orlicz_risk import (
     ContractError,
     DynamicRiskMeasure,
     FiniteProbSpace,
     ParameterError,
+    Scenario,
     StructuralError,
     SubAlgebra,
     attainment_check,
@@ -26,12 +29,14 @@ from orlicz_risk import (
     locality_check,
     pairing,
     penalty_bound_check,
+    recover_density,
     risk_from_spec,
     robust_representation,
     scalarize,
     uniform_order_continuity_check,
     worst_case,
 )
+from orlicz_risk.verification import verify_scenario
 
 LN4 = math.log(4.0)
 
@@ -196,6 +201,85 @@ class TestFenchelConjugate:
 
         with pytest.raises(ContractError):
             fenchel_conjugate(custom(broadcast), quarter_space.var(-np.ones(4)), pairs)
+
+
+# each call that conjugates a custom measure, on a given algebra
+CONJUGATING_CALLS = {
+    "fenchel_conjugate": lambda rho, x, y, alg: fenchel_conjugate(rho, y, alg),
+    "robust_representation": lambda rho, x, y, alg: robust_representation(rho, x, alg),
+    "conjugate_numeric": lambda rho, x, y, alg: scalarize(rho, x.space, alg).conjugate_numeric(y),
+}
+
+
+class TestCustomValidation:
+    @pytest.mark.parametrize("call", CONJUGATING_CALLS.values(), ids=CONJUGATING_CALLS.keys())
+    def test_a_pass_on_a_coarse_algebra_does_not_cover_a_finer_one(
+            self, quarter_space, pairs, call):
+        # worst case over the whole space: a risk measure given the trivial
+        # algebra, but neither cash invariant nor local given the pairs
+        trivial = SubAlgebra.trivial(4)
+        rho = custom(lambda x, alg: worst_case().evaluate(x, trivial))
+        x = quarter_space.var([0.3, -1.0, 0.5, 2.0])
+        y = quarter_space.var([-0.5, -1.5, -1.0, -1.0])
+        np.testing.assert_allclose(fenchel_conjugate(rho, y, trivial).values, 0.0, atol=1e-9)
+        with pytest.raises(ContractError, match="axiom probes"):
+            call(rho, x, y, pairs)
+
+    @pytest.mark.parametrize("call", CONJUGATING_CALLS.values(), ids=CONJUGATING_CALLS.keys())
+    def test_each_call_runs_the_probes_exactly_once(
+            self, monkeypatch, quarter_space, pairs, call):
+        runs = []
+        for name in ("check_axioms", "locality_check"):
+            probe = getattr(risk_module, name)
+            monkeypatch.setattr(risk_module, name, lambda *args, _probe=probe, _name=name, **kw:
+                                runs.append(_name) or _probe(*args, **kw))
+        rho = custom(entropic(1.0).evaluate)
+        x = quarter_space.var([0.3, -1.0, 0.5, 2.0])
+        y = quarter_space.var([-0.5, -1.5, -1.0, -1.0])
+        for expected in (1, 2):
+            call(rho, x, y, pairs)
+            assert runs == ["check_axioms", "locality_check"] * expected
+
+    def test_closed_form_measures_run_no_probes(self, monkeypatch, quarter_space, pairs):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a closed-form measure was probed")
+        monkeypatch.setattr(risk_module, "check_axioms", refuse)
+        y = quarter_space.var([-0.5, -1.5, -1.0, -1.0])
+        for call in CONJUGATING_CALLS.values():
+            call(entropic(1.0), quarter_space.var([0.3, -1.0, 0.5, 2.0]), y, pairs)
+
+
+SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
+# every public entry point that draws seeded probes, called with a seed
+SEEDED_CALLS = {
+    "check_axioms": lambda space, alg, seed: check_axioms(entropic(1.0), space, alg, seed=seed),
+    "lebesgue_check": lambda space, alg, seed: lebesgue_check(entropic(1.0), space, alg,
+                                                              seed=seed),
+    "locality_check": lambda space, alg, seed: locality_check(
+        lambda v: entropic(1.0).evaluate(v, alg), space, alg, seed=seed),
+    "extension_check": lambda space, alg, seed: extension_check(entropic(1.0), space, alg, alg,
+                                                                seed=seed),
+    "dynamic_evaluate": lambda space, alg, seed: dynamic_evaluate(
+        DynamicRiskMeasure(((alg, entropic(1.0)),)), space.var([0.3, -1.0, 0.5, 2.0]), seed=seed),
+    "recover_density": lambda space, alg, seed: recover_density(
+        lambda v: cond_expectation(v, alg), space, alg, seed=seed),
+    "verify_scenario": lambda space, alg, seed: verify_scenario(
+        Scenario.from_file(SCENARIOS / "power2.json"), seed=seed),
+}
+
+
+class TestSeeds:
+    @pytest.mark.parametrize("seed", [-1, True, 1.5], ids=["negative", "bool", "float"])
+    @pytest.mark.parametrize("call", SEEDED_CALLS.values(), ids=SEEDED_CALLS.keys())
+    def test_seed_that_is_not_a_nonnegative_integer_is_refused(
+            self, quarter_space, pairs, call, seed):
+        with pytest.raises(ParameterError, match="seed must be an integer >= 0"):
+            call(quarter_space, pairs, seed)
+
+    def test_numpy_integer_seed_draws_as_the_int(self, quarter_space, pairs):
+        rho = entropic(1.0)
+        assert (lebesgue_check(rho, quarter_space, pairs, seed=np.int64(3))
+                == lebesgue_check(rho, quarter_space, pairs, seed=3))
 
 
 class TestRobustRepresentation:
@@ -380,8 +464,7 @@ class TestScalarize:
 
         rho = custom(counted)
         y = feasible_density(np.random.default_rng(43), space, alg)
-        fenchel_conjugate(rho, y, alg)  # runs the axiom probes once
-        calls.clear()
+        # each route runs the same axiom and locality probes first
         fenchel_conjugate(rho, y, alg)
         every_atom = len(calls)
         calls.clear()

@@ -319,14 +319,15 @@ class TestSchemaChecker:
                 _check_schema(record, schema, f"$.outcomes[{i}]")
 
     def test_import_does_not_load_jsonschema(self):
+        # nor numpy.random and hashlib, which every CLI process would pay for
         out = subprocess.run(
-            [sys.executable, "-c",
-             "import orlicz_risk, sys; print('jsonschema' in sys.modules)"],
+            [sys.executable, "-c", "import orlicz_risk, sys; print([name in sys.modules for name"
+             " in ('jsonschema', 'numpy.random', 'hashlib')])"],
             env={**os.environ, "PYTHONPATH": os.pathsep.join(
                 [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])},
             capture_output=True, text=True, check=True,
         )
-        assert out.stdout.strip() == "False"
+        assert out.stdout.strip() == "[False, False, False]"
 
 
 class TestCli:
@@ -525,6 +526,28 @@ class TestCli:
         assert "usage: orlicz-risk" in err
         assert f"argument {flag}: must be a finite number >= 0, got {value!r}" in err
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["norm", "risk", "dual", "verify", "dynamic"])
+    def test_negative_seed_is_a_usage_error(self, tmp_path, capsys, monkeypatch, command):
+        def load(path):
+            raise AssertionError("the scenario is loaded before the flags are checked")
+        monkeypatch.setattr(Scenario, "from_file", load)
+        with pytest.raises(SystemExit) as exc:
+            main([command, str(SCENARIOS / "entropic4.json"), "--out-dir", str(tmp_path),
+                  "--seed", "-1"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage: orlicz-risk" in err
+        assert "argument --seed: must be an integer >= 0, got '-1'" in err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("value", ["1.5", "True", "", "nan"])
+    def test_seed_that_is_not_an_integer_is_a_usage_error(self, tmp_path, capsys, value):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", str(SCENARIOS / "power2.json"), "--out-dir", str(tmp_path),
+                  f"--seed={value}"])
+        assert exc.value.code == 2
+        assert f"argument --seed: must be an integer >= 0, got {value!r}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("value", ["0", "-0", "1e-300", "1e300"])
     def test_tolerance_zero_and_finite_accepted(self, tmp_path, value):

@@ -37,6 +37,25 @@ class TestPower:
         with pytest.raises(ParameterError):
             make_power(0.5)
 
+    def test_p1_maps_match_the_hand_written_ones_bit_for_bit(self):
+        # the maps power(1) had before it became a one-slope piecewise function
+        reference = {
+            "eval": lambda t: t,
+            "conjugate_closed_form": lambda s: np.where(s <= 1.0, 0.0, INF)[()],
+            "deriv": lambda t: np.full(np.shape(t), 1.0)[()],
+            "conjugate_deriv": lambda s: np.where(s < 1.0, 0.0, INF)[()],
+        }
+        grid = np.array([0.0, 0.5, np.nextafter(1.0, 0.0), 1.0, np.nextafter(1.0, 2.0), 2.0,
+                         1e300, INF])
+        phi = make_power(1)
+        for name, old in reference.items():
+            new = getattr(phi, name)
+            assert np.asarray(new(grid)).tobytes() == np.asarray(old(grid)).tobytes(), name
+            for t in grid.tolist():
+                assert np.float64(new(t)).tobytes() == np.float64(old(t)).tobytes(), (name, t)
+        assert (phi.family_tag, phi.params, phi.finite_sup, phi.sup_slope, phi.step_threshold) == (
+            "power", {"p": 1.0}, INF, 1.0, None)
+
 
 class TestLinf:
     def test_step_values(self):
