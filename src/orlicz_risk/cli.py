@@ -108,7 +108,7 @@ def _cmd_dynamic(sc: Scenario, args) -> tuple[dict, dict, bool]:
     results = {}
     table = new_table()
     for pos_name, x in sc.positions.items():
-        stage_values = dynamic_evaluate(dyn, x, seed=args.seed)
+        stage_values = dynamic_evaluate(dyn, x)
         results[pos_name] = {}
         for t, (alg_name, value) in enumerate(zip(sc.filtration_names, stage_values)):
             alg = sc.algebras[alg_name]
@@ -157,7 +157,8 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="directory for report files (default: cwd)")
     tolerance = _nonnegative(float, "a finite number")
     parser.add_argument("--seed", type=_nonnegative(int, "an integer"), default=0,
-                        help="seed for randomized property sweeps")
+                        help="seed for the randomized property sweeps of verify; "
+                             "the other commands draw none")
     parser.add_argument("--tol-gap", type=tolerance, default=1e-6,
                         help="duality-gap and scalarization tolerance")
     parser.add_argument("--tol-norm", type=tolerance, default=1e-8,

@@ -5,10 +5,15 @@ of the conditioning algebra and is monotone (decreasing), convex against
 measurable weights, and cash invariant.  Its penalty function (the Fenchel
 conjugate) is finite only on densities y <= 0 with conditional mean -1, and
 the risk value is recovered as the supremum of E[x*y|F] - penalty(y) over
-those densities.  On a finite space everything decomposes per atom, and the
-maximizing density, the dual certificate, is computed in closed form for the
-entropic, worst-case and expected-loss measures and read off the gradient for
-a black-box one.
+those densities.  On a finite space everything decomposes per atom.
+
+A measure carries its closed forms as data: its penalty
+(`conjugate_closed_form`) and its maximizing density q = -y (`density`), the
+dual certificate.  The entropic, worst-case and expected-loss measures have
+both; a measure without a density has it read off its gradient, and one
+without a penalty has it computed numerically.  A measure that lacks either
+is probed for the axioms and locality on the space and algebra of each call
+that relies on them.
 
 A measure's `evaluate` also takes a stack of positions, one per row, and
 returns the stack of their values; `custom` runs its map row by row.  Every
@@ -19,7 +24,7 @@ stack.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -39,7 +44,7 @@ from .prob_space import (
     is_measurable,
 )
 from . import solvers
-from .young import reject_unknown, spec_number
+from .young import _as_number, reject_unknown, spec_number
 
 __all__ = [
     "CondRiskMeasure",
@@ -75,13 +80,14 @@ _FEAS_MEAN_TOL = 1e-10
 @dataclass(frozen=True, eq=False)
 class CondRiskMeasure:
     """Immutable description of a conditional convex risk measure: an
-    evaluation map, an optional closed-form penalty, and a tag that selects
-    the closed-form dual certificate."""
+    evaluation map, an optional closed-form penalty, the measure's name, and
+    an optional closed-form dual maximizer: the density q = -y, per outcome,
+    that attains rho(x) = E[x*y|F] - penalty(y)."""
 
     evaluate: Callable[[RandomVar, SubAlgebra], RandomVar]
     conjugate_closed_form: Callable[[RandomVar, SubAlgebra], RandomVar] | None
     tag: str
-    params: Mapping[str, float] = field(default_factory=dict)
+    density: Callable[[RandomVar, SubAlgebra], np.ndarray] | None = None
 
 
 class DualCertificate(NamedTuple):
@@ -112,17 +118,23 @@ def _xlogx(q: np.ndarray) -> np.ndarray:
 
 def dual_feasible_atoms(y: RandomVar, alg: SubAlgebra) -> list[bool]:
     """Per atom: y <= 0 within 1e-12 and E[y | atom] = -1 within 1e-10."""
+    return _feasible(y, alg).tolist()
+
+
+def _feasible(y: RandomVar, alg: SubAlgebra) -> np.ndarray:
+    """`dual_feasible_atoms` as a bool array."""
     _check_dims(y, alg)
     sign_ok = alg.atom_max(y.values) <= _FEAS_SIGN_TOL
     mean = alg.atom_sum(_atom_weights(y.space, alg) * y.values)
-    return (sign_ok & (np.abs(mean + 1.0) <= _FEAS_MEAN_TOL)).tolist()
+    return sign_ok & (np.abs(mean + 1.0) <= _FEAS_MEAN_TOL)
 
 
 def entropic(gamma: float) -> CondRiskMeasure:
     """Entropic risk: per atom, log of E[exp(-gamma*x)|F] divided by gamma.
     Penalty of a feasible density q = -y is the relative entropy E[q log q|F]
-    over gamma; infeasible densities get inf."""
-    gamma = float(gamma)
+    over gamma; infeasible densities get inf.  The maximizing density is the
+    Gibbs density, proportional to exp(-gamma*x) on each atom."""
+    gamma = _as_number("gamma", gamma)
     if gamma <= 0.0:
         raise ParameterError(f"entropic risk needs gamma > 0, got {gamma}")
 
@@ -138,33 +150,49 @@ def entropic(gamma: float) -> CondRiskMeasure:
         return RandomVar(alg.broadcast((shift + np.log(mean)) / gamma), x.space)
 
     def conj(y: RandomVar, alg: SubAlgebra) -> RandomVar:
-        feas = np.array(dual_feasible_atoms(y, alg))
+        feas = _feasible(y, alg)
         # infeasible atoms may hold +-inf; only feasible ones enter the sum
         q = np.where(feas[alg.atom_of], np.maximum(-y.values, 0.0), 0.0)
         entropy = alg.atom_sum(_atom_weights(y.space, alg) * _xlogx(q)) / gamma
         return RandomVar(alg.broadcast(np.where(feas, entropy, INF)), y.space)
 
-    return CondRiskMeasure(evaluate, conj, "entropic", {"gamma": gamma})
+    def density(x: RandomVar, alg: SubAlgebra) -> np.ndarray:
+        # shifted by each atom's largest exponent so nothing overflows
+        a = -gamma * x.values
+        e = np.exp(a - alg.atom_max(a)[alg.atom_of])
+        return e / alg.atom_sum(_atom_weights(x.space, alg) * e)[alg.atom_of]
+
+    return CondRiskMeasure(evaluate, conj, "entropic", density)
 
 
 def worst_case() -> CondRiskMeasure:
     """Worst-case risk: per-atom maximum of -x.  Every feasible density has
-    zero penalty."""
+    zero penalty.  The maximizing density is the simplex vertex at the
+    lowest-index minimum of x on each atom, whatever order the atom lists its
+    outcomes in."""
 
     def evaluate(x: RandomVar, alg: SubAlgebra) -> RandomVar:
         _require_finite(x, "worst-case risk")
         return ess_sup_cond(-x, alg)
 
     def conj(y: RandomVar, alg: SubAlgebra) -> RandomVar:
-        feas = np.array(dual_feasible_atoms(y, alg))
-        return RandomVar(alg.broadcast(np.where(feas, 0.0, INF)), y.space)
+        return RandomVar(alg.broadcast(np.where(_feasible(y, alg), 0.0, INF)), y.space)
 
-    return CondRiskMeasure(evaluate, conj, "worst_case")
+    def density(x: RandomVar, alg: SubAlgebra) -> np.ndarray:
+        n = x.space.n_outcomes
+        low = alg.atom_min(x.values)
+        vertex = alg.atom_min(np.where(x.values == low[alg.atom_of], np.arange(n), n))
+        q = np.zeros(n)
+        q[vertex] = 1.0 / _atom_weights(x.space, alg)[vertex]
+        return q
+
+    return CondRiskMeasure(evaluate, conj, "worst_case", density)
 
 
 def linear() -> CondRiskMeasure:
     """Expected-loss risk: -E[x|F].  The only zero-penalty density is the
-    constant 1; every other density gets inf."""
+    constant 1, which is also the maximizing one; every other density gets
+    inf."""
 
     def evaluate(x: RandomVar, alg: SubAlgebra) -> RandomVar:
         _require_finite(x, "linear risk")
@@ -174,14 +202,15 @@ def linear() -> CondRiskMeasure:
         uniform = alg.atom_max(np.abs(y.values + 1.0)) <= _FEAS_MEAN_TOL
         return RandomVar(alg.broadcast(np.where(uniform, 0.0, INF)), y.space)
 
-    return CondRiskMeasure(evaluate, conj, "linear")
+    return CondRiskMeasure(evaluate, conj, "linear", lambda x, alg: np.ones(x.space.n_outcomes))
 
 
 def custom(evaluate: Callable[[RandomVar, SubAlgebra], RandomVar]) -> CondRiskMeasure:
-    """Wrap a black-box evaluation map; its penalty is computed numerically.
-    Each call that conjugates it first runs the axiom and locality probes on
-    that call's space and algebra.  The map sees one position at a time: a
-    stack is evaluated row by row."""
+    """Wrap a black-box evaluation map; its penalty is computed numerically
+    and its dual density read off its gradient.  Each call that conjugates or
+    dynamically evaluates it first runs the axiom and locality probes on that
+    call's space and algebra.  The map sees one position at a time: a stack
+    is evaluated row by row."""
 
     def rowwise(x: RandomVar, alg: SubAlgebra) -> RandomVar:
         if x.values.ndim == 1:
@@ -210,17 +239,18 @@ def risk_from_spec(spec: Mapping) -> CondRiskMeasure:
 
 
 def _validate_custom(rho: CondRiskMeasure, space: FiniteProbSpace, alg: SubAlgebra):
-    """Raise ContractError unless a custom measure passes the axiom and
-    locality probes on this space and algebra; other measures pass as they
-    are.  A pass on one algebra says nothing about another."""
-    if rho.tag != "custom":
+    """Raise ContractError unless the measure passes the axiom and locality
+    probes on this space and algebra.  A measure with both a closed-form
+    density and a closed-form penalty passes as it is; a pass on one algebra
+    says nothing about another."""
+    if rho.density is not None and rho.conjugate_closed_form is not None:
         return
     axioms = check_axioms(rho, space, alg, trials=6, seed=7)
     if not axioms.passed:
-        raise ContractError(f"custom risk measure fails the axiom probes: {axioms}")
+        raise ContractError(f"risk measure fails the axiom probes: {axioms}")
     loc = locality_check(lambda v: rho.evaluate(v, alg), space, alg, trials=4, seed=7)
     if not loc.passed:
-        raise ContractError("custom risk measure fails the locality probes")
+        raise ContractError("risk measure fails the locality probes")
 
 
 # sweeps of the coordinate ascent; it stops earlier once a sweep gains nothing
@@ -269,7 +299,7 @@ def _numeric_conjugate(rho: CondRiskMeasure, y: RandomVar, alg: SubAlgebra) -> I
     atom, by coordinate ascent over the atom's outcomes started at 0.
     Locality lets each atom be maximized on its own.  Atoms where y violates
     y <= 0 or E[y|F] = -1 get inf outright: the supremum diverges there.
-    The caller validates a custom measure first."""
+    The caller validates the measure first."""
     space = y.space
     weights = _atom_weights(space, alg)
     for ok, idx in zip(dual_feasible_atoms(y, alg), np.split(alg.order, alg.starts[1:])):
@@ -291,15 +321,18 @@ def _numeric_conjugate(rho: CondRiskMeasure, y: RandomVar, alg: SubAlgebra) -> I
 def fenchel_conjugate(rho: CondRiskMeasure, y: RandomVar, alg: SubAlgebra) -> RandomVar:
     """Penalty value per atom: sup over positions x of E[x*y|atom] - rho(x).
 
-    Uses the closed form when available, otherwise `_numeric_conjugate`."""
+    Uses the closed form when available, otherwise `_numeric_conjugate`
+    after validating the measure."""
     _check_dims(y, alg)
+    if rho.conjugate_closed_form is None:
+        _validate_custom(rho, y.space, alg)
+    return _penalty(rho, y, alg)
+
+
+def _penalty(rho: CondRiskMeasure, y: RandomVar, alg: SubAlgebra) -> RandomVar:
+    """`fenchel_conjugate` of a measure already validated."""
     if rho.conjugate_closed_form is not None:
         return rho.conjugate_closed_form(y, alg)
-    _validate_custom(rho, y.space, alg)
-    return _numeric_penalty(rho, y, alg)
-
-
-def _numeric_penalty(rho: CondRiskMeasure, y: RandomVar, alg: SubAlgebra) -> RandomVar:
     return RandomVar(alg.broadcast(list(_numeric_conjugate(rho, y, alg))), y.space)
 
 
@@ -327,55 +360,28 @@ def _envelope_density(rho: CondRiskMeasure, x: RandomVar, alg: SubAlgebra,
 
 def robust_representation(rho: CondRiskMeasure, x: RandomVar,
                           alg: SubAlgebra) -> DualCertificate:
-    """The maximizer of E[x*y|F] - penalty(y) over feasible densities, per
-    atom, in closed form, with the gap against the primal value.
+    """The maximizer y = -q of E[x*y|F] - penalty(y) over feasible
+    densities, per atom, with its penalty and the gap against the primal
+    value.
 
-    Worst-case risk takes the simplex vertex at the lowest-index minimum of x
-    on each atom, whatever order the atom lists its outcomes in;
-    the expected-loss risk has the single feasible zero-penalty density 1;
-    entropic risk takes the Gibbs density q proportional to exp(-gamma*x); a
-    custom measure takes the envelope density from backward differences of
-    rho, with its penalty from `fenchel_conjugate`.  The gap is the primal
-    value minus the dual objective at that density, each computed on its own,
-    so it measures how good the certificate is.
+    q is the measure's closed-form `density`, or else the envelope density
+    from backward differences of rho; the penalty is the one
+    `fenchel_conjugate` takes.  A measure without both closed forms is
+    validated first.  The gap is the primal value minus the dual objective
+    -E[x*q|F] - penalty at that density, each computed on its own, so it
+    measures how good the certificate is.
     """
     _require_finite(x, "robust_representation")
     _check_dims(x, alg)
     space = x.space
+    _validate_custom(rho, space, alg)
     primal = rho.evaluate(x, alg)
-    if rho.tag not in ("worst_case", "linear", "entropic"):
-        _validate_custom(rho, space, alg)
-        y = RandomVar(-_envelope_density(rho, x, alg, primal), space)
-        penalty = _numeric_penalty(rho, y, alg)
-        return DualCertificate(y, penalty, primal - (cond_expectation(x * y, alg) - penalty))
-    w = _atom_weights(space, alg)
-    xv = x.values
-    pen = np.zeros(alg.n_atoms)
-    if rho.tag == "worst_case":
-        low = alg.atom_min(xv)
-        # the lowest outcome index attaining each atom's minimum
-        ties = np.where(xv == low[alg.atom_of], np.arange(space.n_outcomes), space.n_outcomes)
-        vertex = alg.atom_min(ties)
-        q = np.zeros(space.n_outcomes)
-        q[vertex] = 1.0 / w[vertex]
-        dual_value = -low
-    elif rho.tag == "linear":
-        q = np.ones(space.n_outcomes)
-        dual_value = -alg.atom_sum(w * xv)
-    else:
-        # the Gibbs density, shifted by each atom's largest exponent so
-        # nothing overflows
-        gamma = float(rho.params["gamma"])
-        a = -gamma * xv
-        e = np.exp(a - alg.atom_max(a)[alg.atom_of])
-        q = e / alg.atom_sum(w * e)[alg.atom_of]
-        pen = alg.atom_sum(w * _xlogx(q)) / gamma
-        dual_value = -alg.atom_sum(w * xv * q) - pen
-    return DualCertificate(
-        RandomVar(-q, space),
-        RandomVar(alg.broadcast(pen), space),
-        RandomVar(alg.broadcast(primal.values[alg.first] - dual_value), space),
-    )
+    q = rho.density(x, alg) if rho.density is not None else _envelope_density(rho, x, alg, primal)
+    y = RandomVar(-q, space)
+    penalty = _penalty(rho, y, alg)
+    dual = -alg.atom_sum(_atom_weights(space, alg) * x.values * q) - penalty.values[alg.first]
+    return DualCertificate(y, penalty,
+                           RandomVar(alg.broadcast(primal.values[alg.first] - dual), space))
 
 
 class AttainmentReport(NamedTuple):
@@ -593,16 +599,15 @@ def uniform_order_continuity_check(C: Sequence[RandomVar], alg: SubAlgebra,
     return UniformOrderContinuityReport(rows, tail, all(v <= 1e-8 for v in tail))
 
 
-def dynamic_evaluate(D: DynamicRiskMeasure, x: RandomVar, seed: int = 0) -> list[RandomVar]:
-    """Evaluate every stage of a dynamic risk measure after probing its
-    axioms; each stage value is measurable w.r.t. its own algebra.  No
-    relation across stages is asserted."""
+def dynamic_evaluate(D: DynamicRiskMeasure, x: RandomVar) -> list[RandomVar]:
+    """Evaluate every stage of a dynamic risk measure; each stage value is
+    measurable w.r.t. its own algebra.  A stage measure without both closed
+    forms is validated on its algebra first, as `robust_representation`
+    validates it.  No relation across stages is asserted."""
     _require_finite(x, "dynamic_evaluate")
     out = []
     for alg, rho in D.stages:
-        report = check_axioms(rho, x.space, alg, trials=4, seed=seed)
-        if not report.passed:
-            raise ContractError(f"stage measure fails the axiom probes: {report}")
+        _validate_custom(rho, x.space, alg)
         value = rho.evaluate(x, alg)
         if not is_measurable(value, alg):
             raise ContractError("stage value is not measurable w.r.t. its algebra")

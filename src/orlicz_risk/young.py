@@ -69,7 +69,7 @@ def make_power(p: float) -> YoungFn:
     """phi(t) = t**p for p >= 1.  Conjugate: (p-1)*(s/p)**(p/(p-1)) for p > 1;
     for p = 1, phi is the piecewise-linear t with a single slope 1, whose
     conjugate is 0 on [0, 1] and inf beyond."""
-    p = float(p)
+    p = _as_number("p", p)
     if p < 1.0:
         raise ParameterError(f"power exponent must be >= 1, got {p}")
     if p == 1.0:
@@ -101,7 +101,7 @@ def make_exp(scale: float = 1.0) -> YoungFn:
     """phi(t) = exp(scale*t) - 1, inf once scale*t passes the overflow point.
     Conjugate (for scale 1): phi*(s) = s*log(s) - s + 1 for s >= 1, and 0 on
     [0, 1]."""
-    scale = float(scale)
+    scale = _as_number("scale", scale)
     if scale <= 0.0:
         raise ParameterError(f"exp scale must be positive, got {scale}")
 
@@ -129,8 +129,8 @@ def make_piecewise(knots, slopes) -> YoungFn:
     be nonnegative, nondecreasing, and end positive.  The conjugate is
     phi*(s) = max over t in {0} + knots of s*t - phi(t) up to the last slope,
     and inf beyond."""
-    knots = [float(k) for k in knots]
-    slopes = [float(m) for m in slopes]
+    knots = [_as_number(f"knots[{i}]", k) for i, k in enumerate(knots)]
+    slopes = [_as_number(f"slopes[{i}]", m) for i, m in enumerate(slopes)]
     if len(slopes) != len(knots) + 1:
         raise ParameterError("need len(knots) + 1 slopes")
     if any(k <= 0 for k in knots) or any(b <= a for a, b in zip(knots, knots[1:])):
@@ -165,9 +165,13 @@ def make_piecewise(knots, slopes) -> YoungFn:
 
 
 def _as_number(name: str, value) -> float:
-    # False for NaN, inf and integers too large for a float
-    finite = isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
-    if isinstance(value, bool) or not finite:
+    """`value` as a float; anything but a finite int or float, numpy's
+    included, raises ParameterError naming the parameter."""
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        finite = abs(value) <= sys.float_info.max  # an int may be too large for a float
+    else:
+        finite = isinstance(value, (float, np.floating)) and math.isfinite(value)
+    if not finite:
         raise ParameterError(f"parameter {name} must be a finite number, got {value!r}")
     return float(value)
 
@@ -231,7 +235,7 @@ def conjugate(phi: YoungFn, s: float, use_closed_form: bool = True) -> float:
     expansions); an objective still
     improving at the expansion cap is reported as inf.  This numeric path is
     the oracle the closed forms are tested against."""
-    if s < 0.0:
+    if not s >= 0.0:  # NaN too
         raise ParameterError(f"conjugate argument must be >= 0, got {s}")
     if s == 0.0:
         return 0.0

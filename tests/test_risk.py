@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import time
 from pathlib import Path
@@ -7,6 +8,7 @@ import pytest
 
 import orlicz_risk.risk as risk_module
 from orlicz_risk import (
+    CondRiskMeasure,
     ContractError,
     DynamicRiskMeasure,
     FiniteProbSpace,
@@ -22,6 +24,7 @@ from orlicz_risk import (
     dynamic_evaluate,
     entropic,
     ess_inf_cond,
+    ess_sup_cond,
     extension_check,
     fenchel_conjugate,
     lebesgue_check,
@@ -101,6 +104,11 @@ class TestEntropic:
     def test_rejects_nonpositive_gamma(self):
         with pytest.raises(ParameterError):
             entropic(0.0)
+
+    @pytest.mark.parametrize("gamma", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_gamma(self, gamma):
+        with pytest.raises(ParameterError, match="gamma must be a finite number"):
+            entropic(gamma)
 
     def test_axioms(self, quarter_space, pairs):
         assert check_axioms(entropic(0.7), quarter_space, pairs).passed
@@ -203,16 +211,18 @@ class TestFenchelConjugate:
             fenchel_conjugate(custom(broadcast), quarter_space.var(-np.ones(4)), pairs)
 
 
-# each call that conjugates a custom measure, on a given algebra
-CONJUGATING_CALLS = {
+# each call that validates a measure without closed forms, on a given algebra
+VALIDATING_CALLS = {
     "fenchel_conjugate": lambda rho, x, y, alg: fenchel_conjugate(rho, y, alg),
     "robust_representation": lambda rho, x, y, alg: robust_representation(rho, x, alg),
     "conjugate_numeric": lambda rho, x, y, alg: scalarize(rho, x.space, alg).conjugate_numeric(y),
+    "dynamic_evaluate": lambda rho, x, y, alg: dynamic_evaluate(DynamicRiskMeasure(((alg, rho),)),
+                                                                x),
 }
 
 
 class TestCustomValidation:
-    @pytest.mark.parametrize("call", CONJUGATING_CALLS.values(), ids=CONJUGATING_CALLS.keys())
+    @pytest.mark.parametrize("call", VALIDATING_CALLS.values(), ids=VALIDATING_CALLS.keys())
     def test_a_pass_on_a_coarse_algebra_does_not_cover_a_finer_one(
             self, quarter_space, pairs, call):
         # worst case over the whole space: a risk measure given the trivial
@@ -225,7 +235,7 @@ class TestCustomValidation:
         with pytest.raises(ContractError, match="axiom probes"):
             call(rho, x, y, pairs)
 
-    @pytest.mark.parametrize("call", CONJUGATING_CALLS.values(), ids=CONJUGATING_CALLS.keys())
+    @pytest.mark.parametrize("call", VALIDATING_CALLS.values(), ids=VALIDATING_CALLS.keys())
     def test_each_call_runs_the_probes_exactly_once(
             self, monkeypatch, quarter_space, pairs, call):
         runs = []
@@ -243,10 +253,29 @@ class TestCustomValidation:
     def test_closed_form_measures_run_no_probes(self, monkeypatch, quarter_space, pairs):
         def refuse(*args, **kwargs):
             raise AssertionError("a closed-form measure was probed")
-        monkeypatch.setattr(risk_module, "check_axioms", refuse)
+        for name in ("check_axioms", "locality_check", "_envelope_density"):
+            monkeypatch.setattr(risk_module, name, refuse)
         y = quarter_space.var([-0.5, -1.5, -1.0, -1.0])
-        for call in CONJUGATING_CALLS.values():
-            call(entropic(1.0), quarter_space.var([0.3, -1.0, 0.5, 2.0]), y, pairs)
+        for rho in (entropic(1.0), worst_case(), linear()):
+            for call in VALIDATING_CALLS.values():
+                call(rho, quarter_space.var([0.3, -1.0, 0.5, 2.0]), y, pairs)
+
+    @pytest.mark.parametrize("call", VALIDATING_CALLS.values(), ids=VALIDATING_CALLS.keys())
+    def test_a_measure_built_by_hand_is_probed(self, quarter_space, pairs, call):
+        # monotone and local, but neither cash invariant nor convex
+        rho = CondRiskMeasure(lambda x, alg: ess_sup_cond(x, alg) * -2.0, None, "mine")
+        x = quarter_space.var([0.3, -1.0, 0.5, 2.0])
+        y = quarter_space.var([-0.5, -1.5, -1.0, -1.0])
+        with pytest.raises(ContractError, match="axiom probes"):
+            call(rho, x, y, pairs)
+
+    def test_a_measure_without_a_density_is_probed_for_its_certificate(
+            self, quarter_space, pairs):
+        # a closed-form penalty alone does not vouch for the envelope density
+        rho = CondRiskMeasure(lambda x, alg: ess_sup_cond(x, alg) * -2.0,
+                              worst_case().conjugate_closed_form, "mine")
+        with pytest.raises(ContractError, match="axiom probes"):
+            robust_representation(rho, quarter_space.var([0.3, -1.0, 0.5, 2.0]), pairs)
 
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
@@ -259,8 +288,6 @@ SEEDED_CALLS = {
         lambda v: entropic(1.0).evaluate(v, alg), space, alg, seed=seed),
     "extension_check": lambda space, alg, seed: extension_check(entropic(1.0), space, alg, alg,
                                                                 seed=seed),
-    "dynamic_evaluate": lambda space, alg, seed: dynamic_evaluate(
-        DynamicRiskMeasure(((alg, entropic(1.0)),)), space.var([0.3, -1.0, 0.5, 2.0]), seed=seed),
     "recover_density": lambda space, alg, seed: recover_density(
         lambda v: cond_expectation(v, alg), space, alg, seed=seed),
     "verify_scenario": lambda space, alg, seed: verify_scenario(
@@ -294,6 +321,34 @@ class TestRobustRepresentation:
         cert = robust_representation(worst_case(), coin.var([1.0, 3.0]), SubAlgebra.trivial(2))
         np.testing.assert_array_equal(cert.y.values, [-2.0, 0.0])
         assert cert.gap.values[0] == 0.0
+
+    def test_a_planted_density_is_checked_not_trusted(self, quarter_space, pairs):
+        # worst-case risk, but its density sits at each atom's maximum: a
+        # feasible vertex with zero penalty that does not attain rho(x)
+        wc = worst_case()
+        rho = CondRiskMeasure(wc.evaluate, wc.conjugate_closed_form, "planted",
+                              density=lambda x, alg: np.array([2.0, 0.0, 0.0, 2.0]))
+        x = quarter_space.var([0.3, -1.0, 0.5, 2.0])
+        cert = robust_representation(rho, x, pairs)
+        np.testing.assert_allclose(cert.gap.values, [1.3, 1.3, 1.5, 1.5], rtol=1e-12)
+        np.testing.assert_array_equal(cert.penalty.values, np.zeros(4))
+        assert not attainment_check(rho, x, pairs).passed
+
+    @pytest.mark.parametrize("rho", [entropic(1.0), worst_case(), linear()],
+                             ids=lambda rho: rho.tag)
+    def test_a_wrapped_evaluate_keeps_the_closed_form_certificate(
+            self, monkeypatch, quarter_space, pairs, rho):
+        # as a tracer wraps it: same closed forms, another evaluate
+        wrapped = dataclasses.replace(rho, evaluate=lambda *args: rho.evaluate(*args))
+        x = quarter_space.var([0.3, -1.0, 0.5, 2.0])
+        expected = robust_representation(rho, x, pairs)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the closed-form certificate was not used")
+        for name in ("check_axioms", "_envelope_density", "_numeric_conjugate"):
+            monkeypatch.setattr(risk_module, name, refuse)
+        for got, want in zip(robust_representation(wrapped, x, pairs), expected):
+            assert got.values.tobytes() == want.values.tobytes()
 
     def test_worst_case_tie_breaks_to_lowest_index(self, quarter_space):
         alg = SubAlgebra.trivial(4)

@@ -331,6 +331,20 @@ class TestSchemaChecker:
 
 
 class TestCli:
+    def test_dynamic_on_a_built_in_measure_does_not_load_numpy_random(self, tmp_path):
+        # closed-form measures run no probes, so nothing draws random numbers
+        out = subprocess.run(
+            [sys.executable, "-c", "import sys; from orlicz_risk.cli import main; "
+             "code = main(sys.argv[1:]); print(code, [name in sys.modules for name"
+             " in ('numpy.random', 'hashlib')])",
+             "dynamic", str(SCENARIOS / "entropic4.json"), "--out-dir", str(tmp_path)],
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(
+                [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])},
+            capture_output=True, text=True, check=True,
+        )
+        assert out.stdout.splitlines()[-1] == "0 [False, False]"
+        assert (tmp_path / "entropic4.report.json").is_file()
+
     def test_norm_command_known_values(self, tmp_path):
         code = main(["norm", str(SCENARIOS / "power2.json"), "--out-dir", str(tmp_path)])
         assert code == 0

@@ -153,6 +153,31 @@ class TestFromSpec:
             young_from_spec({"family": "cosh"})
 
 
+class TestFactoryParameters:
+    @pytest.mark.parametrize("value", [math.nan, INF, -INF], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("factory, name", [
+        (make_power, "p"),
+        (make_exp, "scale"),
+        (lambda v: make_piecewise([0.5, v], [0.0, 1.0, 2.0]), r"knots\[1\]"),
+        (lambda v: make_piecewise([1.0], [v, 2.0]), r"slopes\[0\]"),
+        (lambda v: make_piecewise([1.0], [1.0, v]), r"slopes\[1\]"),
+    ], ids=["power", "exp", "piecewise_knot", "piecewise_slope", "piecewise_last_slope"])
+    def test_non_finite_parameter_is_refused(self, factory, name, value):
+        with pytest.raises(ParameterError, match=f"parameter {name} must be a finite number"):
+            factory(value)
+
+    @pytest.mark.parametrize("value", [True, "2", None])
+    def test_non_number_is_refused(self, value):
+        with pytest.raises(ParameterError, match="must be a finite number"):
+            make_power(value)
+
+    def test_numpy_scalars_are_numbers(self):
+        assert make_power(np.int64(2)).params == {"p": 2.0}
+        assert make_exp(np.float32(1.5)).params == {"scale": 1.5}
+        assert make_piecewise([np.float64(1.0)], [np.int64(1), 2.0]).params == {
+            "knots": (1.0,), "slopes": (1.0, 2.0)}
+
+
 class TestConjugate:
     def test_zero_argument_always_zero(self):
         for phi in (make_power(2), make_power(1), make_linf(), make_exp()):
@@ -178,6 +203,10 @@ class TestConjugate:
     def test_rejects_negative_argument(self):
         with pytest.raises(ParameterError):
             conjugate(make_power(2), -1.0)
+
+    def test_rejects_nan_argument(self):
+        with pytest.raises(ParameterError, match="must be >= 0, got nan"):
+            conjugate(make_power(2), math.nan)
 
 
 class TestConjugateYoungFn:

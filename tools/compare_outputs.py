@@ -18,10 +18,14 @@ After each pass, exit codes, stdout and stderr are compared with each
 tree's output directory replaced by `OUT`; then every written file.  Each
 difference is printed, then the operation, rerun and file counts.  Under a
 differing CSV table, each (check, quantity) pair whose rows differ is
-printed with its number of differing rows, its largest relative value
-change and the number of its `passed` flags that changed; a renamed check
-or quantity reads `old -> new`.  The exit code is 1 on any difference,
-else 0.  Everything is written to a temporary directory, which is removed
+printed with its number of differing rows, its largest absolute and
+relative value changes and the number of its `passed` flags that changed; a
+renamed check or quantity reads `old -> new`.  Under a differing report
+JSON, each JSON path whose values differ is printed, array indices
+collapsed to `[*]`, with its number of differing values and their largest
+absolute change.  A change involving a value that is not a finite number
+(a string, a missing key, "inf") counts as inf.  The exit code is 1 on any
+difference, else 0.  Everything is written to a temporary directory, which is removed
 afterwards; neither tree is written to.
 Standard library plus numpy.
 """
@@ -121,16 +125,18 @@ def run_pass(trees: list[Path], works: list[Path], ops: list, name: str) -> list
     return runs
 
 
-def _relative_change(a: str, b: str) -> float:
-    """|a - b| / max(|a|, |b|) of two value cells; inf when either is not
-    a finite number."""
+def _value_change(a, b) -> tuple[float, float]:
+    """|a - b| and |a - b| / max(|a|, |b|) of two CSV value cells or JSON
+    values; both inf when either is not a finite number."""
     try:
         x, y = float(a), float(b)
-    except ValueError:
-        return math.inf
+    except (TypeError, ValueError):
+        return math.inf, math.inf
     if x == y:
-        return 0.0
-    return abs(x - y) / max(abs(x), abs(y)) if math.isfinite(x - y) else math.inf
+        return 0.0, 0.0
+    if not math.isfinite(x - y):
+        return math.inf, math.inf
+    return abs(x - y), abs(x - y) / max(abs(x), abs(y))
 
 
 def csv_changes(a: Path, b: Path) -> list[str]:
@@ -144,12 +150,42 @@ def csv_changes(a: Path, b: Path) -> list[str]:
         if row_a != row_b:
             key = tuple(row_a[c] if row_a[c] == row_b[c] else f"{row_a[c]} -> {row_b[c]}"
                         for c in ("check", "quantity"))
-            count, worst, flips = changes.get(key, (0, 0.0, 0))
-            changes[key] = (count + 1, max(worst, _relative_change(row_a["value"], row_b["value"])),
+            count, worst_abs, worst_rel, flips = changes.get(key, (0, 0.0, 0.0, 0))
+            change_abs, change_rel = _value_change(row_a["value"], row_b["value"])
+            changes[key] = (count + 1, max(worst_abs, change_abs), max(worst_rel, change_rel),
                             flips + (row_a["passed"] != row_b["passed"]))
-    return [f"  {check}, {quantity}: {count} rows, largest relative value change {worst:.3g}, "
+    return [f"  {check}, {quantity}: {count} rows, largest absolute value change "
+            f"{worst_abs:.3g}, largest relative value change {worst_rel:.3g}, "
             f"{flips} passed flags changed"
-            for (check, quantity), (count, worst, flips) in changes.items()]
+            for (check, quantity), (count, worst_abs, worst_rel, flips) in changes.items()]
+
+
+def _json_differences(a, b, path: str = "$"):
+    """(path, value in a, value in b) of every place where two JSON values
+    differ, walking dicts key by key and lists of one length item by item;
+    array indices in the path are collapsed to `[*]`."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        for key in sorted(a.keys() | b.keys()):
+            yield from _json_differences(a.get(key), b.get(key), f"{path}.{key}")
+    elif isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
+        for item_a, item_b in zip(a, b):
+            yield from _json_differences(item_a, item_b, f"{path}[*]")
+    elif a != b:
+        yield path, a, b
+
+
+def json_changes(a: Path, b: Path) -> list[str]:
+    """One line per JSON path whose values differ between two reports."""
+    changes = {}
+    try:
+        docs = [json.loads(path.read_text()) for path in (a, b)]
+    except ValueError as exc:
+        return [f"  not valid JSON: {exc}"]
+    for path, value_a, value_b in _json_differences(*docs):
+        count, worst = changes.get(path, (0, 0.0))
+        changes[path] = (count + 1, max(worst, _value_change(value_a, value_b)[0]))
+    return [f"  {path}: {count} values, largest absolute change {worst:.3g}"
+            for path, (count, worst) in changes.items()]
 
 
 def compare(ops: list, outs: list[Path], runs: list) -> tuple[list, int]:
@@ -171,7 +207,8 @@ def compare(ops: list, outs: list[Path], runs: list) -> tuple[list, int]:
             if rel not in files[0] or rel not in files[1]:
                 diffs.append(f"{desc}: {rel} written by one tree only")
             elif files[0][rel].read_bytes() != files[1][rel].read_bytes():
-                lines = csv_changes(files[0][rel], files[1][rel]) if rel.suffix == ".csv" else []
+                explain = {".csv": csv_changes, ".json": json_changes}.get(rel.suffix)
+                lines = explain(files[0][rel], files[1][rel]) if explain else []
                 diffs.append("\n".join([f"{desc}: {rel} differs", *lines]))
     return diffs, n_files
 
