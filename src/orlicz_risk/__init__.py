@@ -28,7 +28,6 @@ from .young import (
     make_linf,
     make_exp,
     make_piecewise,
-    young_from_spec,
     conjugate,
     conjugate_young_fn,
     validate,
@@ -50,7 +49,6 @@ from .risk import (
     worst_case,
     linear,
     custom,
-    risk_from_spec,
     fenchel_conjugate,
     robust_representation,
     attainment_check,
@@ -64,6 +62,12 @@ from .risk import (
     check_axioms,
     dual_feasible_atoms,
 )
-from .scenario import Scenario, ScenarioValidationError, SCENARIO_SCHEMA
+from .scenario import (
+    Scenario,
+    ScenarioValidationError,
+    SCENARIO_SCHEMA,
+    young_from_spec,
+    risk_from_spec,
+)
 
 __version__ = "0.1.0"

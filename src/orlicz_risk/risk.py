@@ -19,13 +19,16 @@ A measure's `evaluate` also takes a stack of positions, one per row, and
 returns the stack of their values; `custom` runs its map row by row.  Every
 other entry point here takes one position and raises StructuralError on a
 stack.
+
+The module holds the mathematics only: the `scenario` module builds a
+measure from a scenario entry, through its table of measures.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -44,7 +47,7 @@ from .prob_space import (
     is_measurable,
 )
 from . import solvers
-from .young import _as_number, reject_unknown, spec_number
+from .young import _as_number
 
 __all__ = [
     "CondRiskMeasure",
@@ -54,7 +57,6 @@ __all__ = [
     "worst_case",
     "linear",
     "custom",
-    "risk_from_spec",
     "fenchel_conjugate",
     "robust_representation",
     "attainment_check",
@@ -133,21 +135,37 @@ def entropic(gamma: float) -> CondRiskMeasure:
     """Entropic risk: per atom, log of E[exp(-gamma*x)|F] divided by gamma.
     Penalty of a feasible density q = -y is the relative entropy E[q log q|F]
     over gamma; infeasible densities get inf.  The maximizing density is the
-    Gibbs density, proportional to exp(-gamma*x) on each atom."""
+    Gibbs density, proportional to exp(-gamma*x) on each atom.  A position
+    on which gamma*x overflows raises ContractError."""
     gamma = _as_number("gamma", gamma)
     if gamma <= 0.0:
         raise ParameterError(f"entropic risk needs gamma > 0, got {gamma}")
+
+    def exponents(x: RandomVar, alg: SubAlgebra) -> tuple[np.ndarray, np.ndarray]:
+        """-gamma*x less each atom's largest exponent, which is the shift
+        returned with it, so nothing overflows in exp."""
+        with np.errstate(over="ignore"):
+            a = -gamma * x.values
+        shift = alg.atom_max(a)
+        if not np.isfinite(shift).all():
+            raise ContractError(f"entropic risk with gamma {gamma}: gamma * x overflows")
+        return a - shift.take(alg.atom_of, -1), shift
 
     def evaluate(x: RandomVar, alg: SubAlgebra) -> RandomVar:
         _require_finite(x, "entropic risk")
         _check_dims(x, alg, True)
         p = x.space.probs
-        a = -gamma * x.values
-        shift = alg.atom_max(a)
+        e, shift = exponents(x, alg)
         # the numerator and the denominator go through the same reduction,
         # so on a constant position they are equal and rho(const) is exact
-        mean = alg.atom_sum(p * np.exp(a - shift.take(alg.atom_of, -1))) / alg.atom_sum(p)
-        return RandomVar(alg.broadcast((shift + np.log(mean)) / gamma), x.space)
+        mass = alg.atom_sum(p)
+        mean = alg.atom_sum(p * np.exp(e)) / mass
+        log_mean = np.log(mean)
+        # a mean near 1 (small gamma) keeps its digits as 1 + mean(expm1)
+        near_one = mean > 1.0 - 2.0 ** -10
+        if near_one.any():
+            log_mean[near_one] = np.log1p(alg.atom_sum(p * np.expm1(e)) / mass)[near_one]
+        return RandomVar(alg.broadcast((shift + log_mean) / gamma), x.space)
 
     def conj(y: RandomVar, alg: SubAlgebra) -> RandomVar:
         feas = _feasible(y, alg)
@@ -157,9 +175,7 @@ def entropic(gamma: float) -> CondRiskMeasure:
         return RandomVar(alg.broadcast(np.where(feas, entropy, INF)), y.space)
 
     def density(x: RandomVar, alg: SubAlgebra) -> np.ndarray:
-        # shifted by each atom's largest exponent so nothing overflows
-        a = -gamma * x.values
-        e = np.exp(a - alg.atom_max(a)[alg.atom_of])
+        e = np.exp(exponents(x, alg)[0])
         return e / alg.atom_sum(_atom_weights(x.space, alg) * e)[alg.atom_of]
 
     return CondRiskMeasure(evaluate, conj, "entropic", density)
@@ -219,23 +235,6 @@ def custom(evaluate: Callable[[RandomVar, SubAlgebra], RandomVar]) -> CondRiskMe
         return RandomVar(np.reshape(rows, x.values.shape), x.space)
 
     return CondRiskMeasure(rowwise, None, "custom")
-
-
-def risk_from_spec(spec: Mapping) -> CondRiskMeasure:
-    """Build a risk measure from a scenario entry
-    {"measure": "entropic"|"worst_case"|"linear", "params": {...}}."""
-    measure = spec.get("measure")
-    params = spec.get("params", {})
-    if measure == "entropic":
-        reject_unknown(params, "gamma")
-        return entropic(spec_number(params, "gamma"))
-    if measure == "worst_case":
-        reject_unknown(params)
-        return worst_case()
-    if measure == "linear":
-        reject_unknown(params)
-        return linear()
-    raise ParameterError(f"unknown risk measure {measure!r}")
 
 
 def _validate_custom(rho: CondRiskMeasure, space: FiniteProbSpace, alg: SubAlgebra):

@@ -4,6 +4,11 @@ A scenario names its outcomes explicitly; algebras and positions reference
 outcome labels rather than indices so fixtures survive reordering.  The
 schema below is enforced on load by `_check_schema`, followed by semantic
 validation with path-and-field diagnostics.
+
+The names a `young` or `risk` entry may take live in one table per name
+space, `FAMILIES` and `MEASURES`: each name maps to the parameters it
+accepts and a builder.  The schema's enums are read from the tables, and
+`young_from_spec` and `risk_from_spec` build an entry through them.
 """
 
 from __future__ import annotations
@@ -16,10 +21,75 @@ import numpy as np
 
 from .errors import ParameterError, StructuralError
 from .prob_space import FiniteProbSpace, Filtration, RandomVar, SubAlgebra
-from .risk import CondRiskMeasure, risk_from_spec
-from .young import YoungFn, young_from_spec
+from .risk import CondRiskMeasure, entropic, linear, worst_case
+from .young import YoungFn, _as_number, make_exp, make_linf, make_piecewise, make_power
 
-__all__ = ["Scenario", "ScenarioValidationError", "SCENARIO_SCHEMA"]
+__all__ = [
+    "Scenario", "ScenarioValidationError", "SCENARIO_SCHEMA", "young_from_spec", "risk_from_spec",
+]
+
+
+def spec_number(params: Mapping, name: str, default: float | None = None) -> float:
+    """`params[name]` of a scenario entry as a float (`default` when absent and
+    given); a missing, non-numeric or non-finite value raises ParameterError
+    naming it."""
+    if name not in params:
+        if default is None:
+            raise ParameterError(f"missing parameter {name!r}")
+        return default
+    return _as_number(repr(name), params[name])
+
+
+def _spec_numbers(params: Mapping, name: str) -> list[float]:
+    """`params[name]` of a scenario entry as a list of floats; raises
+    ParameterError naming the parameter or item that is missing or not a
+    finite number."""
+    values = params.get(name)
+    if not isinstance(values, (list, tuple)):
+        raise ParameterError(f"parameter {name!r} must be a list of numbers, got {values!r}")
+    return [_as_number(f"'{name}[{i}]'", v) for i, v in enumerate(values)]
+
+
+# name -> (the parameters it accepts, a builder from the entry's params).
+# A builder names its factory when it runs, so a factory rebound on this
+# module after import (as a tracer does) is the one called.
+FAMILIES = {
+    "power": (("p",), lambda params: make_power(spec_number(params, "p"))),
+    "linf": ((), lambda params: make_linf()),
+    "exp": (("scale",), lambda params: make_exp(spec_number(params, "scale", 1.0))),
+    "piecewise": (("knots", "slopes"), lambda params: make_piecewise(
+        _spec_numbers(params, "knots"), _spec_numbers(params, "slopes"))),
+}
+MEASURES = {
+    "entropic": (("gamma",), lambda params: entropic(spec_number(params, "gamma"))),
+    "worst_case": ((), lambda params: worst_case()),
+    "linear": ((), lambda params: linear()),
+}
+
+
+def _from_spec(table: Mapping, kind: str, name, params: Mapping):
+    """Build `name` of `table` from a scenario entry's `params`; an unknown
+    name, or a parameter the name does not accept, raises ParameterError, so
+    a misspelt optional parameter does not silently fall back to its
+    default."""
+    if not isinstance(name, str) or name not in table:
+        raise ParameterError(f"unknown {kind} {name!r}")
+    accepted, build = table[name]
+    for key in params:
+        if key not in accepted:
+            raise ParameterError(f"unexpected parameter {key!r}")
+    return build(params)
+
+
+def young_from_spec(spec: Mapping) -> YoungFn:
+    """Build a Young function from a scenario entry {"family": ..., "params": {...}}."""
+    return _from_spec(FAMILIES, "Young family", spec.get("family"), spec.get("params", {}))
+
+
+def risk_from_spec(spec: Mapping) -> CondRiskMeasure:
+    """Build a risk measure from a scenario entry {"measure": ..., "params": {...}}."""
+    return _from_spec(MEASURES, "risk measure", spec.get("measure"), spec.get("params", {}))
+
 
 SCENARIO_SCHEMA = {
     "type": "object",
@@ -67,7 +137,7 @@ SCENARIO_SCHEMA = {
             "required": ["family"],
             "additionalProperties": False,
             "properties": {
-                "family": {"enum": ["power", "linf", "exp", "piecewise"]},
+                "family": {"enum": list(FAMILIES)},
                 "params": {"type": "object"},
             },
         },
@@ -76,7 +146,7 @@ SCENARIO_SCHEMA = {
             "required": ["measure"],
             "additionalProperties": False,
             "properties": {
-                "measure": {"enum": ["entropic", "worst_case", "linear"]},
+                "measure": {"enum": list(MEASURES)},
                 "params": {"type": "object"},
             },
         },

@@ -3,6 +3,9 @@
 A Young function is a convex nondecreasing map phi: [0, inf) -> [0, inf] with
 phi(0) = 0, finite near 0, and phi(t) -> inf.  +inf is a first-class value
 here.
+
+The module holds the mathematics only: the `scenario` module builds a Young
+function from a scenario entry, through its table of families.
 """
 
 from __future__ import annotations
@@ -23,7 +26,6 @@ __all__ = [
     "make_linf",
     "make_exp",
     "make_piecewise",
-    "young_from_spec",
     "conjugate",
     "conjugate_young_fn",
     "validate",
@@ -174,56 +176,6 @@ def _as_number(name: str, value) -> float:
     if not finite:
         raise ParameterError(f"parameter {name} must be a finite number, got {value!r}")
     return float(value)
-
-
-def spec_number(params: Mapping, name: str, default: float | None = None) -> float:
-    """`params[name]` of a scenario entry as a float (`default` when absent and
-    given); a missing, non-numeric or non-finite value raises ParameterError
-    naming it."""
-    if name not in params:
-        if default is None:
-            raise ParameterError(f"missing parameter {name!r}")
-        return default
-    return _as_number(repr(name), params[name])
-
-
-def reject_unknown(params: Mapping, *known: str) -> None:
-    """Raise ParameterError naming the first parameter of a scenario entry
-    that is not one of `known`, so a misspelt optional one does not silently
-    fall back to its default."""
-    for name in params:
-        if name not in known:
-            raise ParameterError(f"unexpected parameter {name!r}")
-
-
-def _spec_numbers(params: Mapping, name: str) -> list[float]:
-    """`params[name]` of a scenario entry as a list of floats; raises
-    ParameterError naming the parameter or item that is missing or not a
-    finite number."""
-    values = params.get(name)
-    if not isinstance(values, (list, tuple)):
-        raise ParameterError(f"parameter {name!r} must be a list of numbers, got {values!r}")
-    return [_as_number(f"'{name}[{i}]'", v) for i, v in enumerate(values)]
-
-
-def young_from_spec(spec: Mapping) -> YoungFn:
-    """Build a Young function from a scenario entry
-    {"family": "power"|"linf"|"exp"|"piecewise", "params": {...}}."""
-    family = spec.get("family")
-    params = spec.get("params", {})
-    if family == "power":
-        reject_unknown(params, "p")
-        return make_power(spec_number(params, "p"))
-    if family == "linf":
-        reject_unknown(params)
-        return make_linf()
-    if family == "exp":
-        reject_unknown(params, "scale")
-        return make_exp(spec_number(params, "scale", 1.0))
-    if family == "piecewise":
-        reject_unknown(params, "knots", "slopes")
-        return make_piecewise(_spec_numbers(params, "knots"), _spec_numbers(params, "slopes"))
-    raise ParameterError(f"unknown Young family {family!r}")
 
 
 def conjugate(phi: YoungFn, s: float, use_closed_form: bool = True) -> float:

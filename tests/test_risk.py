@@ -1,4 +1,5 @@
 import dataclasses
+import decimal
 import math
 import time
 from pathlib import Path
@@ -101,6 +102,44 @@ class TestEntropic:
         out = rho.evaluate(coin.var([-800.0, 0.0]), SubAlgebra.trivial(2))
         assert out.values[0] == pytest.approx(800.0 + math.log(0.5), rel=1e-12)
 
+    # (probabilities, atoms, position): a fair coin, rare losses and gains
+    # down to probability 1e-12, and two atoms of uneven mass
+    PRECISION_CASES = [
+        ([0.5, 0.5], [(0, 1)], [2.0, 3.0]),
+        ([1e-12, 1.0 - 1e-12], [(0, 1)], [-2.0, 3.0]),
+        ([1.0 - 1e-12, 1e-12], [(0, 1)], [-2.0, 3.0]),
+        ([0.25, 0.25, 0.5 - 1e-12, 1e-12], [(0, 1), (2, 3)], [1.5, -0.5, 4.0, -7.0]),
+    ]
+
+    @pytest.mark.parametrize("gamma", [1e-300, 1e-16, 1e-12, 1e-9, 1e-6, 1.0, 50.0])
+    @pytest.mark.parametrize("probs, atoms, x", PRECISION_CASES)
+    def test_value_matches_decimal_oracle(self, gamma, probs, atoms, x):
+        space = FiniteProbSpace(np.array(probs))
+        alg = SubAlgebra.from_atoms(atoms, len(probs))
+        out = entropic(gamma).evaluate(space.var(x), alg).values
+        with decimal.localcontext() as ctx:
+            ctx.prec = 400
+            g = decimal.Decimal(gamma)
+            for atom in atoms:
+                mass = sum(decimal.Decimal(probs[i]) for i in atom)
+                mean = sum(decimal.Decimal(probs[i]) * (-g * decimal.Decimal(x[i])).exp()
+                           for i in atom) / mass
+                exact = float(mean.ln() / g)
+                for i in atom:
+                    assert abs(out[i] - exact) <= 1e-13 * max(map(abs, x))
+
+    @pytest.mark.parametrize("x", [[2.0, 3.0], [-2.0, 3.0]])
+    def test_overflowing_gamma_raises(self, coin, x):
+        with pytest.raises(ContractError, match="gamma 1e\\+308.*overflows"):
+            entropic(1e308).evaluate(coin.var(x), SubAlgebra.trivial(2))
+
+    def test_huge_finite_gamma(self, coin):
+        trivial = SubAlgebra.trivial(2)
+        assert entropic(1e300).evaluate(coin.var([2.0, 3.0]), trivial).values[0] == -2.0
+        # gamma * 3 overflows, but the atom's largest exponent, 0, does not
+        out = entropic(1e308).evaluate(coin.var([0.0, 3.0]), trivial).values[0]
+        assert out == pytest.approx(-math.log(2.0) / 1e308, rel=1e-6)
+
     def test_rejects_nonpositive_gamma(self):
         with pytest.raises(ParameterError):
             entropic(0.0)
@@ -153,7 +192,7 @@ class TestRiskFromSpec:
         assert risk_from_spec({"measure": "linear"}).tag == "linear"
 
     def test_unknown(self):
-        with pytest.raises(ParameterError):
+        with pytest.raises(ParameterError, match="^unknown risk measure 'cvar'$"):
             risk_from_spec({"measure": "cvar"})
 
 

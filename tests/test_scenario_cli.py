@@ -12,8 +12,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from orlicz_risk import SCENARIO_SCHEMA, Scenario, ScenarioValidationError
+from orlicz_risk import (
+    SCENARIO_SCHEMA,
+    ParameterError,
+    Scenario,
+    ScenarioValidationError,
+    risk_from_spec,
+    young_from_spec,
+)
 import orlicz_risk.cli as cli_module
+import orlicz_risk.risk as risk_module
+import orlicz_risk.young as young_module
 from orlicz_risk.cli import main
 from orlicz_risk.report import atom_rows, new_table
 import orlicz_risk.scenario as scenario_module
@@ -187,6 +196,60 @@ class TestScenarioParsing:
         with pytest.raises(ScenarioValidationError) as err:
             Scenario.from_dict(data)
         assert "$.filtration" in str(err.value)
+
+
+class TestNameTables:
+    MINIMAL = {
+        "power": {"p": 2},
+        "linf": {},
+        "exp": {},
+        "piecewise": {"knots": [], "slopes": [1.0]},
+        "entropic": {"gamma": 1.0},
+        "worst_case": {},
+        "linear": {},
+    }
+
+    def test_schema_enums_follow_the_tables(self):
+        young, risk = (SCENARIO_SCHEMA["properties"][key]["properties"] for key in ("young", "risk"))
+        assert young["family"]["enum"] == list(scenario_module.FAMILIES)
+        assert risk["measure"]["enum"] == list(scenario_module.MEASURES)
+        assert list(scenario_module.FAMILIES) == ["power", "linf", "exp", "piecewise"]
+        assert list(scenario_module.MEASURES) == ["entropic", "worst_case", "linear"]
+
+    def test_every_name_builds_from_its_minimal_spec(self):
+        assert self.MINIMAL.keys() == scenario_module.FAMILIES.keys() | scenario_module.MEASURES.keys()
+        for family in scenario_module.FAMILIES:
+            phi = young_from_spec({"family": family, "params": self.MINIMAL[family]})
+            assert phi.family_tag == family
+        for measure in scenario_module.MEASURES:
+            rho = risk_from_spec({"measure": measure, "params": self.MINIMAL[measure]})
+            assert rho.tag == measure
+
+    def test_refusals(self):
+        with pytest.raises(ParameterError, match="^unexpected parameter 'scal'$"):
+            young_from_spec({"family": "exp", "params": {"scal": 2.0}})
+        with pytest.raises(ParameterError, match="^unknown Young family \\['power'\\]$"):
+            young_from_spec({"family": ["power"]})
+
+    def test_load_calls_factories_rebound_after_import(self, monkeypatch):
+        """A profiler rebinds a factory on every package module that holds
+        it; loading a scenario must call the rebound one."""
+        calls = []
+        for factory in (young_module.make_power, risk_module.entropic):
+            def counting(*args, _factory=factory, **kwargs):
+                calls.append(_factory.__name__)
+                return _factory(*args, **kwargs)
+
+            for name, module in list(sys.modules.items()):
+                if name == "orlicz_risk" or name.startswith("orlicz_risk."):
+                    for attr, value in list(vars(module).items()):
+                        if value is factory:
+                            monkeypatch.setattr(module, attr, counting)
+        Scenario.from_file(SCENARIOS / "power2.json")
+        assert calls == ["make_power"]
+        calls.clear()
+        Scenario.from_file(SCENARIOS / "entropic4.json")
+        assert calls == ["make_power", "entropic"]
 
 
 # Values of every JSON type, some of them valid in one place of the schema.

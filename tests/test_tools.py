@@ -1,0 +1,57 @@
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+@pytest.fixture(scope="module")
+def code_lines():
+    spec = importlib.util.spec_from_file_location("code_lines", ROOT / "tools" / "code_lines.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _write(path: Path, text: str) -> None:
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(text)
+
+
+class TestCodeLines:
+    def test_docstrings_comments_and_blanks_count_zero(self, code_lines, tmp_path):
+        path = tmp_path / "empty.py"
+        _write(path, '"""Module\n\ndocstring."""\n\n# a comment\n\n\n    # indented comment\n')
+        assert code_lines.code_lines(path) == 0
+
+    def test_function_docstring_and_code(self, code_lines, tmp_path):
+        path = tmp_path / "f.py"
+        _write(path, 'def f(x):\n    """Doc."""\n    # note\n    return (x +\n            1)\n')
+        assert code_lines.code_lines(path) == 3
+
+    def test_two_trees(self, code_lines, tmp_path, capsys):
+        old, new = tmp_path / "old", tmp_path / "new"
+        _write(old / "a.py", "x = 1\ny = 2\n")
+        _write(old / "gone.py", "z = 3\n")
+        _write(new / "a.py", "x = 1\n")
+        _write(new / "pkg" / "b.py", '"""Doc."""\nu = 1\nv = 2\nw = 3\n')
+        assert code_lines.main([str(old), str(new)]) == 0
+        rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+        assert rows == [
+            ["old", "new", "diff", "file"],
+            ["2", "1", "-1", "a.py"],
+            ["1", "0", "-1", "gone.py"],
+            ["0", "3", "+3", "pkg/b.py"],
+            ["3", "4", "+1", "total"],
+        ]
+
+    def test_one_tree(self, code_lines, tmp_path, capsys):
+        _write(tmp_path / "a.py", "x = 1\ny = 2\n")
+        assert code_lines.main([str(tmp_path)]) == 0
+        assert capsys.readouterr().out.split() == ["2", str(tmp_path / "a.py"), "2", "total"]
+
+    def test_bad_arguments(self, code_lines, tmp_path, capsys):
+        assert code_lines.main([]) == 2
+        assert code_lines.main([str(tmp_path), str(tmp_path / "missing")]) == 2
+        assert "usage" in capsys.readouterr().err

@@ -149,7 +149,7 @@ class TestFromSpec:
         assert phi.eval(probe) == pytest.approx(expected)
 
     def test_unknown_family(self):
-        with pytest.raises(ParameterError):
+        with pytest.raises(ParameterError, match="^unknown Young family 'cosh'$"):
             young_from_spec({"family": "cosh"})
 
 

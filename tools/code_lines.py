@@ -6,6 +6,11 @@ or function).  Blank lines, comment lines and docstrings do not count.
 
     python tools/code_lines.py src/orlicz_risk      # per file, then the total
     python tools/code_lines.py path/to/module.py
+    python tools/code_lines.py OLD_DIR NEW_DIR      # both sides, per file and total
+
+Given two directories, each `.py` file under either is listed by its path
+relative to its directory, with its count on both sides and the difference
+(new minus old); a file missing on one side counts 0 there.
 """
 
 from __future__ import annotations
@@ -42,9 +47,29 @@ def code_lines(path: Path) -> int:
     return len(lines - _docstring_lines(ast.parse(path.read_bytes())))
 
 
+def _counts(root: Path) -> dict[str, int]:
+    """Code lines per `.py` file under `root`, keyed by relative path."""
+    return {path.relative_to(root).as_posix(): code_lines(path) for path in root.rglob("*.py")}
+
+
+def compare(old: Path, new: Path) -> None:
+    """Print each file's count under `old` and `new`, the difference, then the totals."""
+    before, after = _counts(old), _counts(new)
+    print(f"{'old':>6}  {'new':>6}  {'diff':>6}  file")
+    for name in sorted(before.keys() | after.keys()):
+        a, b = before.get(name, 0), after.get(name, 0)
+        print(f"{a:6d}  {b:6d}  {b - a:+6d}  {name}")
+    a, b = sum(before.values()), sum(after.values())
+    print(f"{a:6d}  {b:6d}  {b - a:+6d}  total")
+
+
 def main(argv: list[str]) -> int:
+    if len(argv) == 2 and all(Path(arg).is_dir() for arg in argv):
+        compare(Path(argv[0]), Path(argv[1]))
+        return 0
     if len(argv) != 1:
-        print("usage: python tools/code_lines.py <directory or .py file>", file=sys.stderr)
+        print("usage: python tools/code_lines.py <directory or .py file> | OLD_DIR NEW_DIR",
+              file=sys.stderr)
         return 2
     root = Path(argv[0])
     files = sorted(root.rglob("*.py")) if root.is_dir() else [root]
