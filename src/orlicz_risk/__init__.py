@@ -5,6 +5,7 @@ checked as tolerance-tested identities."""
 from .errors import (
     OrliczRiskError,
     StructuralError,
+    PartitionError,
     ParameterError,
     ContractError,
     BracketError,

@@ -27,7 +27,7 @@ from .orlicz import amemiya_norm, luxemburg_norm
 from .report import add_rows, atom_rows, new_table, write_atoms_csv, write_report_json
 from .risk import DynamicRiskMeasure, dynamic_evaluate, robust_representation
 from .scenario import Scenario
-from .verification import verify_scenario
+from .verification import TOL_GAP, TOL_NORM, verify_scenario
 
 __all__ = ["main"]
 
@@ -159,9 +159,9 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=_nonnegative(int, "an integer"), default=0,
                         help="seed for the randomized property sweeps of verify; "
                              "the other commands draw none")
-    parser.add_argument("--tol-gap", type=tolerance, default=1e-6,
+    parser.add_argument("--tol-gap", type=tolerance, default=TOL_GAP,
                         help="duality-gap and scalarization tolerance")
-    parser.add_argument("--tol-norm", type=tolerance, default=1e-8,
+    parser.add_argument("--tol-norm", type=tolerance, default=TOL_NORM,
                         help="norm inequality tolerance")
     return parser
 

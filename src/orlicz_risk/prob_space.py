@@ -16,11 +16,12 @@ expectation and essential sup/inf map a stack row by row; `concatenate` and
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import ContractError, ParameterError, StructuralError
+from .errors import ContractError, ParameterError, PartitionError, StructuralError
 
 __all__ = [
     "FiniteProbSpace",
@@ -41,7 +42,10 @@ _PROB_SUM_TOL = 1e-12
 class FiniteProbSpace:
     """Outcome probabilities of a finite sample space; the ambient algebra is
     the full power set.  Two spaces are equal only when they are the same
-    object; operations that mix variables accept equal probabilities."""
+    object; operations that mix variables accept equal probabilities.
+
+    Every probability must be finite and > 0, and they must sum to 1 within
+    1e-12; a refusal names the first bad probability, or the sum."""
 
     probs: np.ndarray
 
@@ -49,12 +53,14 @@ class FiniteProbSpace:
         probs = np.asarray(self.probs, dtype=float)
         if probs.ndim != 1 or probs.size == 0:
             raise StructuralError("probabilities must form a nonempty vector")
-        if not np.all(probs > 0.0):
-            raise StructuralError("every outcome probability must be strictly positive")
-        if abs(float(probs.sum()) - 1.0) > _PROB_SUM_TOL:
+        bad = np.flatnonzero(~((probs > 0.0) & (probs < np.inf)))
+        if bad.size:
+            k = int(bad[0])
             raise StructuralError(
-                f"probabilities must sum to 1 within {_PROB_SUM_TOL}, got {float(probs.sum())}"
-            )
+                f"probability must be finite and > 0, got {float(probs[k])}", "probs", (k,))
+        total = float(probs.sum())
+        if abs(total - 1.0) > _PROB_SUM_TOL:
+            raise StructuralError(f"probabilities must sum to 1, got {total}")
         probs.setflags(write=False)
         object.__setattr__(self, "probs", probs)
 
@@ -79,7 +85,9 @@ class FiniteProbSpace:
 @dataclass(frozen=True)
 class SubAlgebra:
     """A sub-sigma-algebra given by its atoms: disjoint nonempty index sets
-    covering all outcomes.
+    covering all outcomes.  Atoms that are not such a partition raise
+    PartitionError at the first empty atom or offending entry, or naming the
+    outcomes no atom covers.
 
     `atom_of[i]` is the atom containing outcome i.  Every per-atom
     computation runs over one segment layout built here: `order` lists the
@@ -92,21 +100,23 @@ class SubAlgebra:
     n_outcomes: int
 
     def __post_init__(self):
-        atoms = tuple(tuple(map(int, atom)) for atom in self.atoms)
-        if not all(atoms):
-            raise StructuralError("atoms must be nonempty")
-        flat = [i for atom in atoms for i in atom]
-        seen = set(flat)
-        if len(seen) != len(flat):
-            raise StructuralError("atoms must be pairwise disjoint and repeat no outcome")
-        if seen != set(range(self.n_outcomes)):
-            raise StructuralError("atoms must cover exactly the outcome indices 0..n-1")
-        object.__setattr__(self, "atoms", atoms)
-        sizes = np.array([len(atom) for atom in atoms], dtype=int)
-        atom_of = np.empty(self.n_outcomes, dtype=int)
-        atom_of[flat] = np.repeat(np.arange(len(atoms)), sizes)
+        n = self.n_outcomes
+        atoms = tuple(self.atoms)
+        sizes = np.fromiter(map(len, atoms), int, len(atoms))
+        flat = np.fromiter(chain.from_iterable(atoms), np.int64, int(sizes.sum()))
+        # n entries in range leave no outcome unset only if none repeats; as
+        # unsigned, a negative entry is out of range too
+        atom_of = np.full(n, -1)
+        if flat.size == n and (flat.view(np.uint64) < n).all():
+            atom_of[flat] = np.repeat(np.arange(sizes.size), sizes)
+        if flat.size != n or atom_of.min(initial=0) < 0 or not sizes.all():
+            raise _partition_fault(atoms, n)
+        ends = np.cumsum(sizes)
+        starts = ends - sizes
+        outcomes = flat.tolist()
+        object.__setattr__(self, "atoms", tuple(
+            tuple(outcomes[a:b]) for a, b in zip(starts.tolist(), ends.tolist())))
         order = np.argsort(atom_of, kind="stable")
-        starts = np.cumsum(sizes) - sizes
         for name, array in (("atom_of", atom_of), ("order", order),
                             ("starts", starts), ("first", order[starts])):
             array.setflags(write=False)
@@ -118,7 +128,7 @@ class SubAlgebra:
 
     @classmethod
     def from_atoms(cls, atoms: Sequence[Sequence[int]], n_outcomes: int) -> "SubAlgebra":
-        return cls(tuple(tuple(a) for a in atoms), n_outcomes)
+        return cls(atoms, n_outcomes)
 
     @classmethod
     def trivial(cls, n_outcomes: int) -> "SubAlgebra":
@@ -156,11 +166,32 @@ class SubAlgebra:
         return atom_values.take(self.atom_of, -1)
 
 
+def _partition_fault(atoms, n: int) -> PartitionError:
+    """The refusal of atoms that do not partition 0..n-1: the first empty
+    atom, or entry out of range or repeating an earlier one, else the
+    outcomes no atom holds."""
+    held_by = {}
+    for j, atom in enumerate(atoms):
+        if not atom:
+            return PartitionError("atom is empty", (j,))
+        for i, outcome in enumerate(map(int, atom)):
+            if not 0 <= outcome < n:
+                return PartitionError(f"outcome {outcome} is out of range 0..{n - 1}", (j, i))
+            if outcome in held_by:
+                where = (f"is repeated within atom {j}" if held_by[outcome] == j
+                         else "appears in more than one atom")
+                return PartitionError(f"outcome {outcome} {where}", (j, i), held_by[outcome])
+            held_by[outcome] = j
+    uncovered = tuple(sorted(set(range(n)) - held_by.keys()))
+    return PartitionError(f"atoms do not cover outcomes {list(uncovered)}", uncovered=uncovered)
+
+
 @dataclass(frozen=True, eq=False)
 class RandomVar:
     """A real vector indexed by outcomes, or a stack of them, one per row.
     Values may be +/-inf where an operation's contract permits it; NaN
-    never.  Equality is identity, as for the space."""
+    never: a NaN raises StructuralError naming its index.  Equality is
+    identity, as for the space."""
 
     values: np.ndarray
     space: FiniteProbSpace
@@ -172,7 +203,8 @@ class RandomVar:
                 f"values have shape {values.shape}, space has {self.space.n_outcomes} outcomes"
             )
         if np.isnan(values).any():
-            raise StructuralError("NaN is not a permitted value")
+            at = tuple(map(int, np.argwhere(np.isnan(values))[0]))
+            raise StructuralError("NaN is not a permitted value", "values", at)
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
 

@@ -77,6 +77,10 @@ INF = math.inf
 # feasibility tolerances for dual densities: y <= 0 and E[y|F] = -1 per atom
 _FEAS_SIGN_TOL = 1e-12
 _FEAS_MEAN_TOL = 1e-10
+# the largest deviation the locality, extension and axiom probes pass, and
+# the slack of the penalty bound; `verify` reports them as its rows' allowed
+PROBE_TOL = 1e-9
+PENALTY_BOUND_TOL = 1e-8
 
 
 @dataclass(frozen=True, eq=False)
@@ -120,15 +124,17 @@ def _xlogx(q: np.ndarray) -> np.ndarray:
 
 def dual_feasible_atoms(y: RandomVar, alg: SubAlgebra) -> list[bool]:
     """Per atom: y <= 0 within 1e-12 and E[y | atom] = -1 within 1e-10."""
-    return _feasible(y, alg).tolist()
+    return _feasible(y, alg)[0].tolist()
 
 
-def _feasible(y: RandomVar, alg: SubAlgebra) -> np.ndarray:
-    """`dual_feasible_atoms` as a bool array."""
+def _feasible(y: RandomVar, alg: SubAlgebra) -> tuple[np.ndarray, np.ndarray]:
+    """`dual_feasible_atoms` as a bool array, with the within-atom weights
+    (`_atom_weights`) it used."""
     _check_dims(y, alg)
+    weights = _atom_weights(y.space, alg)
     sign_ok = alg.atom_max(y.values) <= _FEAS_SIGN_TOL
-    mean = alg.atom_sum(_atom_weights(y.space, alg) * y.values)
-    return sign_ok & (np.abs(mean + 1.0) <= _FEAS_MEAN_TOL)
+    mean = alg.atom_sum(weights * y.values)
+    return sign_ok & (np.abs(mean + 1.0) <= _FEAS_MEAN_TOL), weights
 
 
 def entropic(gamma: float) -> CondRiskMeasure:
@@ -168,10 +174,10 @@ def entropic(gamma: float) -> CondRiskMeasure:
         return RandomVar(alg.broadcast((shift + log_mean) / gamma), x.space)
 
     def conj(y: RandomVar, alg: SubAlgebra) -> RandomVar:
-        feas = _feasible(y, alg)
+        feas, weights = _feasible(y, alg)
         # infeasible atoms may hold +-inf; only feasible ones enter the sum
         q = np.where(feas[alg.atom_of], np.maximum(-y.values, 0.0), 0.0)
-        entropy = alg.atom_sum(_atom_weights(y.space, alg) * _xlogx(q)) / gamma
+        entropy = alg.atom_sum(weights * _xlogx(q)) / gamma
         return RandomVar(alg.broadcast(np.where(feas, entropy, INF)), y.space)
 
     def density(x: RandomVar, alg: SubAlgebra) -> np.ndarray:
@@ -192,7 +198,7 @@ def worst_case() -> CondRiskMeasure:
         return ess_sup_cond(-x, alg)
 
     def conj(y: RandomVar, alg: SubAlgebra) -> RandomVar:
-        return RandomVar(alg.broadcast(np.where(_feasible(y, alg), 0.0, INF)), y.space)
+        return RandomVar(alg.broadcast(np.where(_feasible(y, alg)[0], 0.0, INF)), y.space)
 
     def density(x: RandomVar, alg: SubAlgebra) -> np.ndarray:
         n = x.space.n_outcomes
@@ -497,9 +503,9 @@ def locality_check(f: Callable[[RandomVar], RandomVar], space: FiniteProbSpace,
             dev = float(np.abs(((f(x * ind) * ind) - (fx * ind)).values).max())
             if dev > max_dev:
                 max_dev = dev
-                if dev > 1e-9 and witness is None:
+                if dev > PROBE_TOL and witness is None:
                     witness = (atom, x.values.copy())
-    return LocalityReport(max_dev <= 1e-9, max_dev, witness)
+    return LocalityReport(max_dev <= PROBE_TOL, max_dev, witness)
 
 
 class ExtensionReport(NamedTuple):
@@ -526,7 +532,7 @@ def extension_check(rho: CondRiskMeasure, space: FiniteProbSpace, alg: SubAlgebr
     stack = np.concatenate([glue(pieces)[:, None], pieces], axis=1)
     r = _evaluate_stack(rho, stack, space, alg)
     max_dev = float(np.max(np.abs(r[:, 0] - glue(r[:, 1:])), initial=0.0))
-    return ExtensionReport(max_dev <= 1e-9, max_dev)
+    return ExtensionReport(max_dev <= PROBE_TOL, max_dev)
 
 
 class PenaltyBoundAtom(NamedTuple):
@@ -558,7 +564,7 @@ def penalty_bound_check(rho: CondRiskMeasure, x: RandomVar, y: RandomVar,
     first = alg.first
     hyp = exy[first] - pen[first] >= -beta - 1e-12
     rhs = 2.0 * beta + 2.0 * bound_term[first]
-    ok = ~hyp | (pen[first] <= rhs + 1e-8)
+    ok = ~hyp | (pen[first] <= rhs + PENALTY_BOUND_TOL)
     rows = tuple(
         PenaltyBoundAtom(k, *row)
         for k, row in enumerate(zip(hyp.tolist(), pen[first].tolist(), rhs.tolist(), ok.tolist()))
@@ -639,6 +645,6 @@ def check_axioms(rho: CondRiskMeasure, space: FiniteProbSpace, alg: SubAlgebra,
     deviations = (rxd - rx, np.abs(rxm - (rx - m)), mix - (lam * rx + (1.0 - lam) * ry))
     # monotonicity, cash invariance, convexity
     worst = np.array([np.max(dev, initial=0.0) for dev in deviations])
-    mono_ok, cash_ok, convex_ok = (worst <= 1e-9).tolist()
+    mono_ok, cash_ok, convex_ok = (worst <= PROBE_TOL).tolist()
     return AxiomReport(mono_ok, cash_ok, convex_ok, float(worst.max()),
                        mono_ok and cash_ok and convex_ok)

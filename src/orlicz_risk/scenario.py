@@ -2,8 +2,10 @@
 
 A scenario names its outcomes explicitly; algebras and positions reference
 outcome labels rather than indices so fixtures survive reordering.  The
-schema below is enforced on load by `_check_schema`, followed by semantic
-validation with path-and-field diagnostics.
+schema below is enforced on load by `_check_schema`.  The semantic rules
+of the built objects are decided by their constructors in `prob_space`,
+which locate each fault by index; the loader maps labels to indices and
+words a refusal as a `$`-path in labels.
 
 The names a `young` or `risk` entry may take live in one table per name
 space, `FAMILIES` and `MEASURES`: each name maps to the parameters it
@@ -19,7 +21,7 @@ from typing import Mapping, NamedTuple
 
 import numpy as np
 
-from .errors import ParameterError, StructuralError
+from .errors import ParameterError, PartitionError, StructuralError
 from .prob_space import FiniteProbSpace, Filtration, RandomVar, SubAlgebra
 from .risk import CondRiskMeasure, entropic, linear, worst_case
 from .young import YoungFn, _as_number, make_exp, make_linf, make_piecewise, make_power
@@ -273,27 +275,20 @@ class Scenario(NamedTuple):
         if len(index_of) != len(labels):
             raise ScenarioValidationError("$.outcomes", "outcome labels must be unique")
 
-        probs = np.array([o["prob"] for o in outcomes], dtype=float)
-        bad = np.flatnonzero(~((probs > 0.0) & (probs < np.inf)))
-        if bad.size:
-            raise ScenarioValidationError(
-                f"$.outcomes[{bad[0]}].prob",
-                f"probability must be finite and > 0, got {float(probs[bad[0]])}",
-            )
-        total = float(probs.sum())
-        if abs(total - 1.0) > 1e-12:
-            raise ScenarioValidationError("$.outcomes", f"probabilities must sum to 1, got {total}")
-        space = FiniteProbSpace(probs)
+        try:
+            space = FiniteProbSpace(np.array([o["prob"] for o in outcomes], dtype=float))
+        except StructuralError as exc:
+            path = f"$.outcomes[{exc.at[0]}].prob" if exc.at else "$.outcomes"
+            raise ScenarioValidationError(path, exc.reason) from None
 
-        n = len(labels)
         algebras: dict[str, SubAlgebra] = {}
         for alg_name, atoms in data["algebras"].items():
-            # an unknown label becomes -1, which no partition of 0..n-1 covers
+            # an unknown label becomes -1, which is out of range of 0..n-1
             index_atoms = [[index_of.get(lab, -1) for lab in atom] for atom in atoms]
             try:
-                algebras[alg_name] = SubAlgebra.from_atoms(index_atoms, n)
-            except StructuralError:
-                raise _partition_error(f"$.algebras.{alg_name}", atoms, index_of) from None
+                algebras[alg_name] = SubAlgebra.from_atoms(index_atoms, len(labels))
+            except PartitionError as exc:
+                raise _labelled(exc, f"$.algebras.{alg_name}", atoms, labels) from None
 
         filtration_names = None
         if "filtration" in data:
@@ -318,11 +313,11 @@ class Scenario(NamedTuple):
                     f"values must cover every outcome exactly (missing {missing}, unknown {extra})",
                 )
             values = np.array(list(map(mapping.__getitem__, labels)), dtype=float)
-            nan = np.flatnonzero(np.isnan(values))
-            if nan.size:
+            try:
+                positions[pos_name] = RandomVar(values, space)
+            except StructuralError as exc:
                 raise ScenarioValidationError(
-                    f"$.positions.{pos_name}.{labels[nan[0]]}", "NaN is not a permitted value")
-            positions[pos_name] = RandomVar(values, space)
+                    f"$.positions.{pos_name}.{labels[exc.at[0]]}", exc.reason) from None
 
         try:
             young = young_from_spec(data["young"])
@@ -355,19 +350,16 @@ def _reject_duplicates(pairs):
     return obj
 
 
-def _partition_error(path: str, atoms, index_of: Mapping) -> ScenarioValidationError:
-    """The diagnostic for atoms, lists of labels, that do not partition the
-    labels of `index_of`: the first unknown or repeated label, else the
-    labels no atom covers."""
-    seen: set[str] = set()
-    for j, atom in enumerate(atoms):
-        for i, lab in enumerate(atom):
-            if lab not in index_of:
-                return ScenarioValidationError(f"{path}[{j}]", f"unknown outcome label {lab!r}")
-            if lab in seen:
-                twice = f"is repeated within atom {j}" if lab in atom[:i] else (
-                    "appears in more than one atom")
-                return ScenarioValidationError(f"{path}[{j}]", f"label {lab!r} {twice}")
-            seen.add(lab)
-    return ScenarioValidationError(
-        path, f"atoms do not cover outcomes {sorted(set(index_of) - seen)}")
+def _labelled(exc: PartitionError, path: str, atoms, labels) -> ScenarioValidationError:
+    """`exc`, refusing atoms given as lists of labels, worded in labels: an
+    unknown label (the only entry out of range) or a repeated one, at its
+    atom, else the labels no atom covers."""
+    if not exc.at:
+        return ScenarioValidationError(
+            path, f"atoms do not cover outcomes {sorted(labels[k] for k in exc.uncovered)}")
+    j, i = exc.at
+    label = atoms[j][i]
+    if exc.held_by is None:
+        return ScenarioValidationError(f"{path}[{j}]", f"unknown outcome label {label!r}")
+    twice = f"is repeated within atom {j}" if exc.held_by == j else "appears in more than one atom"
+    return ScenarioValidationError(f"{path}[{j}]", f"label {label!r} {twice}")

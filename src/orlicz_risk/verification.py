@@ -15,6 +15,8 @@ import numpy as np
 from .prob_space import RandomVar, SubAlgebra, _atom_weights, _rng
 from .orlicz import amemiya_norm, luxemburg_norm, pairing, pairing_operator_norm
 from .risk import (
+    PENALTY_BOUND_TOL,
+    PROBE_TOL,
     attainment_check,
     lebesgue_check,
     locality_check,
@@ -26,7 +28,12 @@ from .risk import (
 from .report import add_rows, atom_rows, new_table
 from .scenario import Scenario
 
-__all__ = ["verify_scenario"]
+__all__ = ["verify_scenario", "TOL_GAP", "TOL_NORM"]
+
+# default tolerances of the duality-gap and scalarization rows, and of the
+# norm inequality rows
+TOL_GAP = 1e-6
+TOL_NORM = 1e-8
 
 
 def _row(table, check, algebra, atom, position, quantity, value, allowed, passed):
@@ -116,13 +123,13 @@ def _scalarization_rows(sc: Scenario, alg_name: str, alg, rng, tol_gap, table):
 
 def _locality_rows(sc: Scenario, alg_name: str, alg, seed, table):
     rep = locality_check(lambda v: sc.risk.evaluate(v, alg), sc.space, alg, trials=3, seed=seed)
-    _row(table, "locality", alg_name, -1, "", "max_deviation", rep.max_deviation, 1e-9,
+    _row(table, "locality", alg_name, -1, "", "max_deviation", rep.max_deviation, PROBE_TOL,
          rep.passed)
 
 
 def _extension_rows(sc: Scenario, alg_name: str, alg, seed, table):
     rep = extension_check(sc.risk, sc.space, alg, alg, trials=3, seed=seed)
-    _row(table, "extension", alg_name, -1, "", "max_deviation", rep.max_deviation, 1e-9,
+    _row(table, "extension", alg_name, -1, "", "max_deviation", rep.max_deviation, PROBE_TOL,
          rep.passed)
 
 
@@ -140,7 +147,7 @@ def _penalty_bound_rows(sc: Scenario, alg_name: str, alg, rng, table):
             _row(table, "penalty_bound", alg_name, atom_row.atom, name,
                  "penalty_minus_bound" if atom_row.hypothesis_holds else "hypothesis_skipped",
                  atom_row.penalty - atom_row.bound if atom_row.hypothesis_holds else 0.0,
-                 1e-8, atom_row.ok)
+                 PENALTY_BOUND_TOL, atom_row.ok)
 
 
 def _lebesgue_rows(sc: Scenario, alg_name: str, alg, seed, tol_gap, table):
@@ -159,8 +166,8 @@ def _attainment_rows(sc: Scenario, alg_name: str, alg, rng, tol_gap, table):
              rep.max_equality_gap, tol_gap, rep.passed)
 
 
-def verify_scenario(sc: Scenario, seed: int = 0, tol_gap: float = 1e-6,
-                    tol_norm: float = 1e-8) -> tuple[dict, bool]:
+def verify_scenario(sc: Scenario, seed: int = 0, tol_gap: float = TOL_GAP,
+                    tol_norm: float = TOL_NORM) -> tuple[dict, bool]:
     """Run the full invariant suite on a scenario; returns the per-atom table
     (`report.new_table`) and an overall pass flag."""
     table = new_table()

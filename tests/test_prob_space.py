@@ -6,6 +6,7 @@ from orlicz_risk import (
     ContractError,
     FiniteProbSpace,
     Filtration,
+    PartitionError,
     RandomVar,
     StructuralError,
     SubAlgebra,
@@ -68,6 +69,77 @@ class TestConstruction:
         Filtration((coarse, fine))
         with pytest.raises(StructuralError):
             Filtration((fine, coarse))
+
+
+
+def _first_fault(atoms, n):
+    """Brute force: ((atom, entry), held_by) of the first entry out of range
+    or repeating an earlier one, else ((), None)."""
+    holder = {}
+    for j, atom in enumerate(atoms):
+        for i, outcome in enumerate(atom):
+            if not 0 <= outcome < n:
+                return (j, i), None
+            if outcome in holder:
+                return (j, i), holder[outcome]
+            holder[outcome] = j
+    return (), None
+
+
+class TestRefusalsLocateTheFault:
+    @pytest.mark.parametrize("probs, at, message", [
+        ([0.5, 0.0, 0.5], (1,), "probs[1]: probability must be finite and > 0, got 0.0"),
+        ([0.5, 0.5, np.nan], (2,), "probs[2]: probability must be finite and > 0, got nan"),
+        ([np.inf, -1.0], (0,), "probs[0]: probability must be finite and > 0, got inf"),
+        ([0.5, 0.4], (), "probabilities must sum to 1, got 0.9"),
+    ])
+    def test_probabilities(self, probs, at, message):
+        with pytest.raises(StructuralError) as err:
+            FiniteProbSpace(np.array(probs))
+        assert (err.value.at, str(err.value)) == (at, message)
+
+    @pytest.mark.parametrize("values, at", [
+        ([1.0, 2.0, np.nan, np.nan], (2,)),
+        ([[1.0, 2.0, 3.0, 4.0], [0.0, np.nan, 0.0, np.nan]], (1, 1)),
+    ])
+    def test_nan_position(self, quarter_space, values, at):
+        with pytest.raises(StructuralError) as err:
+            RandomVar(np.array(values), quarter_space)
+        assert err.value.at == at and err.value.reason == "NaN is not a permitted value"
+        assert str(err.value) == f"values{''.join(f'[{i}]' for i in at)}: {err.value.reason}"
+
+    @pytest.mark.parametrize("atoms, message, held_by, uncovered", [
+        ([(0, 1), (2, 5)], "atoms[1][1]: outcome 5 is out of range 0..3", None, ()),
+        ([(0, -1), (2, 3)], "atoms[0][1]: outcome -1 is out of range 0..3", None, ()),
+        ([(0, 1), (2, 2, 3)], "atoms[1][1]: outcome 2 is repeated within atom 1", 1, ()),
+        ([(0, 1), (3, 1), (2,)], "atoms[1][1]: outcome 1 appears in more than one atom", 0, ()),
+        ([(3,), (0,)], "atoms do not cover outcomes [1, 2]", None, (1, 2)),
+    ])
+    def test_partition(self, atoms, message, held_by, uncovered):
+        with pytest.raises(PartitionError) as err:
+            SubAlgebra.from_atoms(atoms, 4)
+        assert str(err.value) == message
+        assert (err.value.held_by, err.value.uncovered) == (held_by, uncovered)
+
+    def test_empty_atom(self):
+        with pytest.raises(StructuralError, match=r"^atoms\[1\]: atom is empty$"):
+            SubAlgebra.from_atoms([(0, 1), (), (2,)], 3)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 6).flatmap(lambda n: st.tuples(st.just(n), st.lists(
+        st.lists(st.integers(-1, n), min_size=1, max_size=4), min_size=1, max_size=4))))
+    def test_partition_fault_is_the_first_in_order(self, case):
+        n, atoms = case
+        at, held_by = _first_fault(atoms, n)
+        flat = [i for atom in atoms for i in atom]
+        if not at and sorted(flat) == list(range(n)):
+            assert SubAlgebra.from_atoms(atoms, n).atoms == tuple(map(tuple, atoms))
+            return
+        with pytest.raises(PartitionError) as err:
+            SubAlgebra.from_atoms(atoms, n)
+        assert (err.value.at, err.value.held_by) == (at, held_by)
+        if not at:
+            assert err.value.uncovered == tuple(sorted(set(range(n)) - set(flat)))
 
 
 class TestCondExpectation:

@@ -27,6 +27,7 @@ from orlicz_risk.cli import main
 from orlicz_risk.report import atom_rows, new_table
 import orlicz_risk.scenario as scenario_module
 from orlicz_risk.scenario import _all_conform, _check_schema
+from tests.loader_oracle import reference_refusal
 
 ROOT = Path(__file__).resolve().parents[1]
 SCENARIOS = ROOT / "scenarios"
@@ -391,6 +392,80 @@ class TestSchemaChecker:
             capture_output=True, text=True, check=True,
         )
         assert out.stdout.strip() == "[False, False, False]"
+
+
+
+FAULTS = ("unknown_label", "repeated_within", "repeated_across", "uncovered", "zero_prob",
+          "negative_prob", "inf_prob", "nan_prob", "sum_0.9", "nan_position")
+
+
+@st.composite
+def faulty_scenarios(draw):
+    """A scenario of random labels, partitions, probabilities and positions,
+    with one fault of `FAULTS` planted, and the fault's name."""
+    labels = draw(st.lists(st.text("abcdefgh", min_size=1, max_size=2), min_size=2,
+                           max_size=7, unique=True))
+    weights = np.array(draw(st.lists(st.floats(0.1, 10.0), min_size=len(labels),
+                                     max_size=len(labels))))
+    probs = (weights / weights.sum()).tolist()
+    algebras = {}
+    for name in draw(st.lists(st.sampled_from(["F", "G", "H"]), min_size=1, max_size=2,
+                              unique=True)):
+        order = draw(st.permutations(labels))
+        cuts = sorted(draw(st.sets(st.integers(1, len(labels) - 1), max_size=3)))
+        algebras[name] = [list(order[a:b]) for a, b in zip([0, *cuts], [*cuts, len(labels)])]
+    positions = {"x": {lab: draw(st.floats(-5.0, 5.0)) for lab in labels}}
+    fault = draw(st.sampled_from(FAULTS))
+    atoms = algebras[draw(st.sampled_from(sorted(algebras)))]
+    j = draw(st.integers(0, len(atoms) - 1))
+    k = draw(st.integers(0, len(labels) - 1))
+    if fault == "unknown_label":
+        atoms[j].insert(draw(st.integers(0, len(atoms[j]))), "zz")
+    elif fault == "repeated_within":
+        i = draw(st.integers(0, len(atoms[j]) - 1))
+        atoms[j].insert(draw(st.integers(i + 1, len(atoms[j]))), atoms[j][i])
+    elif fault == "repeated_across":
+        lab = atoms[j][draw(st.integers(0, len(atoms[j]) - 1))]
+        other = [m for m in range(len(atoms)) if m != j]
+        if other:
+            target = atoms[draw(st.sampled_from(other))]
+            target.insert(draw(st.integers(0, len(target))), lab)
+        else:
+            atoms.insert(draw(st.integers(0, 1)), [lab])
+    elif fault == "uncovered":
+        atoms[j].pop(draw(st.integers(0, len(atoms[j]) - 1)))
+        if not atoms[j] and len(atoms) > 1:
+            atoms.pop(j)
+        elif not atoms[j]:
+            atoms[j] = [lab for lab in labels if lab != labels[k]]
+    elif fault == "nan_position":
+        positions["x"][labels[k]] = math.nan
+    elif fault == "sum_0.9":
+        probs = [0.9 * p for p in probs]
+    else:
+        probs[k] = {"zero_prob": 0.0, "negative_prob": -probs[k], "inf_prob": math.inf,
+                    "nan_prob": math.nan}[fault]
+    return fault, {
+        "name": "planted",
+        "outcomes": [{"label": lab, "prob": p} for lab, p in zip(labels, probs)],
+        "algebras": algebras,
+        "positions": positions,
+        "young": {"family": "linf"},
+        "risk": {"measure": "linear"},
+    }
+
+
+class TestLoaderOracle:
+    @settings(max_examples=400, deadline=None)
+    @given(faulty_scenarios())
+    def test_refusal_matches_the_reference(self, planted):
+        fault, data = planted
+        expected = reference_refusal(data)
+        assert expected is not None, fault
+        with pytest.raises(ScenarioValidationError) as err:
+            Scenario.from_dict(data)
+        path, message = expected
+        assert (err.value.path, str(err.value)) == (path, f"{path}: {message}")
 
 
 class TestCli:

@@ -3,12 +3,23 @@ from pathlib import Path
 
 import pytest
 
+from orlicz_risk import Scenario, ScenarioValidationError
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.fixture(scope="module")
 def code_lines():
     spec = importlib.util.spec_from_file_location("code_lines", ROOT / "tools" / "code_lines.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture(scope="module")
+def compare_outputs():
+    spec = importlib.util.spec_from_file_location(
+        "compare_outputs", ROOT / "tools" / "compare_outputs.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -55,3 +66,12 @@ class TestCodeLines:
         assert code_lines.main([]) == 2
         assert code_lines.main([str(tmp_path), str(tmp_path / "missing")]) == 2
         assert "usage" in capsys.readouterr().err
+
+
+class TestCompareOutputs:
+    def test_loader_refuses_every_planted_fault(self, compare_outputs, tmp_path):
+        paths = compare_outputs.malformed_scenarios(ROOT / "scenarios", tmp_path)
+        assert len(paths) == len(compare_outputs.FAULTS) * len(list(ROOT.glob("scenarios/*.json")))
+        for path in paths:
+            with pytest.raises(ScenarioValidationError):
+                Scenario.from_file(path)

@@ -7,7 +7,12 @@ PARENT and CHANGE are checkouts of this repository.  The scenarios are
 generated once, by PARENT's `perfbench/gen.py` at benchmark seed N (default
 5).  The operations are every bundled scenario of PARENT under each of the
 five commands (with `--seed N`), then every operation of the generated
-`norm`, `dual`, `verify` and `cli` workloads, in cycle order.  Each tree
+`norm`, `dual`, `verify` and `cli` workloads, in cycle order, then `dual`
+on malformed copies of PARENT's bundled scenarios: each copy has one fault
+of `FAULTS` planted (an unknown, repeated or missing label in an algebra, a
+bad probability or sum, a NaN position value, a duplicate key, an unknown
+filtration algebra), so the trees' refusals, exit codes and stderr, are
+compared too.  Each tree
 runs all of them in one interpreter of its own, importing its own
 `src/orlicz_risk`, with every operation writing into a directory of its own.
 Then each tree runs every bundled operation a second time, in a second
@@ -47,6 +52,51 @@ from pathlib import Path
 COMMANDS = ("norm", "risk", "dual", "verify", "dynamic")
 WORKLOADS = ("norm", "dual", "verify", "cli")
 
+
+def _edited(edit):
+    """A fault that applies `edit` to the parsed scenario."""
+    def plant(text: str) -> str:
+        data = json.loads(text)
+        edit(data)
+        return json.dumps(data)
+    return plant
+
+
+def _atoms(data: dict) -> list:
+    return next(iter(data["algebras"].values()))
+
+
+# name -> a function from a scenario's JSON text to a copy with one fault
+FAULTS = {
+    "unknown_label": _edited(lambda d: _atoms(d)[0].append("zz")),
+    "label_repeated_within_atom": _edited(lambda d: _atoms(d)[-1].append(_atoms(d)[-1][0])),
+    "label_repeated_across_atoms": _edited(lambda d: _atoms(d).append([_atoms(d)[0][0]])),
+    "uncovered_outcome": _edited(lambda d: max(_atoms(d), key=len).pop()),
+    "zero_prob": _edited(lambda d: d["outcomes"][-1].update(prob=0.0)),
+    "negative_prob": _edited(lambda d: d["outcomes"][0].update(prob=-0.25)),
+    "inf_prob": _edited(lambda d: d["outcomes"][1].update(prob=math.inf)),
+    "nan_prob": _edited(lambda d: d["outcomes"][0].update(prob=math.nan)),
+    "probs_sum_0.9": _edited(lambda d: [o.update(prob=0.9 * o["prob"]) for o in d["outcomes"]]),
+    "nan_position": _edited(
+        lambda d: next(iter(d["positions"].values())).update({d["outcomes"][-1]["label"]: math.nan})),
+    "duplicate_key": lambda text: text.replace("{", '{"name": "again", ', 1),
+    "unknown_filtration_algebra": _edited(
+        lambda d: d.update(filtration=[*d.get("filtration", []), "zz"])),
+}
+
+
+def malformed_scenarios(scenarios: Path, out_dir: Path) -> list[Path]:
+    """Write a copy of each scenario in `scenarios` for each fault of
+    `FAULTS` into `out_dir`, as `<scenario>.<fault>.json`; their paths."""
+    out_dir.mkdir(parents=True, exist_ok=True)
+    paths = []
+    for source in sorted(scenarios.glob("*.json")):
+        for fault, plant in FAULTS.items():
+            path = out_dir / f"{source.stem}.{fault}.json"
+            path.write_text(plant(source.read_text()))
+            paths.append(path)
+    return paths
+
 # runs in each tree's interpreter: argv[1] holds the operations' CLI
 # arguments, argv[2] receives [exit code, stdout, stderr] per operation
 RUNNER = """
@@ -77,9 +127,10 @@ def load_gen(tree: Path):
     return module
 
 
-def operations(parent: Path, seed: int, scenario_dir: Path) -> tuple[list, int]:
+def operations(parent: Path, seed: int, scenario_dir: Path) -> tuple[list, int, int]:
     """(description, CLI arguments without `--out-dir`) of every operation,
-    the bundled ones first, and the number of bundled ones."""
+    the bundled ones first and the malformed ones last, with the number of
+    bundled ones and of malformed ones."""
     gen = load_gen(parent)
     ops = [(f"{cmd} {path.name}", [cmd, str(path), "--seed", str(seed)])
            for path in sorted((parent / "scenarios").glob("*.json")) for cmd in COMMANDS]
@@ -89,7 +140,10 @@ def operations(parent: Path, seed: int, scenario_dir: Path) -> tuple[list, int]:
         for op in generated.ops:
             args = [op["command"], op["path"], "--seed", str(op["seed"])]
             ops.append((f"{workload}: {op['command']} {Path(op['path']).name}", args))
-    return ops, n_bundled
+    malformed = malformed_scenarios(parent / "scenarios", scenario_dir / "malformed")
+    ops += [(f"malformed: dual {path.name}", ["dual", str(path), "--seed", str(seed)])
+            for path in malformed]
+    return ops, n_bundled, len(malformed)
 
 
 def start(tree: Path, argvs: list[list[str]], work: Path, name: str) -> subprocess.Popen:
@@ -222,7 +276,7 @@ def main(argv=None) -> int:
     trees = [args.parent.resolve(), args.change.resolve()]
     with tempfile.TemporaryDirectory(prefix="compare_outputs_") as tmp:
         tmp = Path(tmp)
-        ops, n_bundled = operations(trees[0], args.seed, tmp / "scenarios")
+        ops, n_bundled, n_malformed = operations(trees[0], args.seed, tmp / "scenarios")
         works = [tmp / "parent", tmp / "change"]
         for work in works:
             work.mkdir()
@@ -239,8 +293,8 @@ def main(argv=None) -> int:
             n_files += pass_files
     for line in diffs:
         print(line)
-    print(f"{len(ops)} operations and {n_bundled} reruns, {n_files} files: "
-          f"{len(diffs)} differences")
+    print(f"{len(ops)} operations ({n_malformed} on malformed scenarios) and {n_bundled} "
+          f"reruns, {n_files} files: {len(diffs)} differences")
     return 1 if diffs else 0
 
 
