@@ -117,11 +117,6 @@ class DynamicRiskMeasure:
         object.__setattr__(self, "stages", stages)
 
 
-def _xlogx(q: np.ndarray) -> np.ndarray:
-    q = np.maximum(q, 0.0)
-    return np.where(q > 0.0, q * np.log(np.maximum(q, 1e-300)), 0.0)
-
-
 def dual_feasible_atoms(y: RandomVar, alg: SubAlgebra) -> list[bool]:
     """Per atom: y <= 0 within 1e-12 and E[y | atom] = -1 within 1e-10."""
     return _feasible(y, alg)[0].tolist()
@@ -177,7 +172,11 @@ def entropic(gamma: float) -> CondRiskMeasure:
         feas, weights = _feasible(y, alg)
         # infeasible atoms may hold +-inf; only feasible ones enter the sum
         q = np.where(feas[alg.atom_of], np.maximum(-y.values, 0.0), 0.0)
-        entropy = alg.atom_sum(weights * _xlogx(q)) / gamma
+        # E[q log q - q + 1 | F], whose last two terms cancel on a feasible
+        # q: each term is O((q - 1)^2), so a q within gamma of 1 keeps its
+        # digits where the sum of q log q alone would cancel
+        terms = q * np.log(np.where(q > 0.0, q, 1.0)) - (q - 1.0)
+        entropy = alg.atom_sum(weights * terms) / gamma
         return RandomVar(alg.broadcast(np.where(feas, entropy, INF)), y.space)
 
     def density(x: RandomVar, alg: SubAlgebra) -> np.ndarray:

@@ -128,6 +128,24 @@ class TestEntropic:
                 for i in atom:
                     assert abs(out[i] - exact) <= 1e-13 * max(map(abs, x))
 
+    @pytest.mark.parametrize("gamma", [1e-3, 1e-6, 1e-9, 1e-12])
+    def test_penalty_matches_decimal_oracle(self, gamma):
+        # the certificate's penalty against the relative entropy of the exact
+        # Gibbs density over gamma, on entropic4's x and trivial algebra
+        sc = Scenario.from_file(Path(__file__).resolve().parents[1] / "scenarios"
+                                / "entropic4.json")
+        x, alg = sc.positions["x"], sc.algebras["F0"]
+        pen = robust_representation(entropic(gamma), x, alg).penalty.values[0]
+        with decimal.localcontext() as ctx:
+            ctx.prec = 200
+            g = decimal.Decimal(gamma)
+            probs = [decimal.Decimal(p) for p in sc.space.probs.tolist()]
+            e = [(-g * decimal.Decimal(v)).exp() for v in x.values.tolist()]
+            mean = sum(p * ei for p, ei in zip(probs, e))
+            exact = float(sum(p * (ei / mean) * (ei / mean).ln()
+                              for p, ei in zip(probs, e)) / g)
+        assert abs(pen - exact) <= 1e-15 + 1e-6 * exact
+
     @pytest.mark.parametrize("x", [[2.0, 3.0], [-2.0, 3.0]])
     def test_overflowing_gamma_raises(self, coin, x):
         with pytest.raises(ContractError, match="gamma 1e\\+308.*overflows"):

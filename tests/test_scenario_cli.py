@@ -842,6 +842,13 @@ class TestCli:
             for alg_block in pos_block.values():
                 assert all(abs(g) <= 1e-6 for g in alg_block["gap"])
 
+    def test_dual_passes_at_small_gamma(self, tmp_path):
+        data = json.loads((SCENARIOS / "entropic4.json").read_text())
+        data["risk"]["params"]["gamma"] = 1e-12
+        path = tmp_path / "entropic4.json"
+        path.write_text(json.dumps(data))
+        assert main(["dual", str(path), "--out-dir", str(tmp_path / "out")]) == 0
+
     def test_worst_case_dual_ignores_label_order_in_atom(self, tmp_path):
         # x ties at its minimum on outcomes a and c of the atom {a, b, c}: the
         # certificate puts its mass on the lowest outcome, a, however the
