@@ -97,6 +97,7 @@ def malformed_scenarios(scenarios: Path, out_dir: Path) -> list[Path]:
             paths.append(path)
     return paths
 
+
 # runs in each tree's interpreter: argv[1] holds the operations' CLI
 # arguments, argv[2] receives [exit code, stdout, stderr] per operation
 RUNNER = """
