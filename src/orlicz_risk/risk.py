@@ -252,50 +252,9 @@ def _validate_custom(rho: CondRiskMeasure, space: FiniteProbSpace, alg: SubAlgeb
     axioms = check_axioms(rho, space, alg, trials=6, seed=7)
     if not axioms.passed:
         raise ContractError(f"risk measure fails the axiom probes: {axioms}")
-    loc = locality_check(lambda v: rho.evaluate(v, alg), space, alg, trials=4, seed=7)
+    loc = locality_check(rho, space, alg, trials=4, seed=7)
     if not loc.passed:
         raise ContractError("risk measure fails the locality probes")
-
-
-# sweeps of the coordinate ascent; it stops earlier once a sweep gains nothing
-_MAX_SWEEPS = 120
-
-
-def _coordinate_ascent_sup(objective: Callable[[np.ndarray], float], n: int) -> float:
-    """Supremum of a concave objective over R^n by cyclic coordinate ascent
-    started at 0, with per-coordinate golden section line searches.
-
-    A line search that is still improving at its expansion cap signals an
-    objective unbounded above; the supremum is then inf."""
-    x = np.zeros(n)
-    fx = objective(x)
-    radius = np.ones(n)
-    for sweep in range(_MAX_SWEEPS):
-        improved = 0.0
-        tol = 1e-4 if sweep == 0 else max(1e-11, 1e-4 * 10.0 ** (-sweep))
-        for i in range(n):
-            xi = x[i]
-
-            def line(t: float) -> float:
-                x[i] = t
-                v = -objective(x)
-                x[i] = xi
-                return v
-
-            r = max(radius[i], 1e-6)
-            rep = solvers.golden_min(
-                line, xi - r, xi + r, rel_tol=tol, max_expand=80, limit_rel_improvement=1e-13,
-            )
-            if not rep.converged and rep.boundary is not None:
-                return INF
-            radius[i] = max(abs(rep.arg - xi) * 2.0, 1e-8)
-            if -rep.value > fx:
-                improved += -rep.value - fx
-                fx = -rep.value
-                x[i] = rep.arg
-        if improved <= 1e-12 * (1.0 + abs(fx)):
-            break
-    return fx
 
 
 def _numeric_conjugate(rho: CondRiskMeasure, y: RandomVar, alg: SubAlgebra) -> Iterator[float]:
@@ -319,7 +278,7 @@ def _numeric_conjugate(rho: CondRiskMeasure, y: RandomVar, alg: SubAlgebra) -> I
             rv = RandomVar(base.copy(), space)
             return float(np.dot(w, xa * ya)) - float(rho.evaluate(rv, alg).values[idx[0]])
 
-        yield _coordinate_ascent_sup(objective, len(idx))
+        yield solvers._coordinate_ascent_sup(objective, len(idx))
 
 
 def fenchel_conjugate(rho: CondRiskMeasure, y: RandomVar, alg: SubAlgebra) -> RandomVar:
@@ -483,27 +442,24 @@ class LocalityReport(NamedTuple):
     witness: tuple | None
 
 
-def locality_check(f: Callable[[RandomVar], RandomVar], space: FiniteProbSpace,
-                   alg: SubAlgebra, trials: int = 8, seed: int = 0) -> LocalityReport:
-    """Probe 1_A f(1_A x) = 1_A f(x) within 1e-9 for random x and every atom
-    A, one probe per atom and trial; the first violating (A, x) pair is
-    reported as a witness.
+def locality_check(rho: CondRiskMeasure, space: FiniteProbSpace, alg: SubAlgebra,
+                   trials: int = 8, seed: int = 0) -> LocalityReport:
+    """Probe 1_A rho(1_A x) = 1_A rho(x) within 1e-9 for random x and every
+    atom A, one probe per atom and trial; the first violating (A, x) pair,
+    trial by trial and atom by atom, is reported as a witness.
 
     Locality on every atom implies it on every union B of atoms: for an atom
-    A inside B, 1_A f(1_B x) = 1_A f(1_A 1_B x) = 1_A f(1_A x) = 1_A f(x)."""
-    rng = _rng(seed)
-    max_dev = 0.0
+    A inside B, 1_A rho(1_B x) = 1_A rho(1_A 1_B x) = 1_A rho(1_A x) = 1_A rho(x)."""
+    x = _rng(seed).normal(size=(trials, space.n_outcomes))
+    ind = (alg.atom_of == np.arange(alg.n_atoms)[:, None]).astype(float)
+    # each trial's x, then x * 1_A for every atom A, all in one call
+    r = _evaluate_stack(rho, np.concatenate([x[:, None], x[:, None] * ind], axis=1), space, alg)
+    dev = np.abs(r[:, 1:] * ind - r[:, :1] * ind).max(axis=-1, initial=0.0)
+    max_dev = float(np.max(dev, initial=0.0))
     witness = None
-    for _ in range(trials):
-        x = RandomVar(rng.normal(size=space.n_outcomes), space)
-        fx = f(x)
-        for atom in alg.atoms:
-            ind = space.indicator(atom)
-            dev = float(np.abs(((f(x * ind) * ind) - (fx * ind)).values).max())
-            if dev > max_dev:
-                max_dev = dev
-                if dev > PROBE_TOL and witness is None:
-                    witness = (atom, x.values.copy())
+    if max_dev > PROBE_TOL:
+        t, k = np.argwhere(dev > PROBE_TOL)[0]
+        witness = (alg.atoms[k], x[t].copy())
     return LocalityReport(max_dev <= PROBE_TOL, max_dev, witness)
 
 

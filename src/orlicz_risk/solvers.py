@@ -3,7 +3,8 @@
 Everything here is deterministic and stateless: bisection on monotone
 functions, over one bracket or an array of independent brackets in
 lock-step, golden-section minimization with bracket expansion and
-non-attainment detection, and projected-gradient maximization of concave
+non-attainment detection, the coordinate ascent built on it that computes
+a numeric penalty, and projected-gradient maximization of concave
 functions over a weighted probability simplex.
 """
 
@@ -27,6 +28,8 @@ __all__ = [
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 # parts a bracket is cut into per step of bisect_monotone
 _SECTIONS = 8
+# doublings of a bisect_monotone bracket; its left probe sits this many halvings down
+_MAX_EXPAND = 60
 # factor a golden_min bracket grows by per expansion
 _EXPAND = 4.0
 
@@ -45,8 +48,7 @@ class SolveReport(NamedTuple):
 
 
 def bisect_monotone(f: Callable[[np.ndarray], np.ndarray], target: float,
-                    lo, hi, rel_tol: float = 1e-10,
-                    max_expand: int = 60) -> SolveReport:
+                    lo, hi, rel_tol: float = 1e-10) -> SolveReport:
     """Smallest point where the nonincreasing function f drops to <= target.
 
     `lo` and `hi` are one bracket or arrays of independent brackets, and `f`
@@ -56,9 +58,9 @@ def bisect_monotone(f: Callable[[np.ndarray], np.ndarray], target: float,
     cuts every bracket into _SECTIONS equal parts with one call of f on the
     interior points, stacked along a leading axis.  A row stops once all its
     brackets are narrow, so every row of a 2-D array ends where it would on
-    its own.  Where f(hi) > target, hi doubles (at most `max_expand` times, else
-    a BracketError names the element).  Where f(lo) <= target, f is probed
-    once at lo * 2**-max_expand: if it is still <= target there, the bracket
+    its own.  Where f(hi) > target, hi doubles (at most _MAX_EXPAND times,
+    else a BracketError names the element).  Where f(lo) <= target, f is
+    probed once at lo * 2**-_MAX_EXPAND: if it is still <= target there, the bracket
     hit the left edge and lo itself is reported, with `attained` False for
     that element; otherwise the search runs on [probe, lo].  For arrays, `arg`,
     `value` and `attained` are arrays with one entry per bracket.
@@ -75,16 +77,16 @@ def bisect_monotone(f: Callable[[np.ndarray], np.ndarray], target: float,
     low = ff(lo) <= target
     edge = low
     if low.any():
-        probe = lo * 2.0 ** -max_expand
+        probe = lo * 2.0 ** -_MAX_EXPAND
         edge = low & (ff(np.where(low, probe, lo)) <= target)
         # the root lies left of lo: bisect on [probe, lo] unless f stays low
         hi = np.where(low, lo, hi)
         lo = np.where(low & ~edge, probe, lo)
     expansions = 0
     while (up := ~low & (ff(hi) > target)).any():
-        if expansions >= max_expand:
+        if expansions >= _MAX_EXPAND:
             at = f" at element {np.flatnonzero(up)[0]}" if up.ndim else ""
-            raise BracketError(f"f stayed above {target} after {max_expand} doublings{at}")
+            raise BracketError(f"f stayed above {target} after {_MAX_EXPAND} doublings{at}")
         lo = np.where(up, hi, lo)
         hi = np.where(up, 2.0 * hi, hi)
         expansions += 1
@@ -116,14 +118,15 @@ def bisect_monotone(f: Callable[[np.ndarray], np.ndarray], target: float,
 
 
 def golden_min(f: Callable[[float], float], lo: float, hi: float, *,
-               rel_tol: float = 1e-10, expand_left: bool = True,
-               expand_right: bool = True, max_expand: int = 200,
+               rel_tol: float = 1e-10, max_expand: int = 200,
                limit_rel_improvement: float = 1e-12) -> SolveReport:
     """Minimize a unimodal f.  The bracket grows 4-fold toward a
     downhill edge; when an expansion's new edge improves the running minimum,
     but by less than `limit_rel_improvement` relative, the edge value is
     reported as a non-attained limit.  Hitting the expansion cap while still improving
-    returns converged=False (the objective looks unbounded)."""
+    returns converged=False (the objective looks unbounded).  A domain
+    restriction is stated by the objective: +inf outside it stops an
+    expansion that reaches it."""
     evals = 0
     best_x = None
     best_f = math.inf
@@ -147,10 +150,6 @@ def golden_min(f: Callable[[float], float], lo: float, hi: float, *,
     expansions = 0
     while fm > min(fa, fb):
         side = "right" if fb < fa else "left"
-        if side == "right" and not expand_right:
-            break
-        if side == "left" and not expand_left:
-            break
         if expansions >= max_expand:
             boundary, attained, converged = side, False, False
             break
@@ -191,13 +190,49 @@ def golden_min(f: Callable[[float], float], lo: float, hi: float, *,
                 c, fc = d, fd
                 d = a + _GOLDEN * (b - a)
                 fd = ff(d)
-        tol_width = rel_tol * (abs(a) + abs(b) + 1.0)
-        if not expand_left and abs(best_x - lo) <= tol_width:
-            boundary, attained = "left", False
-        elif not expand_right and abs(best_x - hi) <= tol_width:
-            boundary, attained = "right", False
 
     return SolveReport(best_x, best_f, evals, converged, attained, boundary)
+
+
+# sweeps of the coordinate ascent; it stops earlier once a sweep gains nothing
+_MAX_SWEEPS = 120
+
+
+def _coordinate_ascent_sup(objective: Callable[[np.ndarray], float], n: int) -> float:
+    """Supremum of a concave objective over R^n by cyclic coordinate ascent
+    started at 0, with per-coordinate golden section line searches.
+
+    A line search that is still improving at its expansion cap signals an
+    objective unbounded above; the supremum is then inf."""
+    x = np.zeros(n)
+    fx = objective(x)
+    radius = np.ones(n)
+    for sweep in range(_MAX_SWEEPS):
+        improved = 0.0
+        tol = 1e-4 if sweep == 0 else max(1e-11, 1e-4 * 10.0 ** (-sweep))
+        for i in range(n):
+            xi = x[i]
+
+            def line(t: float) -> float:
+                x[i] = t
+                v = -objective(x)
+                x[i] = xi
+                return v
+
+            r = max(radius[i], 1e-6)
+            rep = golden_min(
+                line, xi - r, xi + r, rel_tol=tol, max_expand=80, limit_rel_improvement=1e-13,
+            )
+            if not rep.converged:
+                return math.inf
+            radius[i] = max(abs(rep.arg - xi) * 2.0, 1e-8)
+            if -rep.value > fx:
+                improved += -rep.value - fx
+                fx = -rep.value
+                x[i] = rep.arg
+        if improved <= 1e-12 * (1.0 + abs(fx)):
+            break
+    return fx
 
 
 def project_weighted_simplex(v: np.ndarray, w: np.ndarray,

@@ -122,7 +122,7 @@ def _scalarization_rows(sc: Scenario, alg_name: str, alg, rng, tol_gap, table):
 
 
 def _locality_rows(sc: Scenario, alg_name: str, alg, seed, table):
-    rep = locality_check(lambda v: sc.risk.evaluate(v, alg), sc.space, alg, trials=3, seed=seed)
+    rep = locality_check(sc.risk, sc.space, alg, trials=3, seed=seed)
     _row(table, "locality", alg_name, -1, "", "max_deviation", rep.max_deviation, PROBE_TOL,
          rep.passed)
 

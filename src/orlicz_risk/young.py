@@ -178,39 +178,32 @@ def _as_number(name: str, value) -> float:
     return float(value)
 
 
-def conjugate(phi: YoungFn, s: float, use_closed_form: bool = True) -> float:
+def conjugate(phi: YoungFn, s: float) -> float:
     """Conjugate value phi*(s) = sup_{t >= 0} (s*t - phi(t)).
 
-    Uses the closed form when the family provides one (all four families
-    do), otherwise maximizes the concave objective by golden section to a
-    relative width of 1e-10, with bracket expansion (factor 4, at most 200
-    expansions); an objective still
-    improving at the expansion cap is reported as inf.  This numeric path is
-    the oracle the closed forms are tested against."""
+    Uses the closed form when phi has one (all four families do).  A Young
+    function without one, such as `replace(phi, conjugate_closed_form=None)`,
+    gets its concave objective maximized by golden section to a relative
+    width of 1e-10, from the bracket [0, 1], or [0, finite_sup] on a finite
+    domain, with expansion (factor 4, at most 200 expansions); the objective
+    is +inf for t < 0 and wherever phi is.  An objective still improving at
+    the expansion cap is reported as inf.  This numeric path is the oracle
+    the closed forms are tested against."""
     if not s >= 0.0:  # NaN too
         raise ParameterError(f"conjugate argument must be >= 0, got {s}")
     if s == 0.0:
         return 0.0
-    if use_closed_form and phi.conjugate_closed_form is not None:
+    if phi.conjugate_closed_form is not None:
         return phi.conjugate_closed_form(s)
 
     def neg_obj(t: float) -> float:
-        v = phi.eval(t)
-        if math.isinf(v):
-            return INF
-        return v - s * t
+        v = phi.eval(t) if t >= 0.0 else INF
+        return INF if math.isinf(v) else v - s * t
 
-    unbounded_domain = math.isinf(phi.finite_sup)
-    if unbounded_domain:
-        hi = max(1.0, 1.0 / s)
-    else:
-        # stay strictly below the (possibly infinite) boundary
-        hi = phi.finite_sup
-        if math.isinf(phi.eval(hi)):
-            hi = hi * (1.0 - 1e-12)
-    report = solvers.golden_min(
-        neg_obj, 0.0, hi, rel_tol=1e-10, expand_left=False, expand_right=unbounded_domain,
-    )
+    hi = 1.0 if math.isinf(phi.finite_sup) else phi.finite_sup
+    if math.isinf(phi.eval(hi)):
+        hi = hi * (1.0 - 1e-12)  # stay strictly below the boundary
+    report = solvers.golden_min(neg_obj, 0.0, hi, rel_tol=1e-10)
     return -report.value if report.converged else INF
 
 

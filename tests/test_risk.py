@@ -341,8 +341,8 @@ SEEDED_CALLS = {
     "check_axioms": lambda space, alg, seed: check_axioms(entropic(1.0), space, alg, seed=seed),
     "lebesgue_check": lambda space, alg, seed: lebesgue_check(entropic(1.0), space, alg,
                                                               seed=seed),
-    "locality_check": lambda space, alg, seed: locality_check(
-        lambda v: entropic(1.0).evaluate(v, alg), space, alg, seed=seed),
+    "locality_check": lambda space, alg, seed: locality_check(entropic(1.0), space, alg,
+                                                              seed=seed),
     "extension_check": lambda space, alg, seed: extension_check(entropic(1.0), space, alg, alg,
                                                                 seed=seed),
     "recover_density": lambda space, alg, seed: recover_density(
@@ -623,7 +623,7 @@ class TestScalarize:
 
 class TestLocality:
     def test_entropic_local(self, quarter_space, pairs):
-        rep = locality_check(lambda v: entropic(1.0).evaluate(v, pairs), quarter_space, pairs)
+        rep = locality_check(entropic(1.0), quarter_space, pairs)
         assert rep.passed
         assert rep.max_deviation <= 1e-9
 
@@ -632,14 +632,14 @@ class TestLocality:
             m = float(np.dot(quarter_space.probs, v.values))
             return quarter_space.var(np.full(4, m))
 
-        rep = locality_check(broadcast, quarter_space, pairs, trials=2)
+        rep = locality_check(custom(lambda v, _: broadcast(v)), quarter_space, pairs, trials=2)
         assert not rep.passed
         assert rep.witness is not None
 
     def test_sixteen_atoms(self):
         space = FiniteProbSpace.uniform(48)
         alg = SubAlgebra.from_atoms([range(3 * j, 3 * j + 3) for j in range(16)], 48)
-        rep = locality_check(lambda v: entropic(1.0).evaluate(v, alg), space, alg, trials=2)
+        rep = locality_check(entropic(1.0), space, alg, trials=2)
         assert rep.passed
         assert rep.max_deviation <= 1e-9
 
@@ -648,7 +648,7 @@ class TestLocality:
             mean = cond_expectation(v, alg).values
             return space.var(mean + np.roll(mean, -3))
 
-        rep = locality_check(mixes_neighbours, space, alg, trials=2)
+        rep = locality_check(custom(lambda v, _: mixes_neighbours(v)), space, alg, trials=2)
         assert not rep.passed
         assert rep.witness is not None
 
@@ -659,8 +659,50 @@ class TestLocality:
             m = float(np.dot(quarter_space.probs, v.values))
             return quarter_space.var(np.full(4, m))
 
-        rep = locality_check(broadcast, quarter_space, trivial, trials=2)
+        rep = locality_check(custom(lambda v, _: broadcast(v)), quarter_space, trivial, trials=2)
         assert rep.passed  # the only atom union is the whole space
+
+    def test_every_probe_in_one_evaluation(self, quarter_space, pairs):
+        calls = []
+        rho = entropic(1.0)
+        counted = dataclasses.replace(rho, evaluate=lambda x, alg: calls.append(x.values.shape)
+                                      or rho.evaluate(x, alg))
+        locality_check(counted, quarter_space, pairs, trials=3)
+        assert calls == [(3 * (1 + pairs.n_atoms), 4)]
+
+    @pytest.mark.parametrize("seed", [0, 3, 11])
+    def test_matches_the_probe_by_probe_walk(self, seed):
+        # the walk evaluates x, then 1_A x atom by atom, one position at a time
+        space = FiniteProbSpace(np.array([0.1, 0.2, 0.3, 0.15, 0.25]))
+        alg = SubAlgebra.from_atoms([(3, 0), (1,), (4, 2)], 5)
+
+        def leaks(v):
+            # local on atom (1,) only: the other atoms also read outcome 1
+            mean = cond_expectation(v, alg).values
+            return space.var(mean + 0.5 * v.values[1] * (alg.atom_of != 1))
+
+        for f in (leaks, lambda v: entropic(2.0).evaluate(v, alg),
+                  lambda v: space.var(np.full(5, float(np.dot(space.probs, v.values))))):
+            rng = np.random.default_rng(seed)
+            max_dev, witness = 0.0, None
+            for _ in range(4):
+                x = space.var(rng.normal(size=5))
+                fx = f(x)
+                for atom in alg.atoms:
+                    ind = space.indicator(atom)
+                    dev = float(np.abs((f(x * ind) * ind - fx * ind).values).max())
+                    if dev > max_dev:
+                        max_dev = dev
+                        if dev > 1e-9 and witness is None:
+                            witness = (atom, x.values.copy())
+            rep = locality_check(custom(lambda v, _, f=f: f(v)), space, alg, trials=4, seed=seed)
+            assert rep.max_deviation == max_dev
+            assert rep.passed == (max_dev <= 1e-9)
+            if witness is None:
+                assert rep.witness is None
+            else:
+                assert rep.witness[0] == witness[0]
+                np.testing.assert_array_equal(rep.witness[1], witness[1])
 
 
 class TestExtension:

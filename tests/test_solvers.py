@@ -36,7 +36,7 @@ class TestBisect:
 
     def test_bracket_error_when_target_unreachable(self):
         with pytest.raises(BracketError):
-            bisect_monotone(lambda t: 2.0, 1.0, 1.0, 2.0, max_expand=5)
+            bisect_monotone(lambda t: 2.0, 1.0, 1.0, 2.0)
 
     def test_expands_downward(self):
         rep = bisect_monotone(lambda t: 1.0 / t, 1.0, 8.0, 16.0)
@@ -68,7 +68,7 @@ class TestBisectBatch:
     def test_bracket_error_names_the_element(self):
         with pytest.raises(BracketError, match="element 1"):
             bisect_monotone(lambda t: np.stack([1.0 / t[..., 0], 2.0 + 0.0 * t[..., 1]], -1),
-                            1.0, [0.5, 0.5], [2.0, 2.0], max_expand=5)
+                            1.0, [0.5, 0.5], [2.0, 2.0])
 
     def test_left_edge_reported_per_element(self):
         rep = bisect_monotone(lambda t: np.stack([1.0 / t[..., 0], 0.0 * t[..., 1]], -1),
@@ -87,20 +87,14 @@ class TestGolden:
         assert rep.arg == pytest.approx(1.0 / math.sqrt(m), rel=1e-4)
         assert rep.attained
 
-    def test_quadratic_boundary_when_left_fixed(self):
-        rep = golden_min(lambda t: t * t, 1e-6, 1.0, expand_left=False)
-        assert rep.value == pytest.approx(0.0, abs=1e-10)
-        assert not rep.attained
-        assert rep.boundary == "left"
-
     def test_limit_infimum_flagged(self):
-        rep = golden_min(lambda t: 1.0 / t + 3.5, 0.5, 2.0, expand_left=False)
+        rep = golden_min(lambda t: 1.0 / t + 3.5, 0.5, 2.0)
         assert rep.value == pytest.approx(3.5, abs=1e-8)
         assert not rep.attained
         assert rep.boundary == "right"
 
     def test_unbounded_objective_reported(self):
-        rep = golden_min(lambda t: -t, 0.0, 1.0, expand_left=False, max_expand=30)
+        rep = golden_min(lambda t: -t, 0.0, 1.0, max_expand=30)
         assert not rep.converged
         assert rep.boundary == "right"
 
@@ -117,7 +111,7 @@ class TestGolden:
 
     def test_edge_tying_the_running_minimum_is_not_a_limit(self):
         # f(1) == f(4) == 2.5: the expansion overshot the minimum at 1.5
-        rep = golden_min(lambda t: max(7.5 - 5.0 * t, t - 1.5), 0.0, 1.0, expand_left=False)
+        rep = golden_min(lambda t: max(7.5 - 5.0 * t, t - 1.5), 0.0, 1.0)
         assert rep.arg == pytest.approx(1.5, abs=1e-8)
         assert rep.value == pytest.approx(0.0, abs=1e-8)
         assert rep.attained

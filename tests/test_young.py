@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,6 +19,11 @@ from orlicz_risk import (
 from orlicz_risk.young import YoungFn
 
 INF = math.inf
+
+
+def oracle(phi, s):
+    """phi*(s) by the numeric route: phi without its closed-form conjugate."""
+    return conjugate(replace(phi, conjugate_closed_form=None), s)
 
 
 class TestPower:
@@ -86,7 +92,7 @@ class TestExp:
     def test_closed_form_matches_numeric(self):
         phi = make_exp()
         for s in [0.3, 1.0, 1.7, 4.0, 20.0]:
-            num = conjugate(phi, s, use_closed_form=False)
+            num = oracle(phi, s)
             assert num == pytest.approx(phi.conjugate_closed_form(s), abs=1e-9, rel=1e-8)
 
 
@@ -107,7 +113,7 @@ class TestPiecewise:
     def test_numeric_conjugate_past_a_tied_expansion(self):
         # s*t - phi(t) ties at t = 1 and t = 4 around its maximum at the knot 1.5
         phi = make_piecewise([0.5, 1.5], [0.0, 1.0, 2.5])
-        assert conjugate(phi, 2.25, use_closed_form=False) == pytest.approx(2.375, rel=1e-9)
+        assert oracle(phi, 2.25) == pytest.approx(2.375, rel=1e-9)
 
     def test_closed_form_conjugate_is_the_knot_maximum(self):
         phi = make_piecewise([0.5, 1.5], [0.0, 1.0, 2.5])
@@ -130,7 +136,7 @@ def test_piecewise_closed_form_conjugate_matches_numeric(widths, steps):
     grid = sorted(set(np.linspace(0.0, 1.2 * slopes[-1], 13).tolist() + slopes + [2.25]))
     for s in grid:
         closed = float(phi.conjugate_closed_form(s))
-        numeric = conjugate(phi, s, use_closed_form=False)
+        numeric = oracle(phi, s)
         if s > slopes[-1]:
             assert closed == INF
         else:
@@ -184,19 +190,27 @@ class TestConjugate:
             assert conjugate(phi, 0.0) == 0.0
 
     def test_power2_numeric(self):
-        assert conjugate(make_power(2), 4.0, use_closed_form=False) == pytest.approx(4.0)
+        assert oracle(make_power(2), 4.0) == pytest.approx(4.0)
 
     def test_linf_numeric(self):
-        assert conjugate(make_linf(), 3.0, use_closed_form=False) == pytest.approx(3.0, rel=1e-9)
+        assert oracle(make_linf(), 3.0) == pytest.approx(3.0, rel=1e-9)
 
     def test_power1_unbounded_detected(self):
-        assert conjugate(make_power(1), 1.5, use_closed_form=False) == INF
+        assert oracle(make_power(1), 1.5) == INF
+
+    def test_numeric_at_a_tiny_argument(self):
+        # the maximizer is the knot at 1, far inside a bracket as wide as 1/s
+        phi = make_piecewise([1.0], [5e-324, 0.5])
+        assert oracle(phi, 1e-300) == pytest.approx(1e-300, rel=1e-9)
+        for phi in (make_power(2), make_exp(), make_linf()):
+            assert oracle(phi, 1e-300) == pytest.approx(float(phi.conjugate_closed_form(1e-300)),
+                                                        rel=1e-9, abs=1e-300)
 
     def test_numeric_matches_closed_form_on_log_grid(self):
         for p in [1.5, 2.0, 3.0]:
             phi = make_power(p)
             for s in np.geomspace(0.01, 100.0, 9):
-                num = conjugate(phi, float(s), use_closed_form=False)
+                num = oracle(phi, float(s))
                 ref = phi.conjugate_closed_form(float(s))
                 assert num == pytest.approx(ref, rel=1e-8, abs=1e-12)
 
@@ -241,13 +255,13 @@ class TestConjugateYoungFn:
         for phi in (make_power(1.5), make_power(2), make_power(3), make_exp()):
             conj = conjugate_young_fn(phi)
             for t in [0.3, 0.9, 1.7, 3.0]:
-                bi = conjugate(conj, t, use_closed_form=False)
+                bi = oracle(conj, t)
                 assert bi == pytest.approx(phi.eval(t), rel=1e-6, abs=1e-9)
 
     def test_biconjugation_linf_interior(self):
         conj = conjugate_young_fn(make_linf())
         for t in [0.2, 0.5, 0.9]:
-            bi = conjugate(conj, t, use_closed_form=False)
+            bi = oracle(conj, t)
             assert bi == pytest.approx(0.0, abs=1e-8)
 
 
@@ -309,7 +323,7 @@ class TestArrayContract:
         for s in (0.4, 1.7, 2.2):
             t_star = phi.conjugate_deriv(s)
             value = s * t_star - phi.eval(t_star)
-            assert value == pytest.approx(conjugate(phi, s, use_closed_form=False), rel=1e-7)
+            assert value == pytest.approx(oracle(phi, s), rel=1e-7)
 
     def test_hand_built_function_without_derivatives_still_validates(self):
         phi = YoungFn(lambda t: t * t, INF, None, "custom")
