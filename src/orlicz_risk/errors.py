@@ -26,9 +26,10 @@ class StructuralError(OrliczRiskError, ValueError):
 class PartitionError(StructuralError):
     """Atoms do not partition the outcome indices 0..n-1.  `at` is (atom,)
     of the first empty atom, or (atom, entry) of the first entry, in order,
-    whose outcome is out of range (`held_by` None) or already held by an
-    earlier entry of atom `held_by`; with neither, `at` is empty and
-    `uncovered` lists the outcomes that no atom holds."""
+    that is not an integer or whose outcome is out of range (`held_by`
+    None), or whose outcome is already held by an earlier entry of atom
+    `held_by`; with neither, `at` is empty and `uncovered` lists the
+    outcomes that no atom holds."""
 
     def __init__(self, reason: str, at: tuple[int, ...] = (), held_by: int | None = None,
                  uncovered: tuple[int, ...] = ()):

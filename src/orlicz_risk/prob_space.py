@@ -50,7 +50,7 @@ class FiniteProbSpace:
     probs: np.ndarray
 
     def __post_init__(self):
-        probs = np.asarray(self.probs, dtype=float)
+        probs = np.array(self.probs, dtype=float)  # a copy: the caller's array stays writable
         if probs.ndim != 1 or probs.size == 0:
             raise StructuralError("probabilities must form a nonempty vector")
         bad = np.flatnonzero(~((probs > 0.0) & (probs < np.inf)))
@@ -74,7 +74,7 @@ class FiniteProbSpace:
 
     def var(self, values) -> "RandomVar":
         """Random variable on this space from a value vector."""
-        return RandomVar(np.asarray(values, dtype=float), self)
+        return RandomVar(values, self)
 
     def indicator(self, indices: Iterable[int]) -> "RandomVar":
         values = np.zeros(self.n_outcomes)
@@ -85,9 +85,10 @@ class FiniteProbSpace:
 @dataclass(frozen=True)
 class SubAlgebra:
     """A sub-sigma-algebra given by its atoms: disjoint nonempty index sets
-    covering all outcomes.  Atoms that are not such a partition raise
-    PartitionError at the first empty atom or offending entry, or naming the
-    outcomes no atom covers.
+    covering all outcomes, each entry an int or a numpy integer (not a
+    bool).  Atoms that are not such a partition raise PartitionError at the
+    first empty atom or offending entry, or naming the outcomes no atom
+    covers.
 
     `atom_of[i]` is the atom containing outcome i.  Every per-atom
     computation runs over one segment layout built here: `order` lists the
@@ -102,8 +103,11 @@ class SubAlgebra:
     def __post_init__(self):
         n = self.n_outcomes
         atoms = tuple(self.atoms)
+        entries = tuple(chain.from_iterable(atoms))
+        if not all(map(_is_outcome, set(map(type, entries)))):
+            raise _partition_fault(atoms, n)
         sizes = np.fromiter(map(len, atoms), int, len(atoms))
-        flat = np.fromiter(chain.from_iterable(atoms), np.int64, int(sizes.sum()))
+        flat = np.fromiter(entries, np.int64, len(entries))
         # n entries in range leave no outcome unset only if none repeats; as
         # unsigned, a negative entry is out of range too
         atom_of = np.full(n, -1)
@@ -166,15 +170,24 @@ class SubAlgebra:
         return atom_values.take(self.atom_of, -1)
 
 
+def _is_outcome(kind: type) -> bool:
+    """Whether entries of this type are outcome indices: ints and numpy
+    integers, but not bools."""
+    return issubclass(kind, (int, np.integer)) and kind is not bool
+
+
 def _partition_fault(atoms, n: int) -> PartitionError:
     """The refusal of atoms that do not partition 0..n-1: the first empty
-    atom, or entry out of range or repeating an earlier one, else the
-    outcomes no atom holds."""
+    atom, or entry that is not an integer, out of range or repeating an
+    earlier one, else the outcomes no atom holds."""
     held_by = {}
     for j, atom in enumerate(atoms):
         if not atom:
             return PartitionError("atom is empty", (j,))
-        for i, outcome in enumerate(map(int, atom)):
+        for i, entry in enumerate(atom):
+            if not _is_outcome(type(entry)):
+                return PartitionError(f"outcome {entry!r} is not an integer", (j, i))
+            outcome = int(entry)
             if not 0 <= outcome < n:
                 return PartitionError(f"outcome {outcome} is out of range 0..{n - 1}", (j, i))
             if outcome in held_by:
@@ -197,7 +210,7 @@ class RandomVar:
     space: FiniteProbSpace
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
+        values = np.array(self.values, dtype=float)  # a copy: the caller's array stays writable
         if values.ndim not in (1, 2) or values.shape[-1] != self.space.n_outcomes:
             raise StructuralError(
                 f"values have shape {values.shape}, space has {self.space.n_outcomes} outcomes"

@@ -253,7 +253,7 @@ def validate(phi: YoungFn) -> YoungValidation:
         except OverflowError:
             return INF
 
-    origin_ok = safe(0.0) == 0.0
+    origin_ok = bool(safe(0.0) == 0.0)
     first_violation: tuple | None = None
     if not origin_ok:
         first_violation = ("origin", (0.0,), (safe(0.0),))
@@ -268,7 +268,9 @@ def validate(phi: YoungFn) -> YoungValidation:
     vals = [safe(t) for t in grid]
     monotone_ok = True
     for a, b, fa, fb in zip(grid, grid[1:], vals, vals[1:]):
-        if fb < fa - 1e-12 * max(1.0, abs(fa)):
+        # an infinite fa needs no slack: only fb = inf keeps the pair monotone
+        slack = 1e-12 * max(1.0, abs(fa)) if math.isfinite(fa) else 0.0
+        if fb < fa - slack:
             monotone_ok = False
             if first_violation is None:
                 first_violation = ("monotone", (a, b), (fa, fb))

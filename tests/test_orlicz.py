@@ -377,7 +377,7 @@ class TestMagnitudeAndSkewInvariance:
             x = space.var(rng.normal(size=space.n_outcomes))
             for phi in ALL_FAMILIES:
                 base = norm(x, alg, phi)
-                for scale in (1e-200, 1e-100, 1e100, 1e200):
+                for scale in (2.0 ** -1040, 1e-308, 1e-305, 1e-300, 1e-200, 1e-100, 1e100, 1e200):
                     scaled = norm(x * scale, alg, phi)
                     np.testing.assert_allclose(
                         scaled.atom_values / scale, base.atom_values, rtol=1e-9,

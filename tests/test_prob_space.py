@@ -114,6 +114,11 @@ class TestRefusalsLocateTheFault:
         ([(0, 1), (2, 2, 3)], "atoms[1][1]: outcome 2 is repeated within atom 1", 1, ()),
         ([(0, 1), (3, 1), (2,)], "atoms[1][1]: outcome 1 appears in more than one atom", 0, ()),
         ([(3,), (0,)], "atoms do not cover outcomes [1, 2]", None, (1, 2)),
+        ([(0, 1.5), (2, 3)], "atoms[0][1]: outcome 1.5 is not an integer", None, ()),
+        ([(0, 1.0), (2, 3)], "atoms[0][1]: outcome 1.0 is not an integer", None, ()),
+        ([(0, 1), (True, 3)], "atoms[1][0]: outcome True is not an integer", None, ()),
+        ([("0", 1), (2, 3)], "atoms[0][0]: outcome '0' is not an integer", None, ()),
+        ([(0, 7), (2, 1.5)], "atoms[0][1]: outcome 7 is out of range 0..3", None, ()),
     ])
     def test_partition(self, atoms, message, held_by, uncovered):
         with pytest.raises(PartitionError) as err:
@@ -124,6 +129,15 @@ class TestRefusalsLocateTheFault:
     def test_empty_atom(self):
         with pytest.raises(StructuralError, match=r"^atoms\[1\]: atom is empty$"):
             SubAlgebra.from_atoms([(0, 1), (), (2,)], 3)
+
+    def test_numpy_entries(self):
+        for entry in (np.float64(3.0), np.bool_(True)):
+            with pytest.raises(PartitionError, match="is not an integer") as err:
+                SubAlgebra.from_atoms([(0, 1), (2, entry)], 4)
+            assert err.value.at == (1, 1)
+        alg = SubAlgebra.from_atoms([np.array([1, 0]), (np.int32(2), np.uint8(3))], 4)
+        assert alg.atoms == ((1, 0), (2, 3))
+        assert all(type(i) is int for atom in alg.atoms for i in atom)
 
     @settings(max_examples=300, deadline=None)
     @given(st.integers(1, 6).flatmap(lambda n: st.tuples(st.just(n), st.lists(
@@ -140,6 +154,21 @@ class TestRefusalsLocateTheFault:
         assert (err.value.at, err.value.held_by) == (at, held_by)
         if not at:
             assert err.value.uncovered == tuple(sorted(set(range(n)) - set(flat)))
+
+
+class TestConstructorsCopy:
+    def test_caller_arrays_stay_writable(self):
+        probs, values = np.array([0.5, 0.5]), np.array([1.0, -2.0])
+        space = FiniteProbSpace(probs)
+        x = RandomVar(values, space)
+        probs[0], values[0] = 0.25, 3.0
+        assert probs.flags.writeable and values.flags.writeable
+        np.testing.assert_array_equal(space.probs, [0.5, 0.5])
+        np.testing.assert_array_equal(x.values, [1.0, -2.0])
+        for own in (space.probs, x.values):
+            assert not own.flags.writeable
+            with pytest.raises(ValueError):
+                own[0] = 0.0
 
 
 class TestCondExpectation:

@@ -17,6 +17,14 @@ def code_lines():
 
 
 @pytest.fixture(scope="module")
+def options():
+    spec = importlib.util.spec_from_file_location("options", ROOT / "tools" / "options.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture(scope="module")
 def compare_outputs():
     spec = importlib.util.spec_from_file_location(
         "compare_outputs", ROOT / "tools" / "compare_outputs.py")
@@ -66,6 +74,90 @@ class TestCodeLines:
         assert code_lines.main([]) == 2
         assert code_lines.main([str(tmp_path), str(tmp_path / "missing")]) == 2
         assert "usage" in capsys.readouterr().err
+
+
+OPTIONS_MODULE = """\
+import argparse
+from dataclasses import dataclass, field
+from typing import NamedTuple
+
+
+def solve(f, lo, hi=1.0, *, tol=1e-9, cap=None, strict):  # 3
+    def inner(x, scale=2.0):  # nested: not counted
+        return x
+    return inner
+
+
+def _helper(x, y=1):  # private: not counted
+    return x
+
+
+@dataclass(frozen=True)
+class Record:  # 2
+    name: str
+    size: int = 0
+    tags: list = field(default_factory=list)
+
+    def scaled(self, by=1.0):  # 1
+        return self
+
+
+class Report(NamedTuple):  # 1
+    value: float
+    ok: bool = True
+
+
+class Plain:
+    limit: int = 3  # not a record: not counted
+
+    def __init__(self, n=4):  # 1
+        self.n = n
+
+    def _step(self, k=1):  # private: not counted
+        return k
+
+
+class _Hidden:
+    def run(self, x=0):  # private class: not counted
+        return x
+
+
+def build():  # 2
+    parser = argparse.ArgumentParser()
+    parser.add_argument("command")
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("-o", "--out", default=".")
+    return parser
+"""
+
+
+class TestOptions:
+    def test_counts_each_kind(self, options, tmp_path):
+        path = tmp_path / "mod.py"
+        _write(path, OPTIONS_MODULE)
+        assert options.options(path) == 3 + 2 + 1 + 1 + 1 + 2
+
+    def test_two_trees(self, options, tmp_path, capsys):
+        old, new = tmp_path / "old", tmp_path / "new"
+        _write(old / "a.py", "def f(x, y=1, z=2):\n    return x\n")
+        _write(new / "a.py", "def f(x, y=1):\n    return x\n")
+        _write(new / "b.py", "class R(NamedTuple):\n    v: int = 0\n")
+        assert options.main([str(old), str(new)]) == 0
+        rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+        assert rows == [
+            ["old", "new", "diff", "file"],
+            ["2", "1", "-1", "a.py"],
+            ["0", "1", "+1", "b.py"],
+            ["2", "2", "+0", "total"],
+        ]
+
+    def test_one_file_and_bad_arguments(self, options, tmp_path, capsys):
+        path = tmp_path / "a.py"
+        _write(path, "def f(x=1):\n    return x\n")
+        assert options.main([str(path)]) == 0
+        assert capsys.readouterr().out.split() == ["1", str(path), "1", "total"]
+        assert options.main([]) == 2
+        assert "usage: python tools/options.py" in capsys.readouterr().err
 
 
 class TestCompareOutputs:

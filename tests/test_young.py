@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -290,6 +291,24 @@ class TestValidate:
         phi = YoungFn(lambda t: min(t, 1.0) * 0.5, INF, None, "custom")
         report = validate(phi)
         assert not report.diverges
+
+    @pytest.mark.parametrize("phi", [make_power(1), make_power(2), make_linf(), make_exp(),
+                                     make_exp(3.0), make_piecewise([0.5, 1.5], [0.0, 1.0, 2.5])])
+    def test_families_and_conjugates_pass_with_warnings_as_errors(self, phi):
+        # exp overflows to inf on the grid, so its monotone test meets inf - inf
+        for f in (phi, conjugate_young_fn(phi)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                report = validate(f)
+            assert report.passed, (f.family_tag, report)
+            assert all(type(flag) is bool for flag in report[:6]), report
+
+    def test_drop_from_inf_is_not_monotone(self):
+        phi = YoungFn(lambda t: INF if 10.0 < t < 100.0 else t * t, INF, None, "custom")
+        report = validate(phi)
+        assert not report.monotone_ok
+        assert report.first_violation[0] == "monotone"
+        assert report.first_violation[2][0] == INF
 
 
 ALL_FAMILIES = [make_power(1), make_power(2.5), make_linf(), make_exp(1.5),

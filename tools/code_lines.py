@@ -47,14 +47,15 @@ def code_lines(path: Path) -> int:
     return len(lines - _docstring_lines(ast.parse(path.read_bytes())))
 
 
-def _counts(root: Path) -> dict[str, int]:
-    """Code lines per `.py` file under `root`, keyed by relative path."""
-    return {path.relative_to(root).as_posix(): code_lines(path) for path in root.rglob("*.py")}
+def _counts(root: Path, count) -> dict[str, int]:
+    """`count` of each `.py` file under `root`, keyed by relative path."""
+    return {path.relative_to(root).as_posix(): count(path) for path in root.rglob("*.py")}
 
 
-def compare(old: Path, new: Path) -> None:
-    """Print each file's count under `old` and `new`, the difference, then the totals."""
-    before, after = _counts(old), _counts(new)
+def compare(old: Path, new: Path, count=code_lines) -> None:
+    """Print each file's count under `old` and `new`, the difference, then
+    the totals; `count` maps a path to its count (code lines by default)."""
+    before, after = _counts(old, count), _counts(new, count)
     print(f"{'old':>6}  {'new':>6}  {'diff':>6}  file")
     for name in sorted(before.keys() | after.keys()):
         a, b = before.get(name, 0), after.get(name, 0)
@@ -63,19 +64,21 @@ def compare(old: Path, new: Path) -> None:
     print(f"{a:6d}  {b:6d}  {b - a:+6d}  total")
 
 
-def main(argv: list[str]) -> int:
+def main(argv: list[str], count=code_lines) -> int:
+    """The command line of this tool, or of another that counts with `count`
+    and is named after it."""
     if len(argv) == 2 and all(Path(arg).is_dir() for arg in argv):
-        compare(Path(argv[0]), Path(argv[1]))
+        compare(Path(argv[0]), Path(argv[1]), count)
         return 0
     if len(argv) != 1:
-        print("usage: python tools/code_lines.py <directory or .py file> | OLD_DIR NEW_DIR",
+        print(f"usage: python tools/{count.__name__}.py <directory or .py file> | OLD_DIR NEW_DIR",
               file=sys.stderr)
         return 2
     root = Path(argv[0])
     files = sorted(root.rglob("*.py")) if root.is_dir() else [root]
     total = 0
     for path in files:
-        n = code_lines(path)
+        n = count(path)
         total += n
         print(f"{n:6d}  {path}")
     print(f"{total:6d}  total")
