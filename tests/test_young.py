@@ -200,7 +200,8 @@ class TestConjugate:
         assert oracle(make_power(1), 1.5) == INF
 
     def test_numeric_at_a_tiny_argument(self):
-        # the maximizer is the knot at 1, far inside a bracket as wide as 1/s
+        # the maximizer is the knot at 1; a bracket as wide as 1/s = 1e300 would
+        # overflow on its first expansion
         phi = make_piecewise([1.0], [5e-324, 0.5])
         assert oracle(phi, 1e-300) == pytest.approx(1e-300, rel=1e-9)
         for phi in (make_power(2), make_exp(), make_linf()):

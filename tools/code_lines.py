@@ -52,9 +52,9 @@ def _counts(root: Path, count) -> dict[str, int]:
     return {path.relative_to(root).as_posix(): count(path) for path in root.rglob("*.py")}
 
 
-def compare(old: Path, new: Path, count=code_lines) -> None:
-    """Print each file's count under `old` and `new`, the difference, then
-    the totals; `count` maps a path to its count (code lines by default)."""
+def compare(old: Path, new: Path, count) -> None:
+    """Print each file's `count` under `old` and `new`, the difference, then
+    the totals."""
     before, after = _counts(old, count), _counts(new, count)
     print(f"{'old':>6}  {'new':>6}  {'diff':>6}  file")
     for name in sorted(before.keys() | after.keys()):
