@@ -51,7 +51,7 @@ def _defaults(fn: ast.FunctionDef | ast.AsyncFunctionDef) -> int:
 
 def _record_fields(cls: ast.ClassDef) -> int:
     """Fields with a default, if `cls` is a dataclass or a NamedTuple."""
-    if not ({"dataclass"} & set(map(_name, cls.decorator_list))
+    if not ("dataclass" in map(_name, cls.decorator_list)
             or "NamedTuple" in map(_name, cls.bases)):
         return 0
     return sum(isinstance(item, ast.AnnAssign) and item.value is not None for item in cls.body)
