@@ -68,19 +68,21 @@ def _cond_norm(x: RandomVar, alg: SubAlgebra, values: np.ndarray, attained) -> C
 
 def _smallest_scale(x: RandomVar, alg: SubAlgebra, F: Callable):
     """Per atom, the smallest scale mu with E[F(|x|/mu) | atom] <= 1 for a
-    nondecreasing F, by one bisection over all atoms from the bracket
-    [max|x| * 2**-60, max|x|].  Each atom is solved at unit scale: its |x|
-    is divided by `unit`, the power of two that brings its largest value
-    into [0.5, 1).  That division is exact, so a tiny or huge x takes the
-    same steps as a moderate one.  Returns the solve report, the largest |x|
-    per atom, and `expect(G, mu)`, the conditional expectations of
-    G(|x|/mu), all at unit scale, then `unit`: the scale of x is mu * unit.
-    An atom where x vanishes is reported at its left edge (attained False)."""
+    nondecreasing F, by one bisection over all atoms.  Each atom is solved
+    at unit scale: its |x| is multiplied by 2**-e, with e the binary
+    exponent that brings its largest value `peak` into [0.5, 1), and the
+    bracket is [peak * 2**-60, peak].  Scaling by a power of two with
+    `np.ldexp` is exact and never forms 2**e itself, which overflows for e =
+    1024, so a tiny or huge x takes the same steps as a moderate one.
+    Returns the solve report, `peak`, and `expect(G, mu)`, the conditional
+    expectations of G(|x|/mu), all at unit scale, then `e`: the scale of x
+    is `np.ldexp(mu, e)`.  An atom where x vanishes is reported at its left
+    edge (attained False)."""
     absx = np.abs(x.values).take(alg.order, -1)
     weights = _atom_weights(x.space, alg)[alg.order]
     atom = alg.atom_of[alg.order]
-    unit = np.ldexp(1.0, np.frexp(np.maximum.reduceat(absx, alg.starts, axis=-1))[1])
-    absx = absx / unit.take(atom, -1)
+    e = np.frexp(np.maximum.reduceat(absx, alg.starts, axis=-1))[1]
+    absx = np.ldexp(absx, -e.take(atom, -1))
     peak = np.maximum.reduceat(absx, alg.starts, axis=-1)
 
     def expect(G: Callable, mu: np.ndarray) -> np.ndarray:
@@ -93,7 +95,7 @@ def _smallest_scale(x: RandomVar, alg: SubAlgebra, F: Callable):
     except BracketError as exc:
         # the solver's elements are the atoms, in order
         raise DivergenceError(f"modular never reached 1 on an atom: {exc}") from exc
-    return report, peak, expect, unit
+    return report, peak, expect, e
 
 
 def luxemburg_norm(x: RandomVar, alg: SubAlgebra, phi: YoungFn) -> CondNorm:
@@ -112,8 +114,8 @@ def luxemburg_norm(x: RandomVar, alg: SubAlgebra, phi: YoungFn) -> CondNorm:
         values = alg.atom_max(np.abs(x.values)) / phi.step_threshold
         at_threshold = phi.eval(phi.step_threshold) <= 1.0
         return _cond_norm(x, alg, values, at_threshold | (values == 0.0))
-    report, peak, _, unit = _smallest_scale(x, alg, phi.eval)
-    values = np.where(peak > 0.0, report.arg, 0.0) * unit
+    report, peak, _, e = _smallest_scale(x, alg, phi.eval)
+    values = np.ldexp(np.where(peak > 0.0, report.arg, 0.0), e)
     return _cond_norm(x, alg, values, True)
 
 
@@ -149,7 +151,7 @@ def amemiya_norm(x: RandomVar, alg: SubAlgebra, phi: YoungFn) -> CondNorm:
             conj = np.where(gap & ~np.isnan(diff), diff, conj)
         return conj
 
-    report, peak, expect, unit = _smallest_scale(x, alg, psi)
+    report, peak, expect, e = _smallest_scale(x, alg, psi)
     mu = report.arg
     mu_lo = peak / phi.finite_sup
     barrier = (mu_lo > 0.0) & (mu - mu_lo <= _REL_TOL * mu)
@@ -160,7 +162,7 @@ def amemiya_norm(x: RandomVar, alg: SubAlgebra, phi: YoungFn) -> CondNorm:
     if math.isfinite(phi.sup_slope):
         values = np.where(limit, phi.sup_slope * expect(lambda t: t, np.ones_like(mu)), values)
     attained = ~limit & (included | ~barrier)
-    values = np.where(peak > 0.0, values, 0.0) * unit
+    values = np.ldexp(np.where(peak > 0.0, values, 0.0), e)
     return _cond_norm(x, alg, values, attained | (peak == 0.0))
 
 

@@ -81,6 +81,9 @@ _FEAS_MEAN_TOL = 1e-10
 # the slack of the penalty bound; `verify` reports them as its rows' allowed
 PROBE_TOL = 1e-9
 PENALTY_BOUND_TOL = 1e-8
+# the most position entries (positions times outcomes) `locality_check`
+# sends to rho in one call
+_STACK_ENTRIES = 1 << 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -446,15 +449,27 @@ def locality_check(rho: CondRiskMeasure, space: FiniteProbSpace, alg: SubAlgebra
                    trials: int = 8, seed: int = 0) -> LocalityReport:
     """Probe 1_A rho(1_A x) = 1_A rho(x) within 1e-9 for random x and every
     atom A, one probe per atom and trial; the first violating (A, x) pair,
-    trial by trial and atom by atom, is reported as a witness.
+    trial by trial and atom by atom, is reported as a witness.  The probes
+    go to rho in blocks of at most 2**16 position entries, so memory stays
+    linear in the number of outcomes; a small space takes one call.
 
     Locality on every atom implies it on every union B of atoms: for an atom
     A inside B, 1_A rho(1_B x) = 1_A rho(1_A 1_B x) = 1_A rho(1_A x) = 1_A rho(x)."""
-    x = _rng(seed).normal(size=(trials, space.n_outcomes))
-    ind = (alg.atom_of == np.arange(alg.n_atoms)[:, None]).astype(float)
-    # each trial's x, then x * 1_A for every atom A, all in one call
-    r = _evaluate_stack(rho, np.concatenate([x[:, None], x[:, None] * ind], axis=1), space, alg)
-    dev = np.abs(r[:, 1:] * ind - r[:, :1] * ind).max(axis=-1, initial=0.0)
+    n = alg.n_outcomes  # a space of another size fails in RandomVar
+    x = _rng(seed).normal(size=(trials, n))
+    rows = trials * (1 + alg.n_atoms)
+    block = max(1, _STACK_ENTRIES // n)
+    rx = np.empty_like(x)
+    dev = np.empty((trials, alg.n_atoms))
+    for start in range(0, rows, block):
+        # row i probes trial i // (1 + n_atoms): its x, then x * 1_A atom by atom
+        t, j = np.divmod(np.arange(start, min(start + block, rows)), 1 + alg.n_atoms)
+        keep = (j[:, None] == 0) | (alg.atom_of == j[:, None] - 1)
+        r = _evaluate_stack(rho, x[t] * keep, space, alg)
+        head = j == 0
+        rx[t[head]] = r[head]
+        t, j, keep, r = t[~head], j[~head], keep[~head], r[~head]
+        dev[t, j - 1] = np.abs(r * keep - rx[t] * keep).max(axis=-1, initial=0.0)
     max_dev = float(np.max(dev, initial=0.0))
     witness = None
     if max_dev > PROBE_TOL:

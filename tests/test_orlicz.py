@@ -377,13 +377,26 @@ class TestMagnitudeAndSkewInvariance:
             x = space.var(rng.normal(size=space.n_outcomes))
             for phi in ALL_FAMILIES:
                 base = norm(x, alg, phi)
-                for scale in (2.0 ** -1040, 1e-308, 1e-305, 1e-300, 1e-200, 1e-100, 1e100, 1e200):
+                # the largest scale lifts max|x| to 1.5e308, above 2**1023, unless
+                # the norm itself would then pass 1e308
+                top = 1e308 / max(np.abs(x.values).max() / 1.5, base.atom_values.max(), 1.0)
+                for scale in (2.0 ** -1040, 1e-308, 1e-305, 1e-300, 1e-200, 1e-100, 1e100, 1e200,
+                              top):
                     scaled = norm(x * scale, alg, phi)
                     np.testing.assert_allclose(
                         scaled.atom_values / scale, base.atom_values, rtol=1e-9,
                         err_msg=f"{phi.family_tag} {phi.params} at {scale}",
                     )
                     assert scaled.attained == base.attained, (phi.family_tag, scale)
+
+    def test_huge_positions_keep_finite_norms(self):
+        x = FiniteProbSpace.uniform(2).var([1e308, 0.0])
+        alg, phi = SubAlgebra.trivial(2), make_power(2)
+        root = math.sqrt(0.5)
+        assert luxemburg_norm(x, alg, phi).atom_values[0] == pytest.approx(1e308 * root, rel=1e-9)
+        assert amemiya_norm(x, alg, phi).atom_values[0] == pytest.approx(1e308 * math.sqrt(2.0), rel=1e-9)
+        op = pairing_operator_norm(x, alg, phi)
+        assert op.atom_values[0] == pytest.approx(1e308 * root, rel=1e-9)
 
     def test_tiny_magnitudes_keep_the_attained_minimum(self):
         space = FiniteProbSpace(np.array([0.2, 0.3, 0.5]))

@@ -670,6 +670,27 @@ class TestLocality:
         locality_check(counted, quarter_space, pairs, trials=3)
         assert calls == [(3 * (1 + pairs.n_atoms), 4)]
 
+    def test_blocks_bound_the_stack(self, monkeypatch):
+        # 16 positions of 5 outcomes in blocks of 3: the same report, no call above 3
+        space = FiniteProbSpace(np.array([0.1, 0.2, 0.3, 0.15, 0.25]))
+        alg = SubAlgebra.from_atoms([(3, 0), (1,), (4, 2)], 5)
+
+        def leaks(v):
+            mean = cond_expectation(v, alg).values
+            return space.var(mean + 0.5 * v.values[1] * (alg.atom_of != 1))
+
+        rho = custom(lambda v, _: leaks(v))
+        calls = []
+        counted = dataclasses.replace(rho, evaluate=lambda x, a: calls.append(len(x.values))
+                                      or rho.evaluate(x, a))
+        whole = locality_check(rho, space, alg, trials=4, seed=3)
+        monkeypatch.setattr(risk_module, "_STACK_ENTRIES", 15)
+        blocked = locality_check(counted, space, alg, trials=4, seed=3)
+        assert calls == [3] * 5 + [1]
+        assert blocked.max_deviation == whole.max_deviation > 1e-9
+        assert blocked.witness[0] == whole.witness[0]
+        np.testing.assert_array_equal(blocked.witness[1], whole.witness[1])
+
     @pytest.mark.parametrize("seed", [0, 3, 11])
     def test_matches_the_probe_by_probe_walk(self, seed):
         # the walk evaluates x, then 1_A x atom by atom, one position at a time
