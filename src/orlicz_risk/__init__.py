@@ -58,7 +58,6 @@ from .risk import (
     locality_check,
     extension_check,
     penalty_bound_check,
-    uniform_order_continuity_check,
     dynamic_evaluate,
     check_axioms,
     dual_feasible_atoms,

@@ -181,9 +181,12 @@ def pairing_operator_norm(y: RandomVar, alg: SubAlgebra, phi: YoungFn) -> CondNo
     conjugate Young function (the classical Orlicz-norm identity), computed
     by the same lock-step psi-root as `amemiya_norm`.  Its value sits at or
     above the infimum, so it can only over- and never under-estimate the
-    supremum, and the pairing bound it certifies is safe.
+    supremum, and the pairing bound it certifies is safe.  Needs the
+    `conjugate_deriv` field of phi, which is the conjugate's `deriv`.
     """
     _require_finite(y, "pairing_operator_norm")
+    if phi.conjugate_deriv is None:
+        raise ParameterError("pairing_operator_norm needs the Young function field 'conjugate_deriv'")
     return amemiya_norm(abs(y), alg, conjugate_young_fn(phi))
 
 

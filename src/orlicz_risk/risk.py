@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -66,7 +66,6 @@ __all__ = [
     "locality_check",
     "extension_check",
     "penalty_bound_check",
-    "uniform_order_continuity_check",
     "dynamic_evaluate",
     "check_axioms",
     "dual_feasible_atoms",
@@ -540,38 +539,6 @@ def penalty_bound_check(rho: CondRiskMeasure, x: RandomVar, y: RandomVar,
         for k, row in enumerate(zip(hyp.tolist(), pen[first].tolist(), rhs.tolist(), ok.tolist()))
     )
     return PenaltyBoundReport(rows, all(r.ok for r in rows))
-
-
-class UniformOrderContinuityReport(NamedTuple):
-    sup_pairings: np.ndarray  # one row per sequence element, one column per atom
-    tail_per_atom: tuple[float, ...]
-    passed: bool
-
-
-def uniform_order_continuity_check(C: Sequence[RandomVar], alg: SubAlgebra,
-                                   us: Sequence[RandomVar]) -> UniformOrderContinuityReport:
-    """For a pointwise nonincreasing nonnegative sequence u_n -> 0, the
-    quantities s_n = max over z in C of E[|u_n z| | atom] must drop to 1e-8
-    at the tail; this is the finite-space surrogate for relative weak
-    compactness of the solid hull of C."""
-    if not us:
-        raise StructuralError("the sequence us needs at least one element")
-    for u in (*us, *C):
-        _check_dims(u, alg)
-    for u in us:
-        if np.any(u.values < 0.0):
-            raise ContractError("sequence elements must be nonnegative")
-    for earlier, later in zip(us, us[1:]):
-        if np.any(later.values > earlier.values):
-            raise ContractError("sequence must be pointwise nonincreasing")
-    space = us[0].space
-    u = np.array([v.values for v in us])
-    absz = np.abs(np.array([z.values for z in C])).reshape(len(C), space.n_outcomes)
-    # pairings[i, j, k] = E[u_i |z_j| | atom k]
-    pairings = alg.atom_sum(_atom_weights(space, alg) * u[:, None, :] * absz)
-    rows = pairings.max(axis=1, initial=0.0)
-    tail = tuple(float(v) for v in rows[-1])
-    return UniformOrderContinuityReport(rows, tail, all(v <= 1e-8 for v in tail))
 
 
 def dynamic_evaluate(D: DynamicRiskMeasure, x: RandomVar) -> list[RandomVar]:

@@ -18,7 +18,6 @@ from typing import Callable, Mapping, NamedTuple
 import numpy as np
 
 from .errors import ParameterError
-from . import solvers
 
 __all__ = [
     "YoungFn",
@@ -40,7 +39,7 @@ _EXP_OVERFLOW = 709.0
 
 @dataclass(frozen=True, eq=False)
 class YoungFn:
-    """A Young function with metadata used by the norm and conjugate solvers.
+    """A Young function with metadata used by the norm solves and the conjugate.
 
     eval, conjugate_closed_form, deriv and conjugate_deriv map a float or an
     array of floats elementwise, returning +inf where the value is infinite.
@@ -183,35 +182,53 @@ def conjugate(phi: YoungFn, s: float) -> float:
 
     Uses the closed form when phi has one (all four families do).  A Young
     function without one, such as `replace(phi, conjugate_closed_form=None)`,
-    gets its concave objective maximized by golden section to a relative
-    width of 1e-10, from the bracket [0, 1], or [0, finite_sup] on a finite
-    domain, with expansion (factor 4, at most 200 expansions); the objective
-    is +inf for t < 0 and wherever phi is.  An objective still improving at
-    the expansion cap is reported as inf.  This numeric path is the oracle
-    the closed forms are tested against."""
+    gets the Fenchel-Young value s*t - phi(t) at the maximizer
+    t = conjugate_deriv(s); `_fenchel_young` says how its edges are decided.
+    With neither field it raises ParameterError."""
     if not s >= 0.0:  # NaN too
         raise ParameterError(f"conjugate argument must be >= 0, got {s}")
     if s == 0.0:
         return 0.0
-    if phi.conjugate_closed_form is not None:
-        return phi.conjugate_closed_form(s)
+    return (phi.conjugate_closed_form or _fenchel_young(phi))(s)
 
-    def neg_obj(t: float) -> float:
-        v = phi.eval(t) if t >= 0.0 else INF
-        return INF if math.isinf(v) else v - s * t
 
-    hi = 1.0 if math.isinf(phi.finite_sup) else phi.finite_sup
-    if math.isinf(phi.eval(hi)):
-        hi = hi * (1.0 - 1e-12)  # stay strictly below the boundary
-    report = solvers.golden_min(neg_obj, 0.0, hi, rel_tol=1e-10)
-    return -report.value if report.converged else INF
+def _fenchel_young(phi: YoungFn) -> Callable[[float], float]:
+    """phi* by the Fenchel-Young equality phi*(s) = s*t - phi(t) at the
+    maximizer t = conjugate_deriv(s) (Rockafellar, Convex Analysis, Thm 23.5).
+
+    The fields decide where that t or phi(t) is not finite: phi* is inf
+    beyond sup_slope, and s * step_threshold for a step.  At s = sup_slope,
+    where the right derivative t is inf, the smallest maximizer stands in:
+    conjugate_deriv just below s, once phi's slope there is sup_slope, so
+    that phi is linear beyond it.  A value still not finite, such as one
+    whose maximizer lies past the float range, raises ParameterError."""
+    if phi.conjugate_deriv is None:
+        raise ParameterError("the conjugate needs the Young function field "
+                             "'conjugate_closed_form' or 'conjugate_deriv'")
+    top, step = phi.sup_slope, phi.step_threshold
+    with np.errstate(all="ignore"):
+        t_top = phi.conjugate_deriv(np.nextafter(top, 0.0))
+        linear_at_top = phi.deriv is not None and phi.deriv(t_top) == top
+
+    @np.errstate(all="ignore")
+    def conj(s):
+        s = np.asarray(s, dtype=float)
+        t = np.where(s == top, t_top if linear_at_top else INF, phi.conjugate_deriv(s))
+        value = s * step if step is not None else s * t - phi.eval(t)
+        beyond = (s > top) | (s == INF)
+        if not np.isfinite(value[~beyond]).all():
+            raise ParameterError(f"the conjugate of {phi.family_tag!r} is undecided where its "
+                                 "maximizer or phi there is not finite")
+        return np.where(beyond, INF, value)[()]
+
+    return conj
 
 
 def conjugate_young_fn(phi: YoungFn) -> YoungFn:
     """The conjugate as a Young function in its own right.  Its finite domain
     ends at phi's largest slope, its own conjugate is phi back, and the two
     derivative fields swap."""
-    closed = phi.conjugate_closed_form or np.vectorize(lambda s: conjugate(phi, s), otypes=[float])
+    closed = phi.conjugate_closed_form or _fenchel_young(phi)
 
     def conj_eval(s):
         return np.where(s > phi.sup_slope, INF, closed(s))[()]
@@ -245,7 +262,9 @@ def validate(phi: YoungFn) -> YoungValidation:
     """Check the defining properties on a sampled geometric grid of 48
     points: phi(0) = 0 exactly, monotonicity and midpoint convexity on the
     open finite domain, and divergence beyond 1e6 at some probe.  Left-continuity at the domain
-    edge is a convention the families supply and is not sampled."""
+    edge is a convention the families supply and is not sampled.  Each
+    failed property has a witness (name, points, values); the first in that
+    order is `first_violation`."""
 
     def safe(t: float) -> float:
         try:
@@ -253,54 +272,38 @@ def validate(phi: YoungFn) -> YoungValidation:
         except OverflowError:
             return INF
 
-    origin_ok = bool(safe(0.0) == 0.0)
-    first_violation: tuple | None = None
-    if not origin_ok:
-        first_violation = ("origin", (0.0,), (safe(0.0),))
-
     t_hi = min(phi.finite_sup, 1e6)
     grid = [t_hi * (1.0 - 1e-9) * (1e-8) ** (1.0 - k / 47.0) for k in range(48)]
-
-    finite_near_zero = math.isfinite(safe(grid[0]))
-    if not finite_near_zero and first_violation is None:
-        first_violation = ("finite_near_zero", (grid[0],), (safe(grid[0]),))
-
     vals = [safe(t) for t in grid]
-    monotone_ok = True
-    for a, b, fa, fb in zip(grid, grid[1:], vals, vals[1:]):
-        # an infinite fa needs no slack: only fb = inf keeps the pair monotone
-        slack = 1e-12 * max(1.0, abs(fa)) if math.isfinite(fa) else 0.0
-        if fb < fa - slack:
-            monotone_ok = False
-            if first_violation is None:
-                first_violation = ("monotone", (a, b), (fa, fb))
-            break
-
-    convex_ok = True
-    for a, b, fa, fb in zip(grid, grid[1:], vals, vals[1:]):
-        if math.isinf(fa) or math.isinf(fb):
-            continue
-        mid = 0.5 * (a + b)
-        fm = safe(mid)
-        if fm > 0.5 * (fa + fb) + 1e-10 * max(1.0, abs(fa) + abs(fb)):
-            convex_ok = False
-            if first_violation is None:
-                first_violation = ("convex", (a, mid, b), (fa, fm, fb))
-            break
-
-    diverges = False
     probes = [10.0 ** k for k in range(-2, 9)]
     if math.isfinite(phi.finite_sup):
         probes += [phi.finite_sup, 1.5 * phi.finite_sup]
-    for t in probes:
-        if safe(t) > 1e6:
-            diverges = True
-            break
-    if not diverges and first_violation is None:
-        first_violation = ("diverges", tuple(probes[-2:]), (safe(probes[-1]),))
 
-    passed = origin_ok and finite_near_zero and monotone_ok and convex_ok and diverges
-    return YoungValidation(
-        passed, origin_ok, finite_near_zero, monotone_ok, convex_ok, diverges,
-        first_violation,
-    )
+    def first(witness):
+        """The first witness found on the neighbouring grid pairs, or None."""
+        found = (witness(*pair) for pair in zip(grid, grid[1:], vals, vals[1:]))
+        return next(filter(None, found), None)
+
+    def drop(a, b, fa, fb):
+        # an infinite fa needs no slack: only fb = inf keeps the pair monotone
+        slack = 1e-12 * max(1.0, abs(fa)) if math.isfinite(fa) else 0.0
+        return fb < fa - slack and ("monotone", (a, b), (fa, fb))
+
+    def above_chord(a, b, fa, fb):
+        if math.isfinite(fa) and math.isfinite(fb):
+            mid = 0.5 * (a + b)
+            fm = safe(mid)
+            tol = 1e-10 * max(1.0, abs(fa) + abs(fb))
+            return fm > 0.5 * (fa + fb) + tol and ("convex", (a, mid, b), (fa, fm, fb))
+
+    origin, near_zero = safe(0.0), vals[0]
+    diverges = any(safe(t) > 1e6 for t in probes)
+    violations = [
+        ("origin", (0.0,), (origin,)) if origin != 0.0 else None,
+        ("finite_near_zero", (grid[0],), (near_zero,)) if not math.isfinite(near_zero) else None,
+        first(drop),
+        first(above_chord),
+        None if diverges else ("diverges", tuple(probes[-2:]), (safe(probes[-1]),)),
+    ]
+    flags = [v is None for v in violations]
+    return YoungValidation(all(flags), *flags, next(filter(None, violations), None))

@@ -504,3 +504,10 @@ def test_amemiya_names_a_missing_derivative_field(coin):
         amemiya_norm(coin.var([1.0, 2.0]), SubAlgebra.trivial(2), phi)
     with pytest.raises(ParameterError, match="deriv"):
         pairing_operator_norm(coin.var([1.0, 2.0]), SubAlgebra.trivial(2), phi)
+
+
+def test_pairing_operator_norm_names_the_conjugate_derivative_field(coin):
+    # the conjugate's `deriv` is phi's `conjugate_deriv`, the field to name
+    phi = dataclasses.replace(make_power(2), conjugate_deriv=None)
+    with pytest.raises(ParameterError, match="field 'conjugate_deriv'$"):
+        pairing_operator_norm(coin.var([1.0, 2.0]), SubAlgebra.trivial(2), phi)

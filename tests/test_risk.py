@@ -37,7 +37,6 @@ from orlicz_risk import (
     risk_from_spec,
     robust_representation,
     scalarize,
-    uniform_order_continuity_check,
     worst_case,
 )
 from orlicz_risk.verification import verify_scenario
@@ -772,39 +771,6 @@ class TestPenaltyBound:
                 y = feasible_density(rng, quarter_space, pairs)
                 beta = float(rng.uniform(0.0, 2.0))
                 assert penalty_bound_check(rho, x, y, beta, pairs).passed
-
-
-class TestUniformOrderContinuity:
-    def test_entropic_level_set_densities(self, quarter_space, pairs):
-        # members of C are densities whose entropic penalty stays below c
-        rng = np.random.default_rng(3)
-        rho = entropic(1.0)
-        level = 0.5
-        C = [quarter_space.var(np.ones(4))]
-        while len(C) < 6:
-            y = feasible_density(rng, quarter_space, pairs)
-            pen = fenchel_conjugate(rho, y, pairs).values
-            if np.all(pen <= level):
-                C.append(y * -1.0)
-        us = [quarter_space.var(np.full(4, 0.5 / n ** 2)) for n in (1, 10, 100, 10_000)]
-        rep = uniform_order_continuity_check(C, pairs, us)
-        assert rep.passed
-        assert max(rep.tail_per_atom) <= 1e-8
-
-    def test_zero_family(self, quarter_space, pairs):
-        us = [quarter_space.var(np.full(4, 1.0 / n)) for n in (1, 10, 100)]
-        rep = uniform_order_continuity_check([quarter_space.var(np.zeros(4))], pairs, us)
-        assert np.all(rep.sup_pairings == 0.0)
-
-    def test_nonmonotone_rejected(self, quarter_space, pairs):
-        us = [quarter_space.var(np.full(4, 0.1)), quarter_space.var(np.full(4, 0.2))]
-        with pytest.raises(ContractError):
-            uniform_order_continuity_check([quarter_space.var(np.ones(4))], pairs, us)
-
-    def test_negative_element_rejected(self, quarter_space, pairs):
-        us = [quarter_space.var([0.1, 0.1, -0.1, 0.1])]
-        with pytest.raises(ContractError, match="nonnegative"):
-            uniform_order_continuity_check([quarter_space.var(np.ones(4))], pairs, us)
 
 
 class TestDynamic:

@@ -36,7 +36,6 @@ from orlicz_risk import (
     penalty_bound_check,
     robust_representation,
     scalarize,
-    uniform_order_continuity_check,
     worst_case,
 )
 from orlicz_risk import orlicz, verification
@@ -176,11 +175,9 @@ Y = FOUR.var([-0.5, -1.5, -1.0, -1.0])
     lambda alg: check_axioms(entropic(1.0), FOUR, alg),
     lambda alg: lebesgue_check(entropic(1.0), FOUR, alg),
     lambda alg: extension_check(entropic(1.0), FOUR, alg, alg),
-    lambda alg: uniform_order_continuity_check([X], alg, [abs(X)]),
 ], ids=["luxemburg", "luxemburg_linf", "amemiya", "pairing_operator_norm", "entropic",
         "robust_representation", "dual_feasible_atoms", "fenchel_conjugate",
-        "fenchel_conjugate_custom", "check_axioms", "lebesgue_check", "extension_check",
-        "uniform_order_continuity"])
+        "fenchel_conjugate_custom", "check_axioms", "lebesgue_check", "extension_check"])
 def test_algebra_of_another_size_is_named(call, n_alg):
     with pytest.raises(StructuralError):
         call(SubAlgebra.trivial(n_alg))
@@ -202,20 +199,9 @@ STACK = FOUR.var([[1.0, 1.0, 2.0, 2.0]] * 4)
     lambda: dynamic_evaluate(DynamicRiskMeasure(((PAIRS, entropic(1.0)),)), STACK),
     lambda: scalarize(entropic(1.0), FOUR, PAIRS).evaluate(STACK),
     lambda: scalarize(entropic(1.0), FOUR, PAIRS).conjugate_numeric(STACK * -1.0),
-    lambda: uniform_order_continuity_check([X], PAIRS, [STACK]),
 ], ids=["is_measurable", "concatenate", "robust_representation", "attainment_check",
         "dual_feasible_atoms", "fenchel_conjugate", "penalty_bound_check", "dynamic_evaluate",
-        "scalarized_evaluate", "conjugate_numeric", "uniform_order_continuity"])
+        "scalarized_evaluate", "conjugate_numeric"])
 def test_one_position_entry_points_reject_a_stack(call):
     with pytest.raises(StructuralError):
         call()
-
-
-class TestUniformOrderContinuityShapes:
-    def test_empty_sequence(self):
-        with pytest.raises(StructuralError):
-            uniform_order_continuity_check([X], PAIRS, [])
-
-    def test_algebra_of_another_size(self):
-        with pytest.raises(StructuralError):
-            uniform_order_continuity_check([X], SubAlgebra.trivial(5), [abs(X), abs(X) * 0.5])

@@ -18,13 +18,9 @@ from orlicz_risk import (
     young_from_spec,
 )
 from orlicz_risk.young import YoungFn
+from tests.conjugate_oracle import golden_conjugate as oracle
 
 INF = math.inf
-
-
-def oracle(phi, s):
-    """phi*(s) by the numeric route: phi without its closed-form conjugate."""
-    return conjugate(replace(phi, conjugate_closed_form=None), s)
 
 
 class TestPower:
@@ -349,7 +345,7 @@ class TestArrayContract:
         phi = YoungFn(lambda t: t * t, INF, None, "custom")
         assert phi.deriv is None and phi.conjugate_deriv is None
         assert validate(phi).passed
-        assert conjugate(phi, 4.0) == pytest.approx(4.0, rel=1e-9)
+        assert oracle(phi, 4.0) == pytest.approx(4.0, rel=1e-9)
 
 
 @settings(max_examples=80, deadline=None)
@@ -374,3 +370,82 @@ def test_fenchel_young_inequality(t, s, p):
 def test_fenchel_young_linf(t, s):
     phi = make_linf()
     assert t * s <= phi.eval(t) + phi.conjugate_closed_form(s) + 1e-9
+
+
+def fenchel_young(phi):
+    """phi without its closed-form conjugate: `conjugate` takes the
+    Fenchel-Young route through conjugate_deriv."""
+    return replace(phi, conjugate_closed_form=None)
+
+
+SWEPT = [make_power(1), make_power(1.5), make_power(2), make_power(3.3), make_exp(1.0),
+         make_exp(2.0), make_piecewise([0.5, 1.5], [0.0, 1.0, 2.5]),
+         make_piecewise([1.0, 2.0, 4.0], [0.25, 0.5, 1.0, 3.0]), make_linf()]
+SWEPT += [conjugate_young_fn(phi) for phi in SWEPT]
+# every knot, slope and threshold of the swept functions, and its float neighbours
+KINKS = [0.25, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 4.0]
+SWEEP = sorted(set(np.geomspace(1e-300, 1e3, 304).tolist() + np.linspace(1.0, 1e3, 1000).tolist()
+                   + KINKS + np.nextafter(KINKS, 0.0).tolist() + np.nextafter(KINKS, INF).tolist()))
+
+
+class TestFenchelYoung:
+    @pytest.mark.parametrize("phi", SWEPT, ids=[f"{phi.family_tag}{i}" for i, phi in enumerate(SWEPT)])
+    def test_matches_the_closed_form(self, phi):
+        # values below the smallest normal float carry no relative precision
+        tiny = np.finfo(float).tiny
+        undecided = []
+        for s in SWEEP:
+            closed = float(phi.conjugate_closed_form(s))
+            if phi.family_tag == "linf*" and s == 1.0:
+                # linf is inf at 1 by convention, not lower semicontinuous,
+                # so the supremum that defines its biconjugate is 0 there
+                closed = 0.0
+            try:
+                value = float(conjugate(fenchel_young(phi), s))
+            except ParameterError:
+                undecided.append(s)
+                continue
+            assert value == pytest.approx(closed, rel=2e-13, abs=tiny), s
+        assert not undecided or phi.family_tag == "exp*", undecided
+
+    @pytest.mark.parametrize("scale", [1.0, 2.0])
+    def test_exp_biconjugate_is_undecided_only_where_it_nears_overflow(self, scale):
+        # the maximizer exp'(s) or phi there passes the float range only
+        # where exp itself comes within a few decades of it
+        phi = fenchel_young(conjugate_young_fn(make_exp(scale)))
+        for s in SWEEP:
+            try:
+                conjugate(phi, s)
+            except ParameterError as err:
+                assert "is undecided" in str(err)
+                assert math.expm1(min(scale * s, 709.0)) > 1e304, s
+
+    def test_exp_biconjugate_past_4_to_the_200(self):
+        phi = fenchel_young(conjugate_young_fn(make_exp()))
+        assert conjugate(phi, 316.2) == pytest.approx(math.expm1(316.2), rel=1e-13)
+
+    def test_linf_is_exact(self):
+        assert conjugate(fenchel_young(make_linf()), 2.0) == 2.0
+
+    def test_piecewise_is_exact_at_its_largest_slope(self):
+        phi = fenchel_young(make_piecewise([0.5, 1.5], [0.0, 1.0, 2.5]))
+        assert conjugate(phi, 2.5) == 2.75
+        assert conjugate(phi, 3.0) == INF
+
+    def test_limit_at_the_largest_slope_that_no_t_attains_is_undecided(self):
+        # phi(t) = t - log(1 + t) has largest slope 1, never reached, and
+        # phi*(1) = sup log(1 + t) = inf is a limit the fields cannot decide
+        phi = YoungFn(lambda t: t - np.log1p(t), INF, None, "custom", sup_slope=1.0,
+                      deriv=lambda t: t / (1.0 + t), conjugate_deriv=lambda s: s / (1.0 - s))
+        assert conjugate(phi, 0.5) == pytest.approx(math.log(2.0) - 0.5, rel=1e-15)
+        with pytest.raises(ParameterError, match="is undecided"):
+            conjugate(phi, 1.0)
+        assert conjugate(phi, 1.5) == INF
+
+    def test_without_either_field_raises_naming_both(self):
+        phi = YoungFn(lambda t: t * t, INF, None, "custom")
+        match = "'conjugate_closed_form' or 'conjugate_deriv'"
+        with pytest.raises(ParameterError, match=match):
+            conjugate(phi, 4.0)
+        with pytest.raises(ParameterError, match=match):
+            conjugate_young_fn(phi)
