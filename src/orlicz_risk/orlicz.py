@@ -101,19 +101,17 @@ def _smallest_scale(x: RandomVar, alg: SubAlgebra, F: Callable):
 def luxemburg_norm(x: RandomVar, alg: SubAlgebra, phi: YoungFn) -> CondNorm:
     """Per atom: inf{lam > 0 : E[phi(|x|/lam) | atom] <= 1}, by one lock-step
     bisection on lam over all atoms (the modular is nonincreasing in lam).
-    Atoms where x vanishes get 0.  The modular is continuous in lam for the
-    non-step families, so the infimum is attained.
+    Atoms where x vanishes get 0.  phi is left-continuous, so the modular
+    is right-continuous in lam and the infimum is attained.
 
-    Step-shaped phi (zero below a threshold, inf at or beyond it) admit the
-    exact formula max|x| / threshold, which is used instead of bisection so
-    the sup-norm case is exact.
+    A step phi (0 up to a finite finite_sup, inf beyond) has the exact
+    value max|x| / finite_sup, used instead of bisection so the sup-norm
+    case is exact.
     """
     _require_finite(x, "luxemburg_norm")
     _check_dims(x, alg, True)
-    if phi.step_threshold is not None:
-        values = alg.atom_max(np.abs(x.values)) / phi.step_threshold
-        at_threshold = phi.eval(phi.step_threshold) <= 1.0
-        return _cond_norm(x, alg, values, at_threshold | (values == 0.0))
+    if math.isfinite(phi.finite_sup) and phi.eval(phi.finite_sup) == 0.0:
+        return _cond_norm(x, alg, alg.atom_max(np.abs(x.values)) / phi.finite_sup, True)
     report, peak, _, e = _smallest_scale(x, alg, phi.eval)
     values = np.ldexp(np.where(peak > 0.0, report.arg, 0.0), e)
     return _cond_norm(x, alg, values, True)
@@ -128,8 +126,11 @@ def amemiya_norm(x: RandomVar, alg: SubAlgebra, phi: YoungFn) -> CondNorm:
     E[psi(|x|/mu) | atom] <= 1, found by one lock-step bisection over all
     atoms.  When E[psi] stays <= 1 down to the domain edge
     mu_lo = max|x| / finite_sup, the infimum sits at the edge: for mu_lo > 0
-    it is mu_lo * (1 + E[phi(|x|/mu_lo)]), attained iff phi(finite_sup) is
-    finite; for mu_lo = 0 it is the limit sup_slope * E[|x|], not attained.
+    it is mu_lo * (1 + E[phi(|x|/mu_lo)]), attained, since a left-continuous
+    phi is finite at a finite finite_sup (a hand-built phi infinite there
+    keeps the bisection's mu, not attained); for mu_lo = 0 it is the limit
+    sup_slope * E[|x|], not attained.  For a step phi, psi is 0 below
+    finite_sup and inf from it, so the infimum is max|x| / finite_sup.
     Needs the `deriv` and `conjugate_closed_form` fields of phi.
     """
     _require_finite(x, "amemiya_norm")
@@ -140,16 +141,8 @@ def amemiya_norm(x: RandomVar, alg: SubAlgebra, phi: YoungFn) -> CondNorm:
 
     def psi(t):
         # phi*(phi'(t)) is exact where phi is linear, unlike the difference
-        # t*phi'(t) - phi(t), which cancels at large t; the difference stands
-        # in where phi* jumps to inf at phi's slope (the conjugate of linf)
-        slope = phi.deriv(t)
-        conj = phi.conjugate_closed_form(slope)
-        gap = conj == math.inf
-        if gap.any():
-            with np.errstate(invalid="ignore"):
-                diff = t * slope - phi.eval(t)
-            conj = np.where(gap & ~np.isnan(diff), diff, conj)
-        return conj
+        # t*phi'(t) - phi(t), which cancels at large t
+        return phi.conjugate_closed_form(phi.deriv(t))
 
     report, peak, expect, e = _smallest_scale(x, alg, psi)
     mu = report.arg

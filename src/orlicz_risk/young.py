@@ -1,8 +1,12 @@
 """Young functions and their conjugates.
 
-A Young function is a convex nondecreasing map phi: [0, inf) -> [0, inf] with
-phi(0) = 0, finite near 0, and phi(t) -> inf.  +inf is a first-class value
-here.
+A Young function is a convex, nondecreasing and left-continuous map
+phi: [0, inf) -> [0, inf] with phi(0) = 0, finite near 0, and phi(t) -> inf.
++inf is a first-class value here.  Left-continuity is what makes phi** = phi
+(Fenchel-Moreau), so every conjugate here is a Young function whose own
+conjugate is phi back.  A phi with finite `finite_sup` and
+phi(finite_sup) = 0 is a step: by convexity it is 0 up to finite_sup and
++inf beyond.
 
 The module holds the mathematics only: the `scenario` module builds a Young
 function from a scenario entry, through its table of families.
@@ -44,10 +48,9 @@ class YoungFn:
     eval, conjugate_closed_form, deriv and conjugate_deriv map a float or an
     array of floats elementwise, returning +inf where the value is infinite.
 
-    finite_sup      sup of {t : phi(t) < inf} (inf for finite-everywhere phi)
+    finite_sup      sup of {t : phi(t) < inf} (inf for finite-everywhere phi);
+                    phi is a step when it is finite and phi(finite_sup) = 0
     sup_slope       lim phi(t)/t, the largest slope (domain bound of phi*)
-    step_threshold  set when phi is 0 below a threshold and inf at/above it;
-                    such functions admit an exact sup-norm formula
     deriv           the right derivative phi'(t)
     conjugate_deriv the right derivative of phi*, t*(s) = argmax_t (s*t - phi(t))
     """
@@ -57,7 +60,6 @@ class YoungFn:
     conjugate_closed_form: Callable[[float], float] | None
     family_tag: str
     sup_slope: float = INF
-    step_threshold: float | None = None
     params: Mapping[str, object] = field(default_factory=dict)
     deriv: Callable[[float], float] | None = None
     conjugate_deriv: Callable[[float], float] | None = None
@@ -87,15 +89,13 @@ def make_power(p: float) -> YoungFn:
 
 
 def make_linf() -> YoungFn:
-    """phi(t) = 0 for t < 1, inf for t >= 1.  Its Luxemburg norm is the
-    conditional essential supremum; the conjugate is phi*(s) = s.  The
-    derivative is 0 on [0, 1) and inf where phi is."""
-
-    def step(t):
-        return np.where(t < 1.0, 0.0, INF)[()]
-
-    return YoungFn(step, 1.0, lambda s: s, "linf", sup_slope=INF, step_threshold=1.0,
-                   deriv=step, conjugate_deriv=lambda s: np.full(np.shape(s), 1.0)[()])
+    """phi(t) = 0 for t <= 1, inf for t > 1: the step at 1.  Its Luxemburg
+    and Amemiya norms are the conditional essential supremum; the conjugate
+    is phi*(s) = s, maximized at t = 1.  The right derivative is 0 on
+    [0, 1) and inf from 1."""
+    return YoungFn(lambda t: np.where(t <= 1.0, 0.0, INF)[()], 1.0, lambda s: s, "linf",
+                   sup_slope=INF, deriv=lambda t: np.where(t < 1.0, 0.0, INF)[()],
+                   conjugate_deriv=lambda s: np.full(np.shape(s), 1.0)[()])
 
 
 def make_exp(scale: float = 1.0) -> YoungFn:
@@ -187,8 +187,6 @@ def conjugate(phi: YoungFn, s: float) -> float:
     With neither field it raises ParameterError."""
     if not s >= 0.0:  # NaN too
         raise ParameterError(f"conjugate argument must be >= 0, got {s}")
-    if s == 0.0:
-        return 0.0
     return (phi.conjugate_closed_form or _fenchel_young(phi))(s)
 
 
@@ -197,15 +195,16 @@ def _fenchel_young(phi: YoungFn) -> Callable[[float], float]:
     maximizer t = conjugate_deriv(s) (Rockafellar, Convex Analysis, Thm 23.5).
 
     The fields decide where that t or phi(t) is not finite: phi* is inf
-    beyond sup_slope, and s * step_threshold for a step.  At s = sup_slope,
-    where the right derivative t is inf, the smallest maximizer stands in:
-    conjugate_deriv just below s, once phi's slope there is sup_slope, so
-    that phi is linear beyond it.  A value still not finite, such as one
-    whose maximizer lies past the float range, raises ParameterError."""
+    beyond sup_slope.  At s = sup_slope, where the right derivative t is
+    inf, the smallest maximizer stands in: conjugate_deriv just below s,
+    once phi's slope there is sup_slope, so that phi is linear beyond it.
+    A step needs no case of its own, since a left-continuous step is 0 at
+    its maximizer, its edge.  A value still not finite, such as one whose
+    maximizer lies past the float range, raises ParameterError."""
     if phi.conjugate_deriv is None:
         raise ParameterError("the conjugate needs the Young function field "
                              "'conjugate_closed_form' or 'conjugate_deriv'")
-    top, step = phi.sup_slope, phi.step_threshold
+    top = phi.sup_slope
     with np.errstate(all="ignore"):
         t_top = phi.conjugate_deriv(np.nextafter(top, 0.0))
         linear_at_top = phi.deriv is not None and phi.deriv(t_top) == top
@@ -214,7 +213,7 @@ def _fenchel_young(phi: YoungFn) -> Callable[[float], float]:
     def conj(s):
         s = np.asarray(s, dtype=float)
         t = np.where(s == top, t_top if linear_at_top else INF, phi.conjugate_deriv(s))
-        value = s * step if step is not None else s * t - phi.eval(t)
+        value = s * t - phi.eval(t)
         beyond = (s > top) | (s == INF)
         if not np.isfinite(value[~beyond]).all():
             raise ParameterError(f"the conjugate of {phi.family_tag!r} is undecided where its "
@@ -226,23 +225,20 @@ def _fenchel_young(phi: YoungFn) -> Callable[[float], float]:
 
 def conjugate_young_fn(phi: YoungFn) -> YoungFn:
     """The conjugate as a Young function in its own right.  Its finite domain
-    ends at phi's largest slope, its own conjugate is phi back, and the two
-    derivative fields swap."""
+    ends at phi's largest slope, its own conjugate is phi back for every
+    left-continuous phi, and the two derivative fields swap.  The conjugate
+    of a linear phi is the step 0 up to its slope, inf beyond."""
     closed = phi.conjugate_closed_form or _fenchel_young(phi)
 
     def conj_eval(s):
         return np.where(s > phi.sup_slope, INF, closed(s))[()]
 
-    # phi is linear when its slope at 0 is already its largest; the conjugate
-    # of a linear phi is a pure step: 0 up to the slope, inf beyond
-    linear = phi.deriv is not None and phi.deriv(0.0) == phi.sup_slope
     return YoungFn(
         conj_eval,
         phi.sup_slope,
         phi.eval,
         phi.family_tag + "*",
         sup_slope=phi.finite_sup,
-        step_threshold=phi.sup_slope if linear else None,
         deriv=phi.conjugate_deriv,
         conjugate_deriv=phi.deriv,
     )

@@ -70,7 +70,7 @@ class TestLuxemburg:
         cn = luxemburg_norm(x, pairs, make_linf())
         expected = ess_sup_cond(abs(x), pairs)
         np.testing.assert_array_equal(cn.per_atom.values, expected.values)
-        assert cn.attained == (False, False)
+        assert cn.attained == (True, True)
 
     def test_zero_position(self, quarter_space, pairs):
         cn = luxemburg_norm(quarter_space.var(np.zeros(4)), pairs, make_power(2))
@@ -120,7 +120,8 @@ class TestAmemiya:
         x = quarter_space.var([1.0, 3.0, -0.2, 0.7])
         cn = amemiya_norm(x, pairs, make_linf())
         expected = ess_sup_cond(abs(x), pairs).values
-        np.testing.assert_allclose(cn.per_atom.values, expected, rtol=1e-9)
+        np.testing.assert_array_equal(cn.per_atom.values, expected)
+        assert cn.attained == (True, True)
 
     def test_zero_position(self, quarter_space, pairs):
         cn = amemiya_norm(quarter_space.var(np.zeros(4)), pairs, make_power(2))
@@ -344,7 +345,8 @@ class TestStepFamilies:
     def test_piecewise_linear_conjugate_step(self, coin):
         phi = make_piecewise([], [2.0])  # phi(t) = 2t
         conj = conjugate_young_fn(phi)
-        assert conj.step_threshold == 2.0
+        assert (conj.finite_sup, conj.eval(2.0), conj.eval(np.nextafter(2.0, 3.0))) == (
+            2.0, 0.0, math.inf)
         x = coin.var([3.0, 4.0])
         cn = luxemburg_norm(x, SubAlgebra.trivial(2), conj)
         assert cn.atom_values[0] == 2.0
@@ -389,6 +391,18 @@ class TestMagnitudeAndSkewInvariance:
                     )
                     assert scaled.attained == base.attained, (phi.family_tag, scale)
 
+    def test_linf_norms_are_the_conditional_sup_bit_for_bit(self):
+        rng = np.random.default_rng(97)
+        for _ in range(300):
+            n = int(rng.integers(2, 13))
+            space, alg = skewed_setup(rng, n, int(rng.integers(1, n + 1)), 1e-12)
+            x = space.var(rng.normal(size=n) * 10.0 ** rng.uniform(-200.0, 200.0, n))
+            sup = ess_sup_cond(abs(x), alg).values
+            for norm in (luxemburg_norm, amemiya_norm):
+                cn = norm(x, alg, make_linf())
+                np.testing.assert_array_equal(cn.per_atom.values, sup, err_msg=norm.__name__)
+                assert all(cn.attained), norm.__name__
+
     def test_tiny_magnitudes_keep_the_attained_minimum(self):
         space = FiniteProbSpace(np.array([0.2, 0.3, 0.5]))
         alg = SubAlgebra.trivial(3)
@@ -410,7 +424,7 @@ def modular_oracle(phi, t):
     if fam == "exp":
         return np.expm1(params["scale"] * t)
     if fam == "linf":
-        return np.where(t < 1.0, 0.0, np.inf)
+        return np.where(t <= 1.0, 0.0, np.inf)
     bounds = [0.0, *params["knots"], np.inf]
     return sum(m * np.clip(t - lo, 0.0, hi - lo)
                for m, lo, hi in zip(params["slopes"], bounds, bounds[1:]))
@@ -493,7 +507,8 @@ class TestWorkBudget:
         cn = norm(x, alg, counted)
         assert len(evals) <= 300
         # the sup-norm branch of the Luxemburg norm is exact and solves nothing
-        exact = norm is luxemburg_norm and phi.step_threshold is not None
+        step = math.isfinite(phi.finite_sup) and phi.eval(phi.finite_sup) == 0.0
+        exact = norm is luxemburg_norm and step
         assert len(solves) == (0 if exact else 1)
         np.testing.assert_array_equal(cn.atom_values, norm(x, alg, phi).atom_values)
 

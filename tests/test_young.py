@@ -56,16 +56,32 @@ class TestPower:
             assert np.asarray(new(grid)).tobytes() == np.asarray(old(grid)).tobytes(), name
             for t in grid.tolist():
                 assert np.float64(new(t)).tobytes() == np.float64(old(t)).tobytes(), (name, t)
-        assert (phi.family_tag, phi.params, phi.finite_sup, phi.sup_slope, phi.step_threshold) == (
+        assert (phi.family_tag, phi.params, phi.finite_sup, phi.sup_slope, step_at(phi)) == (
             "power", {"p": 1.0}, INF, 1.0, None)
+
+
+def step_at(phi):
+    """The threshold of a step phi, 0 up to a finite finite_sup and inf
+    beyond, read as the package reads it: finite_sup when phi is 0 there;
+    else None."""
+    edge = phi.finite_sup
+    return edge if math.isfinite(edge) and phi.eval(edge) == 0.0 else None
 
 
 class TestLinf:
     def test_step_values(self):
+        # left-continuous: 0 up to and at 1, inf from the next float on
         phi = make_linf()
         assert phi.eval(0.99) == 0.0
-        assert phi.eval(1.0) == INF
+        assert phi.eval(1.0) == 0.0
+        assert phi.eval(np.nextafter(1.0, 2.0)) == INF
         assert phi.eval(0.0) == 0.0
+        assert step_at(phi) == 1.0
+
+    def test_right_derivative(self):
+        phi = make_linf()
+        np.testing.assert_array_equal(phi.deriv(np.array([0.0, np.nextafter(1.0, 0.0), 1.0, 2.0])),
+                                      [0.0, 0.0, INF, INF])
 
     def test_conjugate_is_identity(self):
         phi = make_linf()
@@ -229,9 +245,10 @@ class TestConjugateYoungFn:
 
     def test_power1_conjugate_is_inclusive_step(self):
         conj = conjugate_young_fn(make_power(1))
-        assert conj.step_threshold == 1.0
+        assert step_at(conj) == 1.0
         assert conj.eval(1.0) == 0.0
         assert conj.eval(1.0 + 1e-9) == INF
+        assert conj.eval(np.nextafter(1.0, 2.0)) == INF
 
     @pytest.mark.parametrize("phi, step", [
         (make_power(1), 1.0),
@@ -241,8 +258,8 @@ class TestConjugateYoungFn:
         (make_power(2), None),
         (make_linf(), None),
     ], ids=["power1", "one_slope", "three_slopes", "exp", "power2", "linf"])
-    def test_step_threshold_only_for_linear_phi(self, phi, step):
-        assert conjugate_young_fn(phi).step_threshold == step
+    def test_conjugate_is_a_step_only_for_linear_phi(self, phi, step):
+        assert step_at(conjugate_young_fn(phi)) == step
 
     def test_linf_conjugate_domain(self):
         conj = conjugate_young_fn(make_linf())
@@ -262,6 +279,10 @@ class TestConjugateYoungFn:
             bi = oracle(conj, t)
             assert bi == pytest.approx(0.0, abs=1e-8)
 
+    def test_linf_biconjugate_at_its_edge_is_zero(self):
+        # the supremum of s*1 - s over s >= 0 is 0
+        assert conjugate(conjugate_young_fn(make_linf()), 1.0) == 0.0
+
 
 class TestValidate:
     def test_power_passes(self):
@@ -270,6 +291,7 @@ class TestValidate:
 
     def test_linf_passes(self):
         assert validate(make_linf()).passed
+
 
     def test_sqrt_fails_convexity(self):
         phi = YoungFn(lambda t: math.sqrt(t), INF, None, "custom")
@@ -396,10 +418,6 @@ class TestFenchelYoung:
         undecided = []
         for s in SWEEP:
             closed = float(phi.conjugate_closed_form(s))
-            if phi.family_tag == "linf*" and s == 1.0:
-                # linf is inf at 1 by convention, not lower semicontinuous,
-                # so the supremum that defines its biconjugate is 0 there
-                closed = 0.0
             try:
                 value = float(conjugate(fenchel_young(phi), s))
             except ParameterError:
@@ -449,3 +467,21 @@ class TestFenchelYoung:
             conjugate(phi, 4.0)
         with pytest.raises(ParameterError, match=match):
             conjugate_young_fn(phi)
+
+
+class TestBiconjugate:
+    @pytest.mark.parametrize("phi", SWEPT, ids=[f"{phi.family_tag}{i}" for i, phi in enumerate(SWEPT)])
+    def test_returns_phi_at_its_kinks_and_edge(self, phi):
+        # phi** = phi for a left-continuous phi, closed form and Fenchel-Young
+        # route alike, also at the edge of the finite domain
+        edge = phi.finite_sup
+        points = [0.0, *KINKS, *np.nextafter(KINKS, 0.0), *np.nextafter(KINKS, INF), edge]
+        if math.isfinite(edge):
+            points += [np.nextafter(edge, 0.0), np.nextafter(edge, INF)]
+        conj = conjugate_young_fn(phi)
+        closed, routed = conjugate_young_fn(conj), conjugate_young_fn(fenchel_young(conj))
+        tiny = np.finfo(float).tiny
+        for t in map(float, points):
+            expected = float(phi.eval(t))
+            assert float(closed.eval(t)) == expected, t
+            assert float(routed.eval(t)) == pytest.approx(expected, rel=2e-13, abs=tiny), t
