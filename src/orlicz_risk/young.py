@@ -37,9 +37,6 @@ __all__ = [
 
 INF = math.inf
 
-# exp(t) overflows float64 beyond this
-_EXP_OVERFLOW = 709.0
-
 
 @dataclass(frozen=True, eq=False)
 class YoungFn:
@@ -99,16 +96,16 @@ def make_linf() -> YoungFn:
 
 
 def make_exp(scale: float = 1.0) -> YoungFn:
-    """phi(t) = exp(scale*t) - 1, inf once scale*t passes the overflow point.
+    """phi(t) = exp(scale*t) - 1, inf where that overflows float64.
     Conjugate (for scale 1): phi*(s) = s*log(s) - s + 1 for s >= 1, and 0 on
     [0, 1]."""
     scale = _as_number("scale", scale)
     if scale <= 0.0:
         raise ParameterError(f"exp scale must be positive, got {scale}")
 
+    @np.errstate(over="ignore")  # inf on overflow
     def phi(t):
-        u = scale * np.asarray(t)
-        return np.where(u > _EXP_OVERFLOW, INF, np.expm1(np.minimum(u, _EXP_OVERFLOW)))[()]
+        return np.expm1(scale * np.asarray(t))[()]
 
     def conj_deriv(s):
         # the maximizer of s*t - expm1(scale*t): 0 up to the slope scale

@@ -95,6 +95,15 @@ class TestExp:
         assert phi.eval(0.0) == 0.0
         assert phi.eval(1000.0) == INF
 
+    def test_inf_exactly_where_float64_overflows(self):
+        phi = make_exp()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert phi.eval(709.5) == math.expm1(709.5)
+            assert phi.eval(710.0) == INF
+            np.testing.assert_array_equal(phi.eval(np.array([709.5, 710.0])),
+                                          [math.expm1(709.5), INF])
+
     def test_conjugate_closed_form(self):
         phi = make_exp()
         # s*log(s) - s + 1 above the unit slope, 0 at or below it
