@@ -248,16 +248,19 @@ class YoungValidation(NamedTuple):
     monotone_ok: bool
     convex_ok: bool
     diverges: bool
+    left_continuous: bool
     first_violation: tuple | None
 
 
 def validate(phi: YoungFn) -> YoungValidation:
     """Check the defining properties on a sampled geometric grid of 48
     points: phi(0) = 0 exactly, monotonicity and midpoint convexity on the
-    open finite domain, and divergence beyond 1e6 at some probe.  Left-continuity at the domain
-    edge is a convention the families supply and is not sampled.  Each
-    failed property has a witness (name, points, values); the first in that
-    order is `first_violation`."""
+    open finite domain, divergence beyond 1e6 at some probe, and
+    left-continuity at a finite domain edge: phi(finite_sup) must be finite
+    there, the finite left limit every family has (a phi growing without
+    bound toward the edge is reported too).  Each failed property has a
+    witness (name, points, values); the first in that order is
+    `first_violation`."""
 
     def safe(t: float) -> float:
         try:
@@ -289,7 +292,7 @@ def validate(phi: YoungFn) -> YoungValidation:
             tol = 1e-10 * max(1.0, abs(fa) + abs(fb))
             return fm > 0.5 * (fa + fb) + tol and ("convex", (a, mid, b), (fa, fm, fb))
 
-    origin, near_zero = safe(0.0), vals[0]
+    origin, near_zero, edge = safe(0.0), vals[0], phi.finite_sup
     diverges = any(safe(t) > 1e6 for t in probes)
     violations = [
         ("origin", (0.0,), (origin,)) if origin != 0.0 else None,
@@ -297,6 +300,8 @@ def validate(phi: YoungFn) -> YoungValidation:
         first(drop),
         first(above_chord),
         None if diverges else ("diverges", tuple(probes[-2:]), (safe(probes[-1]),)),
+        ("left_continuous", (edge,), (safe(edge),))
+        if math.isfinite(edge) and not math.isfinite(safe(edge)) else None,
     ]
     flags = [v is None for v in violations]
     return YoungValidation(all(flags), *flags, next(filter(None, violations), None))

@@ -301,6 +301,14 @@ class TestValidate:
     def test_linf_passes(self):
         assert validate(make_linf()).passed
 
+    def test_step_infinite_at_its_edge_is_not_left_continuous(self):
+        # linf as it was once written: inf at its threshold 1, not just beyond
+        phi = YoungFn(lambda t: np.where(t < 1.0, 0.0, INF)[()], 1.0, lambda s: s, "old_linf")
+        report = validate(phi)
+        assert not report.passed
+        assert not report.left_continuous
+        assert report[1:6] == (True,) * 5
+        assert report.first_violation == ("left_continuous", (1.0,), (INF,))
 
     def test_sqrt_fails_convexity(self):
         phi = YoungFn(lambda t: math.sqrt(t), INF, None, "custom")
@@ -329,7 +337,7 @@ class TestValidate:
                 warnings.simplefilter("error")
                 report = validate(f)
             assert report.passed, (f.family_tag, report)
-            assert all(type(flag) is bool for flag in report[:6]), report
+            assert all(type(flag) is bool for flag in report[:7]), report
 
     def test_drop_from_inf_is_not_monotone(self):
         phi = YoungFn(lambda t: INF if 10.0 < t < 100.0 else t * t, INF, None, "custom")
