@@ -70,6 +70,9 @@ class FiniteProbSpace:
 
     @classmethod
     def uniform(cls, n: int) -> "FiniteProbSpace":
+        """n equally likely outcomes; n must be an integer >= 1."""
+        if not _is_count(n, 1):
+            raise StructuralError(f"a uniform space needs an integer n >= 1, got {n!r}")
         return cls(np.full(n, 1.0 / n))
 
     def var(self, values) -> "RandomVar":
@@ -272,11 +275,18 @@ def _require_finite(x: RandomVar, what: str):
         raise ContractError(f"{what} requires finite values")
 
 
-def _rng(seed: int) -> np.random.Generator:
-    """The generator of a probe seed, an integer >= 0; any other seed,
-    True included, raises ParameterError."""
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise ParameterError(f"seed must be an integer >= 0, got {seed!r}")
+def _is_count(value, least: int) -> bool:
+    """Whether value is an integer >= least, numpy's included and True not."""
+    return not isinstance(value, bool) and isinstance(value, (int, np.integer)) and value >= least
+
+
+def _rng(seed: int, trials: int = 1) -> np.random.Generator:
+    """The generator of a probe seed, an integer >= 0, for `trials` draws,
+    an integer >= 1, so that no check passes without probing; any other
+    seed or count, True included, raises ParameterError."""
+    for name, value, least in (("seed", seed, 0), ("trials", trials, 1)):
+        if not _is_count(value, least):
+            raise ParameterError(f"{name} must be an integer >= {least}, got {value!r}")
     return np.random.default_rng(seed)
 
 

@@ -385,8 +385,11 @@ def lebesgue_check(rho: CondRiskMeasure, space: FiniteProbSpace, alg: SubAlgebra
 
     Perturbations have sup-norm at most `amplitude`, so cash invariance and
     monotonicity bound the deviation at index n by amplitude/n; the check
-    asserts the measured tail deviation at n = 10000, not just the bound."""
-    rng = _rng(seed)
+    asserts the measured tail deviation at n = 10000, not just the bound.
+    `amplitude` must be finite and >= 0."""
+    rng = _rng(seed, trials)
+    if not _as_number("amplitude", amplitude) >= 0.0:
+        raise ParameterError(f"amplitude must be >= 0, got {amplitude!r}")
     n = space.n_outcomes
     indices = [1, 10, 100, 10_000]
     # x, then u, of each trial in turn; x and every x + u/k go in one call
@@ -455,7 +458,7 @@ def locality_check(rho: CondRiskMeasure, space: FiniteProbSpace, alg: SubAlgebra
     Locality on every atom implies it on every union B of atoms: for an atom
     A inside B, 1_A rho(1_B x) = 1_A rho(1_A 1_B x) = 1_A rho(1_A x) = 1_A rho(x)."""
     n = alg.n_outcomes  # a space of another size fails in RandomVar
-    x = _rng(seed).normal(size=(trials, n))
+    x = _rng(seed, trials).normal(size=(trials, n))
     rows = trials * (1 + alg.n_atoms)
     block = max(1, _STACK_ENTRIES // n)
     rx = np.empty_like(x)
@@ -490,7 +493,7 @@ def extension_check(rho: CondRiskMeasure, space: FiniteProbSpace, alg: SubAlgebr
     if not alg.refines(partition):
         raise StructuralError("partition pieces must be measurable: the "
                               "conditioning algebra must refine the partition")
-    rng = _rng(seed)
+    rng = _rng(seed, trials)
     n = partition.n_outcomes  # a space of another size fails in RandomVar
     pieces = rng.normal(size=(trials, partition.n_atoms, n))
 
@@ -522,7 +525,8 @@ def penalty_bound_check(rho: CondRiskMeasure, x: RandomVar, y: RandomVar,
     """On every atom where E[x*y|F] - penalty(y) >= -beta, the penalty obeys
     penalty(y) <= 2*beta + 2*rho(-2|x|), within 1e-8.  The risk measure is
     normalized to rho(0) = 0 before checking; atoms failing the hypothesis
-    are skipped, not the whole instance."""
+    are skipped, not the whole instance.  `beta` must be finite."""
+    beta = _as_number("beta", beta)
     _require_finite(x, "penalty_bound_check")
     _check_dims(x, alg)
     space = x.space
@@ -571,7 +575,7 @@ def check_axioms(rho: CondRiskMeasure, space: FiniteProbSpace, alg: SubAlgebra,
     amounts, and convexity against measurable weights; each holds when its
     largest deviation is at most 1e-9.  A probe whose deviation is NaN, as
     inf - inf, fails."""
-    rng = _rng(seed)
+    rng = _rng(seed, trials)
     n = alg.n_outcomes  # a space of another size fails in RandomVar
     draws = [[rng.normal(size=n), np.abs(rng.normal(size=n)),
               alg.broadcast(rng.normal(size=alg.n_atoms)), rng.normal(size=n),

@@ -45,6 +45,15 @@ class TestConstruction:
         with pytest.raises(StructuralError):
             RandomVar(np.array([1.0, 2.0]), quarter_space)
 
+    @pytest.mark.parametrize("n", [0, -1, 2.0, True, None], ids=["zero", "negative", "float",
+                                                                "bool", "none"])
+    def test_uniform_needs_a_positive_integer_count(self, n):
+        with pytest.raises(StructuralError, match="uniform space needs an integer n >= 1"):
+            FiniteProbSpace.uniform(n)
+
+    def test_uniform_takes_a_numpy_integer(self):
+        np.testing.assert_array_equal(FiniteProbSpace.uniform(np.int64(4)).probs, [0.25] * 4)
+
     def test_atoms_must_partition(self):
         with pytest.raises(StructuralError):
             SubAlgebra.from_atoms([(0, 1), (1, 2)], 3)

@@ -365,6 +365,34 @@ class TestSeeds:
                 == lebesgue_check(rho, quarter_space, pairs, seed=3))
 
 
+# every probe check that draws `trials` positions, called with a count
+TRIAL_CALLS = {
+    "check_axioms": lambda space, alg, trials: check_axioms(entropic(1.0), space, alg,
+                                                            trials=trials),
+    "lebesgue_check": lambda space, alg, trials: lebesgue_check(entropic(1.0), space, alg,
+                                                                trials=trials),
+    "locality_check": lambda space, alg, trials: locality_check(entropic(1.0), space, alg,
+                                                                trials=trials),
+    "extension_check": lambda space, alg, trials: extension_check(entropic(1.0), space, alg,
+                                                                  alg, trials=trials),
+}
+
+
+class TestTrials:
+    @pytest.mark.parametrize("trials", [0, -1, True, 1.5, "3", None],
+                             ids=["zero", "negative", "bool", "float", "str", "none"])
+    @pytest.mark.parametrize("call", TRIAL_CALLS.values(), ids=TRIAL_CALLS.keys())
+    def test_count_that_is_not_a_positive_integer_is_refused(self, quarter_space, pairs, call,
+                                                             trials):
+        # a check that draws nothing has probed nothing, so it may not pass
+        with pytest.raises(ParameterError, match="trials must be an integer >= 1"):
+            call(quarter_space, pairs, trials)
+
+    @pytest.mark.parametrize("call", TRIAL_CALLS.values(), ids=TRIAL_CALLS.keys())
+    def test_one_numpy_integer_trial_probes(self, quarter_space, pairs, call):
+        assert call(quarter_space, pairs, np.int64(1)).passed
+
+
 class TestRobustRepresentation:
     def test_entropic_gibbs_certificate(self, coin):
         rho = entropic(1.0)
@@ -529,6 +557,16 @@ class TestLebesgue:
     def test_constant_sequence_zero_deviation(self, quarter_space, pairs):
         rep = lebesgue_check(entropic(1.0), quarter_space, pairs, trials=2, amplitude=0.0)
         assert rep.max_tail_deviation == 0.0
+
+    @pytest.mark.parametrize("amplitude, match", [
+        (math.nan, "parameter amplitude must be a finite number"),
+        (math.inf, "parameter amplitude must be a finite number"),
+        (-1e-3, "amplitude must be >= 0"),
+    ], ids=["nan", "inf", "negative"])
+    def test_amplitude_that_is_not_finite_and_nonnegative_is_refused(
+            self, quarter_space, pairs, amplitude, match):
+        with pytest.raises(ParameterError, match=match):
+            lebesgue_check(entropic(1.0), quarter_space, pairs, amplitude=amplitude)
 
     def test_worst_case_exact_cash_shift(self, quarter_space, pairs):
         rho = worst_case()
@@ -771,6 +809,13 @@ class TestPenaltyBound:
                 y = feasible_density(rng, quarter_space, pairs)
                 beta = float(rng.uniform(0.0, 2.0))
                 assert penalty_bound_check(rho, x, y, beta, pairs).passed
+
+    @pytest.mark.parametrize("beta", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    def test_beta_that_is_not_finite_is_refused(self, quarter_space, pairs, beta):
+        # nan and inf would hold every atom's hypothesis or bound vacuously
+        x = quarter_space.var([0.5, -0.3, 1.0, 0.1])
+        with pytest.raises(ParameterError, match="parameter beta must be a finite number"):
+            penalty_bound_check(entropic(1.0), x, quarter_space.var(-np.ones(4)), beta, pairs)
 
 
 class TestDynamic:
