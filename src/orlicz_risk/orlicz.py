@@ -5,10 +5,12 @@ functionals.
 Every quantity decomposes per atom of the conditioning algebra: the norm of x
 given the algebra is the vector of plain Orlicz norms of x restricted to each
 atom under the normalized atom weights.  Both norms are one monotone
-root-find in the scale mu = 1/lam, solved for all atoms at once by a
-lock-step bisection: the smallest mu with E[F(|x|/mu) | atom] <= 1, where F
-is phi for the Luxemburg norm and psi(t) = t*phi'(t) - phi(t) = phi*(phi'(t))
-for the Amemiya norm.
+root-find in the scale mu = 1/lam, solved for all atoms at once by one
+bisection in which every atom has its own bracket and stops on its own: the
+smallest mu with E[F(|x|/mu) | atom] <= 1, where F is phi for the Luxemburg
+norm and psi(t) = t*phi'(t) - phi(t) = phi*(phi'(t)) for the Amemiya norm.
+So the value on an atom depends on x only through its values there, bit
+for bit.
 
 The two norms and the pairing operator norm also take a stack of positions,
 one per row, and solve every row and atom in the same bisection.  Their
@@ -46,10 +48,6 @@ __all__ = [
     "recover_density",
 ]
 
-# relative width to which every norm root-find is solved
-_REL_TOL = 1e-10
-
-
 class CondNorm(NamedTuple):
     """A conditional norm value: one number per atom, broadcast to a
     measurable variable, with per-atom attainment flags for infima that are
@@ -70,14 +68,18 @@ def _smallest_scale(x: RandomVar, alg: SubAlgebra, F: Callable):
     """Per atom, the smallest scale mu with E[F(|x|/mu) | atom] <= 1 for a
     nondecreasing F, by one bisection over all atoms.  Each atom is solved
     at unit scale: its |x| is multiplied by 2**-e, with e the binary
-    exponent that brings its largest value `peak` into [0.5, 1), and the
-    bracket is [peak * 2**-60, peak].  Scaling by a power of two with
-    `np.ldexp` is exact and never forms 2**e itself, which overflows for e =
-    1024, so a tiny or huge x takes the same steps as a moderate one.
+    exponent that brings its largest value `peak` into [0.5, 1), and every
+    atom has the same bracket [2**-121, 2**60], so its solve reads nothing
+    but its own values and the norms are local to the last bit.  Scaling by
+    a power of two with `np.ldexp` is exact and never forms 2**e itself,
+    which overflows for e = 1024, so a tiny or huge x takes the same steps
+    as a moderate one.
     Returns the solve report, `peak`, and `expect(G, mu)`, the conditional
     expectations of G(|x|/mu), all at unit scale, then `e`: the scale of x
     is `np.ldexp(mu, e)`.  An atom where x vanishes is reported at its left
-    edge (attained False)."""
+    edge (attained False), as is an atom where E[F(|x|/mu)] <= 1 already at
+    mu = 2**-121; one where it exceeds 1 at mu = 2**60 raises a
+    DivergenceError."""
     absx = np.abs(x.values).take(alg.order, -1)
     weights = _atom_weights(x.space, alg)[alg.order]
     atom = alg.atom_of[alg.order]
@@ -88,10 +90,9 @@ def _smallest_scale(x: RandomVar, alg: SubAlgebra, F: Callable):
     def expect(G: Callable, mu: np.ndarray) -> np.ndarray:
         return np.add.reduceat(weights * G(absx / mu.take(atom, -1)), alg.starts, axis=-1)
 
-    m = np.where(peak > 0.0, peak, 1.0)
     try:
-        report = solvers.bisect_monotone(lambda mu: expect(F, mu), 1.0, m * 2.0 ** -60, m,
-                                         _REL_TOL)
+        report = solvers.bisect_monotone(lambda mu: expect(F, mu), 1.0,
+                                         np.full_like(peak, 2.0 ** -121), 2.0 ** 60)
     except BracketError as exc:
         # the solver's elements are the atoms, in order
         raise DivergenceError(f"modular never reached 1 on an atom: {exc}") from exc
@@ -99,7 +100,7 @@ def _smallest_scale(x: RandomVar, alg: SubAlgebra, F: Callable):
 
 
 def luxemburg_norm(x: RandomVar, alg: SubAlgebra, phi: YoungFn) -> CondNorm:
-    """Per atom: inf{lam > 0 : E[phi(|x|/lam) | atom] <= 1}, by one lock-step
+    """Per atom: inf{lam > 0 : E[phi(|x|/lam) | atom] <= 1}, by one
     bisection on lam over all atoms (the modular is nonincreasing in lam).
     Atoms where x vanishes get 0.  phi is left-continuous, so the modular
     is right-continuous in lam and the infimum is attained.
@@ -123,10 +124,12 @@ def amemiya_norm(x: RandomVar, alg: SubAlgebra, phi: YoungFn) -> CondNorm:
     The objective is convex in mu with right derivative 1 - E[psi(|x|/mu)],
     psi(t) = t*phi'(t) - phi(t) = phi*(phi'(t)) nonnegative and
     nondecreasing, so the minimizer is the smallest mu with
-    E[psi(|x|/mu) | atom] <= 1, found by one lock-step bisection over all
-    atoms.  When E[psi] stays <= 1 down to the domain edge
-    mu_lo = max|x| / finite_sup, the infimum sits at the edge: for mu_lo > 0
-    it is mu_lo * (1 + E[phi(|x|/mu_lo)]), attained, since a left-continuous
+    E[psi(|x|/mu) | atom] <= 1, found by one bisection over all atoms.  When
+    E[psi] stays <= 1 down to the domain edge mu_lo = max|x| / finite_sup,
+    the infimum sits at the edge; the bisection stops within
+    solvers._WIDTH floats above its root, and a mu that close to mu_lo is
+    taken to be the edge.  For mu_lo > 0 the infimum is
+    mu_lo * (1 + E[phi(|x|/mu_lo)]), attained, since a left-continuous
     phi is finite at a finite finite_sup (a hand-built phi infinite there
     keeps the bisection's mu, not attained); for mu_lo = 0 it is the limit
     sup_slope * E[|x|], not attained.  For a step phi, psi is 0 below
@@ -147,7 +150,7 @@ def amemiya_norm(x: RandomVar, alg: SubAlgebra, phi: YoungFn) -> CondNorm:
     report, peak, expect, e = _smallest_scale(x, alg, psi)
     mu = report.arg
     mu_lo = peak / phi.finite_sup
-    barrier = (mu_lo > 0.0) & (mu - mu_lo <= _REL_TOL * mu)
+    barrier = (mu_lo > 0.0) & (mu.view(np.int64) - mu_lo.view(np.int64) <= solvers._WIDTH)
     included = math.isfinite(phi.finite_sup) and math.isfinite(phi.eval(phi.finite_sup))
     mu = np.where(barrier & included, mu_lo, mu)
     values = mu * (1.0 + expect(phi.eval, mu))

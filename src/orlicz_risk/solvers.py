@@ -1,8 +1,8 @@
 """Scalar and small-dimensional convex optimization primitives.
 
 Everything here is deterministic and stateless: bisection on monotone
-functions, over one bracket or an array of independent brackets in
-lock-step, golden-section minimization with bracket expansion and
+functions over the float bit patterns of one bracket or of an array of
+independent brackets, golden-section minimization with bracket expansion and
 non-attainment detection, the coordinate ascent built on it that computes
 a numeric penalty, and projected-gradient maximization of concave
 functions over a weighted probability simplex.
@@ -28,8 +28,9 @@ __all__ = [
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 # parts a bracket is cut into per step of bisect_monotone
 _SECTIONS = 8
-# doublings of a bisect_monotone bracket; its left probe sits this many halvings down
-_MAX_EXPAND = 60
+# floats a bisect_monotone bracket spans at most when it stops: a relative
+# width below 2**-34
+_WIDTH = 2 ** 18
 # factor a golden_min bracket grows by per expansion
 _EXPAND = 4.0
 
@@ -48,69 +49,53 @@ class SolveReport(NamedTuple):
 
 
 def bisect_monotone(f: Callable[[np.ndarray], np.ndarray], target: float,
-                    lo, hi, rel_tol: float = 1e-10) -> SolveReport:
+                    lo, hi) -> SolveReport:
     """Smallest point where the nonincreasing function f drops to <= target.
 
-    `lo` and `hi` are one bracket or arrays of independent brackets, and `f`
-    maps an array of points to the array of their values, elementwise over
-    any leading axes.  Every bracket is expanded on its own, and the
-    brackets along the last axis, a row, are narrowed in lock-step: each step
-    cuts every bracket into _SECTIONS equal parts with one call of f on the
-    interior points, stacked along a leading axis.  A row stops once all its
-    brackets are narrow, so every row of a 2-D array ends where it would on
-    its own.  Where f(hi) > target, hi doubles (at most _MAX_EXPAND times,
-    else a BracketError names the element).  Where f(lo) <= target, f is
-    probed once at lo * 2**-_MAX_EXPAND: if it is still <= target there, the bracket
-    hit the left edge and lo itself is reported, with `attained` False for
-    that element; otherwise the search runs on [probe, lo].  For arrays, `arg`,
-    `value` and `attained` are arrays with one entry per bracket.
+    `lo` and `hi` are one bracket or arrays of independent brackets, finite
+    with 0 < lo <= hi (else a ParameterError), and `f` maps an array of
+    points to the array of their values, elementwise over any leading axes.
+    Positive floats sort like their int64 bit patterns, so the search runs
+    on the patterns: each step cuts every bracket that still spans more than
+    _WIDTH floats into _SECTIONS parts holding about as many floats each,
+    with one call of f on the cut points of all brackets, stacked along a
+    leading axis.  A bracket's steps depend on it alone, so every bracket
+    ends where it would on its own.  Where f(hi) > target, a BracketError
+    names the element.  Where f(lo) <= target, lo itself is reported, with
+    `attained` False for that element.  `iterations` counts the calls of f,
+    the first being f at lo and hi together.  For arrays, `arg`, `value` and
+    `attained` are arrays with one entry per bracket.
     """
     lo, hi = (np.array(a, dtype=float) for a in np.broadcast_arrays(lo, hi))
-    evals = 0
+    if (bad := ~(np.isfinite(hi) & (0.0 < lo) & (lo <= hi))).any():
+        i = np.flatnonzero(bad)[0]
+        raise ParameterError(
+            f"bisect_monotone needs finite 0 < lo <= hi, got [{lo.flat[i]}, {hi.flat[i]}]")
 
     def ff(x: np.ndarray) -> np.ndarray:
-        nonlocal evals
-        evals += 1
         fx = np.asarray(f(x))
         return fx if fx.shape == x.shape else np.broadcast_to(fx, x.shape)
 
-    low = ff(lo) <= target
-    edge = low
-    if low.any():
-        probe = lo * 2.0 ** -_MAX_EXPAND
-        edge = low & (ff(np.where(low, probe, lo)) <= target)
-        # the root lies left of lo: bisect on [probe, lo] unless f stays low
-        hi = np.where(low, lo, hi)
-        lo = np.where(low & ~edge, probe, lo)
-    expansions = 0
-    while (up := ~low & (ff(hi) > target)).any():
-        if expansions >= _MAX_EXPAND:
-            at = f" at element {np.flatnonzero(up)[0]}" if up.ndim else ""
-            raise BracketError(f"f stayed above {target} after {_MAX_EXPAND} doublings{at}")
-        lo = np.where(up, hi, lo)
-        hi = np.where(up, 2.0 * hi, hi)
-        expansions += 1
-
-    def row_max(a: np.ndarray) -> np.ndarray:
-        return a.max(axis=-1, keepdims=True) if a.ndim else a
-
-    def wide() -> np.ndarray:
-        return row_max((hi - lo) > rel_tol * np.maximum(hi, 1e-300))
-
-    # every step divides each width by _SECTIONS, so a row needs no test in
-    # its first `steps` steps
-    cuts = np.arange(1.0, _SECTIONS).reshape((-1,) + (1,) * lo.ndim)
-    ratio = row_max((hi - lo) / (rel_tol * np.maximum(hi, 1e-300)))
-    steps = np.ceil(np.log(np.maximum(ratio, 1.0)) / math.log(_SECTIONS))
-    step = 0
-    while (active := step < steps).all() or (active := active | wide()).any():
-        points = lo + cuts * ((hi - lo) / _SECTIONS)
-        ok = f(points) <= target
-        hi = np.where(active, np.minimum.reduce(np.where(ok, points, hi), axis=0), hi)
-        lo = np.where(active, np.maximum.reduce(np.where(ok, lo, points), axis=0), lo)
+    flo, fhi = ff(np.stack([lo, hi]))
+    edge = flo <= target
+    hi, fhi = np.where(edge, lo, hi), np.where(edge, flo, fhi)
+    if (up := fhi > target).any():
+        at = f" at element {np.flatnonzero(up)[0]}" if up.ndim else ""
+        raise BracketError(f"f stays above {target} at the right end of the bracket{at}")
+    # off the left edge, f(a) > target >= f(b) for the patterns a < b
+    a, b = lo.view(np.int64), hi.view(np.int64)
+    cuts = np.arange(1, _SECTIONS).reshape((-1,) + (1,) * lo.ndim)
+    evals = 1
+    while (active := b - a > _WIDTH).any():
+        points = np.concatenate([a[None], a + cuts * ((b - a) // _SECTIONS), b[None]])
+        values = np.concatenate([ff(points[1:-1].view(float)), fhi[None]])
+        # j: the first part whose right end has f <= target
+        j = np.argmax(values <= target, axis=0)[None]
+        a = np.where(active, np.take_along_axis(points, j, 0)[0], a)
+        b = np.where(active, np.take_along_axis(points, j + 1, 0)[0], b)
+        fhi = np.where(active, np.take_along_axis(values, j, 0)[0], fhi)
         evals += 1
-        step += 1
-    fhi = ff(hi)
+    hi = b.view(float)
     if hi.ndim == 0:
         return SolveReport(float(hi), float(fhi), evals, True, not edge,
                            "left" if edge else None)

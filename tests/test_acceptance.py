@@ -340,7 +340,7 @@ def test_criterion_10_solver_oracles():
         max_cert_dev = max(max_cert_dev, abs(cert_value - oracle))
 
     m = 12.5
-    bis = solvers.bisect_monotone(lambda lam: m / lam ** 2, 1.0, 0.5, 2.0)
+    bis = solvers.bisect_monotone(lambda lam: m / lam ** 2, 1.0, 0.5, 8.0)
     bis_dev = abs(bis.arg - math.sqrt(m)) / math.sqrt(m)
     gol = solvers.golden_min(lambda lam: (1.0 + lam * lam * m) / lam, 0.01, 10.0)
     gol_dev = abs(gol.value - 2.0 * math.sqrt(m)) / (2.0 * math.sqrt(m))
