@@ -58,7 +58,14 @@ class CondNorm(NamedTuple):
     atom_values: np.ndarray
 
 
-def _cond_norm(x: RandomVar, alg: SubAlgebra, values: np.ndarray, attained) -> CondNorm:
+def _cond_norm(name: str, x: RandomVar, alg: SubAlgebra, values: np.ndarray, attained,
+               e=0) -> CondNorm:
+    """The norm `name` with atom values `values * 2**e`; a ContractError where
+    one passes the largest float."""
+    with np.errstate(over="ignore"):
+        values = np.ldexp(values, e)
+    if not np.isfinite(values).all():
+        raise ContractError(f"{name} overflows the largest float")
     flags = np.broadcast_to(attained, values.shape).tolist()
     flags = tuple(map(tuple, flags)) if values.ndim == 2 else tuple(flags)
     return CondNorm(RandomVar(alg.broadcast(values), x.space), flags, values)
@@ -112,10 +119,11 @@ def luxemburg_norm(x: RandomVar, alg: SubAlgebra, phi: YoungFn) -> CondNorm:
     _require_finite(x, "luxemburg_norm")
     _check_dims(x, alg, True)
     if math.isfinite(phi.finite_sup) and phi.eval(phi.finite_sup) == 0.0:
-        return _cond_norm(x, alg, alg.atom_max(np.abs(x.values)) / phi.finite_sup, True)
+        with np.errstate(over="ignore"):
+            values = alg.atom_max(np.abs(x.values)) / phi.finite_sup
+        return _cond_norm("luxemburg_norm", x, alg, values, True)
     report, peak, _, e = _smallest_scale(x, alg, phi.eval)
-    values = np.ldexp(np.where(peak > 0.0, report.arg, 0.0), e)
-    return _cond_norm(x, alg, values, True)
+    return _cond_norm("luxemburg_norm", x, alg, np.where(peak > 0.0, report.arg, 0.0), True, e)
 
 
 def amemiya_norm(x: RandomVar, alg: SubAlgebra, phi: YoungFn) -> CondNorm:
@@ -158,8 +166,8 @@ def amemiya_norm(x: RandomVar, alg: SubAlgebra, phi: YoungFn) -> CondNorm:
     if math.isfinite(phi.sup_slope):
         values = np.where(limit, phi.sup_slope * expect(lambda t: t, np.ones_like(mu)), values)
     attained = ~limit & (included | ~barrier)
-    values = np.ldexp(np.where(peak > 0.0, values, 0.0), e)
-    return _cond_norm(x, alg, values, attained | (peak == 0.0))
+    return _cond_norm("amemiya_norm", x, alg, np.where(peak > 0.0, values, 0.0),
+                      attained | (peak == 0.0), e)
 
 
 def pairing(x: RandomVar, y: RandomVar, alg: SubAlgebra) -> RandomVar:

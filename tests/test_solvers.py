@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from orlicz_risk import (
     BracketError,
     ConvergenceError,
+    ParameterError,
     bisect_monotone,
     golden_min,
     project_weighted_simplex,
@@ -33,6 +34,12 @@ class TestBisect:
 
         rep = bisect_monotone(modular, 1.0, 0.5, 8.0)
         assert rep.arg == pytest.approx(math.sqrt(12.5), rel=1e-8)
+
+    @pytest.mark.parametrize("lo, hi", [(0.0, 1.0), (-1.0, 1.0), (2.0, 1.0), (math.nan, 1.0),
+                                        (0.5, math.nan), (0.5, math.inf), (math.inf, math.inf)])
+    def test_refuses_a_bracket_that_is_not_finite_with_0_lt_lo_le_hi(self, lo, hi):
+        with pytest.raises(ParameterError, match="0 < lo <= hi"):
+            bisect_monotone(lambda t: 1.0 / t, 1.0, lo, hi)
 
     def test_bracket_error_when_target_unreachable(self):
         with pytest.raises(BracketError):
@@ -66,6 +73,14 @@ class TestBisectBatch:
         with pytest.raises(BracketError, match="element 1"):
             bisect_monotone(lambda t: np.stack([1.0 / t[..., 0], 2.0 + 0.0 * t[..., 1]], -1),
                             1.0, [0.5, 0.5], [2.0, 2.0])
+
+    def test_refusal_names_the_bracket(self):
+        with pytest.raises(ParameterError, match=r"got \[-1.0, 2.0\]"):
+            bisect_monotone(lambda t: 1.0 / t, 1.0, [0.5, -1.0], [2.0, 2.0])
+
+    def test_root_above_hi_raises_naming_the_element(self):
+        with pytest.raises(BracketError, match="element 1"):
+            bisect_monotone(lambda t: 1.0 / t, 1.0, [0.25, 0.25], [4.0, 0.5])
 
     def test_left_edge_reported_per_element(self):
         rep = bisect_monotone(lambda t: np.stack([1.0 / t[..., 0], 0.0 * t[..., 1]], -1),
