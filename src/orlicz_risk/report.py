@@ -45,11 +45,13 @@ def fmt12(value: float) -> str:
     return format(value, ".12g")
 
 
-def _floats_text(values) -> list | None:
-    """The "%.12g" text of each of `values`, plain floats; None unless all
-    are finite."""
-    text = ("%.12g," * len(values)) % tuple(values)
-    return None if "n" in text else text[:-1].split(",")  # "n": "inf" or "nan"
+def _floats_text(values: list) -> list:
+    """The "%.12g" text of each of `values`, plain floats; "inf" and "-inf"
+    as fmt12 gives them, and a ContractError for NaN."""
+    text = ("%.12g," * len(values))[:-1] % tuple(values)
+    if "nan" in text:
+        raise ContractError("NaN has no text")
+    return text.split(",")
 
 
 def _encode(obj) -> str:
@@ -87,7 +89,7 @@ def _encode_items(values) -> list:
     floats, all strs, or records (str-keyed dicts with the same keys, more
     records than keys) encoded key by key as columns."""
     kinds = set(map(type, values))
-    if kinds == _FLOAT and (texts := _floats_text(values)) is not None:
+    if kinds == _FLOAT and {"inf", "-inf"}.isdisjoint(texts := _floats_text(values)):
         return texts
     if kinds == _STR:
         return list(map(_escape, values))
@@ -151,15 +153,6 @@ _FLAG_TEXT = {True: "true", False: "false", "": ""}
 _FLAG_KINDS, _FLOAT_KINDS, _INT = {bool, str}, {float, str}, {int}
 
 
-def _csv_floats(values: list) -> list:
-    """The CSV text of each of `values`, plain floats; "inf" and "-inf" as
-    fmt12 gives them."""
-    text = ("%.12g," * len(values))[:-1] % tuple(values)
-    if "nan" in text:
-        raise ContractError("NaN has no text")
-    return text.split(",")
-
-
 def _column_text(cells: list) -> list:
     """The CSV text of each cell of one column: in bulk for a column of strs,
     of bools and "", of ints, or of floats and ""; any other cell by cell."""
@@ -171,10 +164,10 @@ def _column_text(cells: list) -> list:
     if kinds == _INT:
         return (("%d," * len(cells))[:-1] % tuple(cells)).split(",")
     if kinds == _FLOAT:
-        return _csv_floats(cells)
+        return _floats_text(cells)
     floats = [c for c in cells if type(c) is float] if kinds == _FLOAT_KINDS else ()
     if len(floats) + cells.count("") == len(cells):
-        texts = iter(_csv_floats(floats))
+        texts = iter(_floats_text(floats))
         return [next(texts) if type(c) is float else "" for c in cells]
     return list(map(_cell_text, cells))
 
