@@ -161,7 +161,9 @@ def amemiya_norm(x: RandomVar, alg: SubAlgebra, phi: YoungFn) -> CondNorm:
     barrier = (mu_lo > 0.0) & (mu.view(np.int64) - mu_lo.view(np.int64) <= solvers._WIDTH)
     included = math.isfinite(phi.finite_sup) and math.isfinite(phi.eval(phi.finite_sup))
     mu = np.where(barrier & included, mu_lo, mu)
-    values = mu * (1.0 + expect(phi.eval, mu))
+    # |x|/mu <= finite_sup for mu >= mu_lo; the clip keeps a rounded |x|/mu_lo
+    # off the inf beyond it
+    values = mu * (1.0 + expect(lambda t: phi.eval(np.minimum(t, phi.finite_sup)), mu))
     limit = ~report.attained
     if math.isfinite(phi.sup_slope):
         values = np.where(limit, phi.sup_slope * expect(lambda t: t, np.ones_like(mu)), values)

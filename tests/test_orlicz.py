@@ -351,6 +351,23 @@ class TestStepFamilies:
         cn = luxemburg_norm(x, SubAlgebra.trivial(2), conj)
         assert cn.atom_values[0] == 2.0
 
+    def test_amemiya_at_a_step_edge_that_does_not_divide_exactly(self, coin):
+        # max|x| / (max|x| / 1.924) rounds above 1.924 for some x, where the
+        # step is inf; the Amemiya norm of a step is max|x| / 1.924 all the same
+        conj = conjugate_young_fn(make_piecewise([], [1.924]))
+        for a in np.linspace(0.1, 3.0, 59):
+            x = coin.var([a, 0.5])
+            np.testing.assert_array_equal(amemiya_norm(x, SubAlgebra.trivial(2), conj).atom_values,
+                                          [max(a, 0.5) / 1.924], err_msg=str(a))
+
+    def test_amemiya_at_the_edge_of_a_piecewise_conjugate(self, coin):
+        conj = conjugate_young_fn(make_piecewise([0.211, 1.619], [0.114, 0.965, 1.924]))
+        cn = amemiya_norm(coin.var([1.02, 0.5]), SubAlgebra.trivial(2), conj)
+        edge = 1.02 / 1.924
+        expected = edge * (1.0 + 0.5 * conj.eval(1.924) + 0.5 * conj.eval(0.5 / edge))
+        assert cn.atom_values[0] == pytest.approx(expected, rel=1e-12)
+        assert cn.attained == (True,)
+
 
 BASE_FAMILIES = [
     make_power(1), make_power(1.5), make_power(2), make_power(3), make_exp(), make_exp(2.5),
