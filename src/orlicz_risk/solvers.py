@@ -62,9 +62,10 @@ def bisect_monotone(f: Callable[[np.ndarray], np.ndarray], target: float,
     leading axis.  A bracket's steps depend on it alone, so every bracket
     ends where it would on its own.  Where f(hi) > target, a BracketError
     names the element.  Where f(lo) <= target, lo itself is reported, with
-    `attained` False for that element.  `iterations` counts the calls of f,
-    the first being f at lo and hi together.  For arrays, `arg`, `value` and
-    `attained` are arrays with one entry per bracket.
+    `attained` False for that element.  `iterations` counts the calls of f:
+    one at lo and hi together, one per step and one at the result.  For
+    arrays, `arg`, `value` and `attained` are arrays with one entry per
+    bracket.
     """
     lo, hi = (np.array(a, dtype=float) for a in np.broadcast_arrays(lo, hi))
     if (bad := ~(np.isfinite(hi) & (0.0 < lo) & (lo <= hi))).any():
@@ -78,24 +79,23 @@ def bisect_monotone(f: Callable[[np.ndarray], np.ndarray], target: float,
 
     flo, fhi = ff(np.stack([lo, hi]))
     edge = flo <= target
-    hi, fhi = np.where(edge, lo, hi), np.where(edge, flo, fhi)
-    if (up := fhi > target).any():
+    if (up := ~edge & (fhi > target)).any():
         at = f" at element {np.flatnonzero(up)[0]}" if up.ndim else ""
         raise BracketError(f"f stays above {target} at the right end of the bracket{at}")
     # off the left edge, f(a) > target >= f(b) for the patterns a < b
-    a, b = lo.view(np.int64), hi.view(np.int64)
+    a, b = lo.view(np.int64), np.where(edge, lo, hi).view(np.int64)
     cuts = np.arange(1, _SECTIONS).reshape((-1,) + (1,) * lo.ndim)
-    evals = 1
+    evals = 2
     while (active := b - a > _WIDTH).any():
-        points = np.concatenate([a[None], a + cuts * ((b - a) // _SECTIONS), b[None]])
-        values = np.concatenate([ff(points[1:-1].view(float)), fhi[None]])
-        # j: the first part whose right end has f <= target
-        j = np.argmax(values <= target, axis=0)[None]
-        a = np.where(active, np.take_along_axis(points, j, 0)[0], a)
-        b = np.where(active, np.take_along_axis(points, j + 1, 0)[0], b)
-        fhi = np.where(active, np.take_along_axis(values, j, 0)[0], fhi)
+        step = (b - a) // _SECTIONS
+        ok = ff((a + cuts * step).view(float)) <= target
+        # part j ends at the first cut point where f <= target, the last part at b
+        j = np.where(ok.any(axis=0), ok.argmax(axis=0), _SECTIONS - 1)
+        a, b = (np.where(active, a + j * step, a),
+                np.where(active & (j < _SECTIONS - 1), a + (j + 1) * step, b))
         evals += 1
     hi = b.view(float)
+    fhi = ff(hi)
     if hi.ndim == 0:
         return SolveReport(float(hi), float(fhi), evals, True, not edge,
                            "left" if edge else None)
