@@ -45,13 +45,13 @@ def fmt12(value: float) -> str:
     return format(value, ".12g")
 
 
-def _floats_text(values: list) -> list:
-    """The "%.12g" text of each of `values`, plain floats; "inf" and "-inf"
-    as fmt12 gives them, and a ContractError for NaN."""
+def _floats_text(values: list) -> str:
+    """The "%.12g" texts of `values`, plain floats, joined by commas; "inf"
+    and "-inf" as fmt12 gives them, and a ContractError for NaN."""
     text = ("%.12g," * len(values))[:-1] % tuple(values)
     if "nan" in text:
         raise ContractError("NaN has no text")
-    return text.split(",")
+    return text
 
 
 def _encode(obj) -> str:
@@ -89,8 +89,8 @@ def _encode_items(values) -> list:
     floats, all strs, or records (str-keyed dicts with the same keys, more
     records than keys) encoded key by key as columns."""
     kinds = set(map(type, values))
-    if kinds == _FLOAT and {"inf", "-inf"}.isdisjoint(texts := _floats_text(values)):
-        return texts
+    if kinds == _FLOAT and "inf" not in (text := _floats_text(values)):
+        return text.split(",")
     if kinds == _STR:
         return list(map(_escape, values))
     keys = values[0].keys() if kinds == _DICT else ()
@@ -164,10 +164,10 @@ def _column_text(cells: list) -> list:
     if kinds == _INT:
         return (("%d," * len(cells))[:-1] % tuple(cells)).split(",")
     if kinds == _FLOAT:
-        return _floats_text(cells)
+        return _floats_text(cells).split(",")
     floats = [c for c in cells if type(c) is float] if kinds == _FLOAT_KINDS else ()
     if len(floats) + cells.count("") == len(cells):
-        texts = iter(_floats_text(floats))
+        texts = iter(_floats_text(floats).split(","))
         return [next(texts) if type(c) is float else "" for c in cells]
     return list(map(_cell_text, cells))
 

@@ -29,7 +29,7 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 # parts a bracket is cut into per step of bisect_monotone
 _SECTIONS = 8
 # floats a bisect_monotone bracket spans at most when it stops: a relative
-# width below 2**-34
+# width below 2**-34.  At least _SECTIONS - 1, so that every step narrows
 _WIDTH = 2 ** 18
 # factor a golden_min bracket grows by per expansion
 _EXPAND = 4.0
