@@ -46,7 +46,6 @@ class TestBisect:
             bisect_monotone(lambda t: 2.0, 1.0, 1.0, 2.0)
 
 
-
 class TestBisectBatch:
     @settings(max_examples=60, deadline=None)
     @given(
