@@ -338,8 +338,9 @@ def is_measurable(x: RandomVar, alg: SubAlgebra) -> bool:
 
 @dataclass(frozen=True)
 class Filtration:
-    """An increasing sequence of sub-sigma-algebras: each stage is refined by
-    the next."""
+    """An increasing sequence of sub-sigma-algebras, the tuple `stages`:
+    each stage is refined by the next, or a StructuralError names the first
+    stage that is not."""
 
     stages: tuple[SubAlgebra, ...]
 
@@ -353,9 +354,3 @@ class Filtration:
                     f"stage {t + 1} does not refine stage {t}"
                 )
         object.__setattr__(self, "stages", stages)
-
-    def __len__(self) -> int:
-        return len(self.stages)
-
-    def __getitem__(self, t: int) -> SubAlgebra:
-        return self.stages[t]

@@ -1,53 +1,42 @@
 """Deterministic report serialization: JSON for machines, CSV per-atom tables
 for inspection.
 
-Floats are written with 12 significant digits and dictionary keys are sorted,
-so identical inputs produce byte-identical files.  Non-finite values appear
-as the strings "inf" / "-inf".  NaN has no text: writing it raises
-ContractError naming its key or column.  A CSV cell holding a lone
-surrogate, which has no UTF-8 text, raises ContractError too.  Plain
-floats, strs, lists and str-keyed dicts are encoded in bulk; every other
-value (np.float64 and other subclasses, numpy arrays and scalars, other
-keys) one by one, to the same text.  Each writer encodes first, then
-removes any file or link at its path and writes a new file in its place.
+The writers take the values the package builds: str-keyed dicts, lists,
+strs, ints, bools, None and plain floats; any other value (a tuple, an
+array, a float subclass or other scalar type, a key that is not a str)
+raises TypeError naming its type.  Floats are written with 12 significant
+digits and dictionary keys are sorted, so identical inputs produce
+byte-identical files.  Non-finite values appear as the strings "inf" /
+"-inf".  NaN has no text: writing it raises ContractError naming its key
+or column.  A CSV cell holding a lone surrogate, which has no UTF-8 text,
+raises ContractError too.  Each writer encodes first, then removes any
+file or link at its path and writes a new file in its place.
 
 A per-atom table is a dict of columns: one list of cells per name of
-CSV_COLUMNS (`new_table`), appended to by `add_rows` and `atom_rows`.
+CSV_COLUMNS (`new_table`), appended to by `add_rows` and `atom_rows`.  A
+column holds strs, ints, floats, or floats or bools with "" for blank
+cells; any other column raises TypeError naming its cell types.
 """
 
 from __future__ import annotations
 
-import math
 from itertools import chain
 from json.encoder import encode_basestring_ascii as _escape
 from pathlib import Path
 from typing import Mapping
 
-import numpy as np
-
 from .errors import ContractError
 
-__all__ = ["fmt12", "canonical_dumps", "write_report_json", "write_atoms_csv", "new_table",
+__all__ = ["canonical_dumps", "write_report_json", "write_atoms_csv", "new_table",
            "add_rows", "atom_rows", "CSV_COLUMNS"]
 
 CSV_COLUMNS = ("check", "algebra", "atom", "position", "quantity", "value", "allowed", "passed")
 _FLOAT, _STR, _DICT = {float}, {str}, {dict}
 
 
-def fmt12(value: float) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    value = float(value)
-    if math.isinf(value):
-        return "inf" if value > 0 else "-inf"
-    if value != value:
-        raise ContractError("NaN has no text")
-    return format(value, ".12g")
-
-
 def _floats_text(values: list) -> str:
-    """The "%.12g" texts of `values`, plain floats, joined by commas; "inf"
-    and "-inf" as fmt12 gives them, and a ContractError for NaN."""
+    """The "%.12g" texts of `values`, plain floats, joined by commas, "inf"
+    and "-inf" included; a ContractError for NaN."""
     text = ("%.12g," * len(values))[:-1] % tuple(values)
     if "nan" in text:
         raise ContractError("NaN has no text")
@@ -55,33 +44,28 @@ def _floats_text(values: list) -> str:
 
 
 def _encode(obj) -> str:
-    if type(obj) is float and obj - obj == 0.0:
-        return "%.12g" % obj
-    if isinstance(obj, str):
+    kind = type(obj)
+    if kind is float:
+        if obj - obj == 0.0:
+            return "%.12g" % obj
+        return '"%s"' % _floats_text([obj])
+    if kind is str:
         return _escape(obj)
-    if isinstance(obj, (list, tuple)):
+    if kind is list:
         return "[" + ",".join(_encode_items(obj)) + "]"
-    if isinstance(obj, Mapping):
-        keys = sorted(obj, key=str)
-        items = zip(map(_escape, map(str, keys)), _encode_items([obj[k] for k in keys]))
+    if kind is dict:
+        if bad := [k for k in obj if type(k) is not str]:
+            raise TypeError(f"cannot serialize a key of {type(bad[0])!r}")
+        keys = sorted(obj)
+        items = zip(map(_escape, keys), _encode_items([obj[k] for k in keys]))
         return "{" + ",".join(map("%s:%s".__mod__, items)) + "}"
     if obj is None:
         return "null"
-    if isinstance(obj, bool):
+    if kind is bool:
         return "true" if obj else "false"
-    if isinstance(obj, int):
+    if kind is int:
         return str(obj)
-    if isinstance(obj, float):
-        if math.isinf(obj):
-            return '"inf"' if obj > 0 else '"-inf"'
-        return fmt12(obj)
-    if isinstance(obj, np.ndarray):
-        return _encode(obj.tolist())
-    if isinstance(obj, np.floating):
-        return _encode(float(obj))
-    if isinstance(obj, np.integer):
-        return _encode(int(obj))
-    raise TypeError(f"cannot serialize {type(obj)!r}")
+    raise TypeError(f"cannot serialize {kind!r}")
 
 
 def _encode_items(values) -> list:
@@ -105,14 +89,12 @@ def _encode_items(values) -> list:
 
 def _nan_path(obj, path: str) -> str | None:
     """JSON path of a NaN inside `obj`, or None."""
-    if isinstance(obj, np.ndarray):
-        obj = obj.tolist()
-    if isinstance(obj, Mapping):
+    if type(obj) is dict:
         found = (_nan_path(v, f"{path}.{k}") for k, v in obj.items())
-    elif isinstance(obj, (list, tuple)):
+    elif type(obj) is list:
         found = (_nan_path(v, f"{path}[{i}]") for i, v in enumerate(obj))
     else:
-        return path if isinstance(obj, (float, np.floating)) and obj != obj else None
+        return path if type(obj) is float and obj != obj else None
     return next(filter(None, found), None)
 
 
@@ -144,21 +126,17 @@ def _quote(text: str) -> str:
     return text
 
 
-def _cell_text(cell) -> str:
-    return fmt12(cell) if isinstance(cell, (bool, float)) else _quote(str(cell))
-
-
 # the text of each cell of a flag column
 _FLAG_TEXT = {True: "true", False: "false", "": ""}
 _FLAG_KINDS, _FLOAT_KINDS, _INT = {bool, str}, {float, str}, {int}
 
 
 def _column_text(cells: list) -> list:
-    """The CSV text of each cell of one column: in bulk for a column of strs,
-    of bools and "", of ints, or of floats and ""; any other cell by cell."""
+    """The CSV text of each cell of one column: a column of strs, of bools
+    and "", of ints, or of floats and ""."""
     kinds = set(map(type, cells))
-    if kinds == _STR and _quote(joined := "".join(cells)) is joined:
-        return cells
+    if kinds == _STR:
+        return cells if _quote(joined := "".join(cells)) is joined else list(map(_quote, cells))
     if kinds <= _FLAG_KINDS and None not in (texts := list(map(_FLAG_TEXT.get, cells))):
         return texts
     if kinds == _INT:
@@ -169,7 +147,7 @@ def _column_text(cells: list) -> list:
     if len(floats) + cells.count("") == len(cells):
         texts = iter(_floats_text(floats).split(","))
         return [next(texts) if type(c) is float else "" for c in cells]
-    return list(map(_cell_text, cells))
+    raise TypeError(f"cannot write a column of {' and '.join(sorted(k.__name__ for k in kinds))}")
 
 
 def new_table() -> dict:

@@ -31,21 +31,24 @@ _SECTIONS = 8
 # floats a bisect_monotone bracket spans at most when it stops: a relative
 # width below 2**-34.  At least _SECTIONS - 1, so that every step narrows
 _WIDTH = 2 ** 18
-# factor a golden_min bracket grows by per expansion
-_EXPAND = 4.0
+# factor a golden_min bracket grows by per expansion, and its most expansions
+_EXPAND, _MAX_EXPAND = 4.0, 80
+# a golden_min expansion whose new edge improves the running minimum by less
+# than this, relative, reports the edge value as a limit
+_LIMIT_REL_IMPROVEMENT = 1e-13
 
 
 class SolveReport(NamedTuple):
-    """Outcome of a solve.  `attained` is False when the optimum is only
-    approached at a boundary or in an expansion limit; `boundary` names the
-    side ('left'/'right') when that happens."""
+    """Outcome of a solve: the point `arg` and its `value`, the work done
+    (`iterations`), and whether the solve `converged`.  `attained` is False
+    when the optimum is only approached, at the left end of a bisection
+    bracket or in a golden_min expansion limit."""
 
     arg: object
     value: float
     iterations: int
     converged: bool
     attained: bool = True
-    boundary: str | None = None
 
 
 def bisect_monotone(f: Callable[[np.ndarray], np.ndarray], target: float,
@@ -97,21 +100,19 @@ def bisect_monotone(f: Callable[[np.ndarray], np.ndarray], target: float,
     hi = b.view(float)
     fhi = ff(hi)
     if hi.ndim == 0:
-        return SolveReport(float(hi), float(fhi), evals, True, not edge,
-                           "left" if edge else None)
-    return SolveReport(hi, fhi, evals, True, ~edge, "left" if edge.any() else None)
+        return SolveReport(float(hi), float(fhi), evals, True, not edge)
+    return SolveReport(hi, fhi, evals, True, ~edge)
 
 
 def golden_min(f: Callable[[float], float], lo: float, hi: float, *,
-               rel_tol: float = 1e-10, max_expand: int = 200,
-               limit_rel_improvement: float = 1e-12) -> SolveReport:
+               rel_tol: float = 1e-10) -> SolveReport:
     """Minimize a unimodal f.  The bracket grows 4-fold toward a
     downhill edge; when an expansion's new edge improves the running minimum,
-    but by less than `limit_rel_improvement` relative, the edge value is
-    reported as a non-attained limit.  Hitting the expansion cap while still improving
-    returns converged=False (the objective looks unbounded).  A domain
-    restriction is stated by the objective: +inf outside it stops an
-    expansion that reaches it."""
+    but by less than _LIMIT_REL_IMPROVEMENT relative, the edge value is
+    reported as a non-attained limit.  Hitting the cap of _MAX_EXPAND
+    expansions while still improving returns converged=False (the objective
+    looks unbounded).  A domain restriction is stated by the objective: +inf
+    outside it stops an expansion that reaches it."""
     evals = 0
     best_x = None
     best_f = math.inf
@@ -129,21 +130,16 @@ def golden_min(f: Callable[[float], float], lo: float, hi: float, *,
     m = 0.5 * (a + b)
     fm = ff(m)
 
-    boundary = None
-    attained = True
-    converged = True
+    attained = converged = True
     expansions = 0
     while fm > min(fa, fb):
-        side = "right" if fb < fa else "left"
-        if expansions >= max_expand:
-            boundary, attained, converged = side, False, False
-            break
+        right = fb < fa
         span = (b - a) * (_EXPAND - 1.0)
-        if abs(b + span) > 1e300 or abs(a - span) > 1e300:
-            boundary, attained, converged = side, False, False
+        if expansions >= _MAX_EXPAND or abs(b + span) > 1e300 or abs(a - span) > 1e300:
+            attained = converged = False
             break
         prev_best = best_f
-        if side == "right":
+        if right:
             a, fa, m, fm = m, fm, b, fb
             b = b + span
             fb = ff(b)
@@ -155,12 +151,12 @@ def golden_min(f: Callable[[float], float], lo: float, hi: float, *,
         # a limit (non-attained infimum) shows up as the new edge improving
         # the running minimum, but by a stalled relative amount; an overshot
         # interior minimum leaves the new edge at or above it instead
-        edge_f = fb if side == "right" else fa
-        if 0.0 < prev_best - edge_f <= limit_rel_improvement * abs(edge_f):
-            boundary, attained = side, False
+        edge_f = fb if right else fa
+        if 0.0 < prev_best - edge_f <= _LIMIT_REL_IMPROVEMENT * abs(edge_f):
+            attained = False
             break
 
-    if boundary is None:
+    if attained:
         c = b - _GOLDEN * (b - a)
         d = a + _GOLDEN * (b - a)
         fc, fd = ff(c), ff(d)
@@ -176,7 +172,7 @@ def golden_min(f: Callable[[float], float], lo: float, hi: float, *,
                 d = a + _GOLDEN * (b - a)
                 fd = ff(d)
 
-    return SolveReport(best_x, best_f, evals, converged, attained, boundary)
+    return SolveReport(best_x, best_f, evals, converged, attained)
 
 
 # sweeps of the coordinate ascent; it stops earlier once a sweep gains nothing
@@ -205,9 +201,7 @@ def _coordinate_ascent_sup(objective: Callable[[np.ndarray], float], n: int) -> 
                 return v
 
             r = max(radius[i], 1e-6)
-            rep = golden_min(
-                line, xi - r, xi + r, rel_tol=tol, max_expand=80, limit_rel_improvement=1e-13,
-            )
+            rep = golden_min(line, xi - r, xi + r, rel_tol=tol)
             if not rep.converged:
                 return math.inf
             radius[i] = max(abs(rep.arg - xi) * 2.0, 1e-8)

@@ -3,9 +3,9 @@
 phi*(s) = sup_{t >= 0} (s*t - phi(t)) by maximizing the concave objective
 with `solvers.golden_min`, to a relative width of 1e-10, from the bracket
 [0, 1], or [0, finite_sup] on a finite domain, with expansion (factor 4, at
-most 200 expansions).  The objective is +inf for t < 0 and wherever phi is.
+most 80 expansions).  The objective is +inf for t < 0 and wherever phi is.
 An objective still improving at the expansion cap is reported as inf, so a
-finite conjugate whose maximizer lies beyond about 4**200 reads inf here.
+finite conjugate whose maximizer lies beyond about 4**80 reads inf here.
 The oracle looks only at `eval` and `finite_sup`, never at a closed form or
 a derivative field, so the closed forms can be tested against it.
 """

@@ -1,11 +1,12 @@
 """The report writers against the earlier one-value-at-a-time writers, kept
 below as an oracle: the bulk encoders must give the same bytes.  The CSV
-oracle writes rows; the writer takes the same cells as columns."""
+oracle writes rows; the writer takes the same cells as columns.  Values are
+of the types the package writes; any other type is refused."""
 
 import json
 import math
+import re
 from pathlib import Path
-from typing import Mapping
 
 import numpy as np
 import pytest
@@ -41,19 +42,10 @@ def _oracle_encode(obj) -> str:
         return _oracle_fmt12(obj)
     if isinstance(obj, str):
         return json.dumps(obj, ensure_ascii=True)
-    if isinstance(obj, Mapping):
-        items = sorted(obj.items(), key=lambda kv: str(kv[0]))
-        inner = ",".join(f"{_oracle_encode(str(k))}:{_oracle_encode(v)}" for k, v in items)
+    if isinstance(obj, dict):
+        inner = ",".join(f"{_oracle_encode(k)}:{_oracle_encode(v)}" for k, v in sorted(obj.items()))
         return "{" + inner + "}"
-    if isinstance(obj, (list, tuple)):
-        return "[" + ",".join(_oracle_encode(v) for v in obj) + "]"
-    if isinstance(obj, np.ndarray):
-        return _oracle_encode(obj.tolist())
-    if isinstance(obj, np.floating):
-        return _oracle_encode(float(obj))
-    if isinstance(obj, np.integer):
-        return _oracle_encode(int(obj))
-    raise TypeError(f"cannot serialize {type(obj)!r}")
+    return "[" + ",".join(_oracle_encode(v) for v in obj) + "]"
 
 
 def _oracle_write_atoms_csv(path, rows) -> None:
@@ -90,38 +82,26 @@ FLOATS = st.one_of(
     st.floats(allow_nan=False),
 )
 TEXT = st.text(st.one_of(st.characters(), st.sampled_from('",\n\r%é☃\\')), max_size=8)
-INT64 = st.integers(-2**63, 2**63 - 1)
-SCALARS = st.one_of(
-    st.none(), st.booleans(), st.integers(), FLOATS, TEXT,
-    FLOATS.map(np.float64), INT64.map(np.int64),
-)
-ARRAYS = st.one_of(st.lists(FLOATS, max_size=5).map(np.array),
-                   st.lists(INT64, max_size=5).map(lambda v: np.array(v, dtype=np.int64)))
-KEYS = st.one_of(TEXT, st.integers(), st.booleans(), st.none(), FLOATS)
+SCALARS = st.one_of(st.none(), st.booleans(), st.integers(), FLOATS, TEXT)
 
 
 def _containers(children):
     return st.one_of(
         st.lists(children, max_size=6),
-        st.lists(children, max_size=6).map(tuple),
         st.dictionaries(TEXT, children, max_size=6),
-        st.dictionaries(KEYS, children, max_size=6),
         # records: dicts with the same str keys, as the scenario's outcomes
         st.lists(TEXT, min_size=1, max_size=3, unique=True).flatmap(
             lambda keys: st.lists(st.fixed_dictionaries({k: children for k in keys}), max_size=6)),
     )
 
 
-VALUES = st.recursive(st.one_of(SCALARS, ARRAYS, st.lists(FLOATS, max_size=8)), _containers,
+VALUES = st.recursive(st.one_of(SCALARS, st.lists(FLOATS, max_size=8)), _containers,
                       max_leaves=20)
-# one kind of cell per column, so the bulk paths of the CSV writer run
-CELLS = [st.none(), st.booleans(), st.integers(), FLOATS, TEXT, FLOATS.map(np.float64),
-         INT64.map(np.int64), st.one_of(st.just(""), FLOATS, st.booleans()), SCALARS,
-         st.one_of(st.just(""), st.booleans()), st.one_of(st.just(""), FLOATS),
-         st.one_of(st.integers(), FLOATS, TEXT), st.sampled_from(["", "nan", "inf", "a,b"])]
+# each column holds one kind of cell the writer takes
+CELLS = [st.booleans(), st.integers(), FLOATS, TEXT, st.one_of(st.just(""), st.booleans()),
+         st.one_of(st.just(""), FLOATS), st.sampled_from(["", "nan", "inf", "a,b"])]
 TABLES = st.lists(st.sampled_from(CELLS), min_size=len(CSV_COLUMNS), max_size=len(CSV_COLUMNS)).flatmap(
     lambda kinds: st.lists(st.fixed_dictionaries(dict(zip(CSV_COLUMNS, kinds))), max_size=8))
-ROWS = st.lists(st.dictionaries(st.sampled_from(CSV_COLUMNS), SCALARS), max_size=8)
 
 
 @settings(max_examples=150, deadline=None)
@@ -131,7 +111,7 @@ def test_canonical_dumps_matches_the_oracle(value):
 
 
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(st.one_of(TABLES, ROWS))
+@given(TABLES)
 def test_write_atoms_csv_matches_the_oracle(tmp_path, rows):
     (tmp_path / "new.csv").unlink(missing_ok=True)
     try:
@@ -150,7 +130,7 @@ def test_write_atoms_csv_matches_the_oracle(tmp_path, rows):
     [0.1, -0.0, 1e-300, 1e300, 5e-324, 1.7976931348623157e308, 123456789012.5, 2.0 ** 60],
     {"outcomes": [{"label": "w%1", "prob": 0.25}, {"label": 'q"', "prob": 0.75}]},
     {"x": {"a": math.inf, "b": -math.inf, "c": 1.0}},
-    [{}, {}], [[], ()], {}, "", [np.float64(0.1), 0.1, np.int64(3), True, None],
+    [{}, {}], [[], []], {}, "", [0.1, 3, True, None, "s"],
 ], ids=["floats", "records", "inf", "empty_records", "empty_lists", "empty_dict", "empty_str",
         "mixed"])
 def test_canonical_dumps_fixed_cases(value):
@@ -160,9 +140,9 @@ def test_canonical_dumps_fixed_cases(value):
 @pytest.mark.parametrize("value, path", [
     (math.nan, "$"),
     ({"results": {"x": {"gap": [0.0, 1.0, math.nan]}}}, "$.results.x.gap[2]"),
-    ({"a": [{"p": 1.0}, {"p": np.float64(math.nan)}]}, "$.a[1].p"),
-    ({"y": np.array([1.0, math.nan])}, "$.y[1]"),
-], ids=["bare", "list", "records", "array"])
+    ({"a": [{"p": 1.0}, {"p": math.nan}]}, "$.a[1].p"),
+    ({"y": [[1.0], [-math.inf, math.nan]]}, "$.y[1][1]"),
+], ids=["bare", "list", "records", "nested"])
 def test_canonical_dumps_refuses_nan_with_its_path(value, path):
     with pytest.raises(ContractError) as err:
         canonical_dumps(value)
@@ -181,8 +161,8 @@ def test_writers_refuse_nan_and_write_nothing(tmp_path):
 
 
 @pytest.mark.parametrize("cells", [
-    [1.0, math.nan], ["", math.nan, 2.0], [3, math.nan], ["", 1.0, np.float64(math.nan)],
-], ids=["floats", "blank_floats", "ints_floats", "numpy"])
+    [1.0, math.nan], ["", math.nan, 2.0], [math.nan], ["", 1.0, -math.inf, math.nan],
+], ids=["floats", "blank_floats", "lone", "blank_inf"])
 @pytest.mark.parametrize("col", ["value", "allowed"])
 def test_write_atoms_csv_refuses_nan_naming_its_column(tmp_path, col, cells):
     table = _columns([{"check": "dual"}] * len(cells))
@@ -218,14 +198,44 @@ def test_atom_rows_appends_atom_by_atom_then_quantity_by_quantity():
 
 @pytest.mark.parametrize("cells", [
     ['say "hi"', "plain"], ["a,b", "plain"], ["line\nbreak", "é☃"], ["cr\rret", "plain"],
-    [1.5, math.inf, -0.0], [1.5, ""], [True, "", False], [np.float64(2.5), np.int64(7), None], [3, 10**30],
+    [1.5, math.inf, -0.0], [1.5, ""], [True, "", False], [3, 10**30],
     [0, -1, 2, -1, 10], ["", True, False, "", True], ["", 1e-6, math.inf, "", -math.inf, -0.0],
-    [-1, 2.5, "", "w1", math.inf], ["nan", 1.0], ["inf", "-inf", ""], [1, "a,b"], [False, "x"],
-], ids=["quotes", "comma", "newline", "return", "inf", "mixed", "bools", "numpy", "ints",
-        "atoms", "flags", "blank_floats", "numbers_strs", "nan_text", "inf_text", "int_comma",
-        "flag_text"])
+    ["nan", "", "a,b"], ["inf", "-inf", ""],
+], ids=["quotes", "comma", "newline", "return", "inf", "mixed", "bools", "ints",
+        "atoms", "flags", "blank_floats", "nan_text", "inf_text"])
 def test_write_atoms_csv_fixed_columns(tmp_path, cells):
     rows = [{col: cell for col in CSV_COLUMNS} for cell in cells]
     write_atoms_csv(tmp_path / "new.csv", _columns(rows))
     _oracle_write_atoms_csv(tmp_path / "old.csv", rows)
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+class _Half(float):
+    """A float subclass, which is not a plain float."""
+
+
+@pytest.mark.parametrize("value, kind", [
+    (np.float64(0.1), "numpy.float64"), ({"x": np.array([1.0])}, "numpy.ndarray"),
+    ([1.0, (2.0,)], "tuple"), ({"a": 1.0, 2: 1.0}, "int"), ([{"p": _Half(0.5)}] * 2, "_Half"),
+], ids=["numpy_scalar", "numpy_array", "tuple", "int_key", "float_subclass"])
+def test_canonical_dumps_refuses_other_types_naming_them(tmp_path, value, kind):
+    with pytest.raises(TypeError, match=re.escape(kind) + "'>$"):
+        canonical_dumps(value)
+    with pytest.raises(TypeError, match=re.escape(kind)):
+        write_report_json(tmp_path / "r.json", {"results": value})
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("cells, kinds", [
+    (["w1", 1.5, ""], "float and str"), ([1, "a,b"], "int and str"), ([False, "x"], "bool and str"),
+    ([1, 2.5], "float and int"), ([np.float64(2.5)], "float64"), ([np.int64(7)], "int64"),
+    ([_Half(0.5), ""], "_Half and str"), ([None], "NoneType"),
+], ids=["strs_numbers", "int_text", "flag_text", "ints_floats", "numpy_float", "numpy_int",
+        "float_subclass", "none"])
+def test_write_atoms_csv_refuses_other_columns_naming_their_types(tmp_path, cells, kinds):
+    table = _columns([{"check": "dual"}] * len(cells))
+    table["value"] = cells
+    with pytest.raises(TypeError) as err:
+        write_atoms_csv(tmp_path / "r.csv", table)
+    assert str(err.value) == f"cannot write a column of {kinds}"
+    assert list(tmp_path.iterdir()) == []

@@ -1,3 +1,4 @@
+import inspect
 import math
 
 import numpy as np
@@ -87,7 +88,6 @@ class TestBisectBatch:
         assert rep.arg[0] == pytest.approx(1.0, rel=1e-9)
         assert rep.arg[1] == 0.25
         assert rep.attained.tolist() == [True, False]
-        assert rep.boundary == "left"
 
 
 class TestGolden:
@@ -101,13 +101,21 @@ class TestGolden:
     def test_limit_infimum_flagged(self):
         rep = golden_min(lambda t: 1.0 / t + 3.5, 0.5, 2.0)
         assert rep.value == pytest.approx(3.5, abs=1e-8)
-        assert not rep.attained
-        assert rep.boundary == "right"
+        assert rep.arg > 2.0  # past the right end of the bracket
+        assert rep.converged and not rep.attained
 
     def test_unbounded_objective_reported(self):
-        rep = golden_min(lambda t: -t, 0.0, 1.0, max_expand=30)
-        assert not rep.converged
-        assert rep.boundary == "right"
+        rep = golden_min(lambda t: -t, 0.0, 1.0)
+        assert not rep.converged and not rep.attained
+        assert rep.arg > 1e40  # 80 expansions to the right
+
+    def test_rel_tol_is_the_one_option(self):
+        params = inspect.signature(golden_min).parameters.values()
+        assert [(p.name, p.kind.name, p.default) for p in params] == [
+            ("f", "POSITIONAL_OR_KEYWORD", inspect.Parameter.empty),
+            ("lo", "POSITIONAL_OR_KEYWORD", inspect.Parameter.empty),
+            ("hi", "POSITIONAL_OR_KEYWORD", inspect.Parameter.empty),
+            ("rel_tol", "KEYWORD_ONLY", 1e-10)]
 
     def test_interior_minimum_after_expansion(self):
         rep = golden_min(lambda t: (t - 40.0) ** 2, 0.0, 1.0)
@@ -118,7 +126,7 @@ class TestGolden:
         # every improvement here is below 1e-97, so a stall test must be relative
         rep = golden_min(lambda t: 1e-100 * (t - 40.0) ** 2, 0.0, 1.0)
         assert rep.arg == pytest.approx(40.0, abs=1e-6)
-        assert rep.attained and rep.boundary is None
+        assert rep.attained
 
     def test_edge_tying_the_running_minimum_is_not_a_limit(self):
         # f(1) == f(4) == 2.5: the expansion overshot the minimum at 1.5
