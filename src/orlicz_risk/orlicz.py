@@ -188,12 +188,17 @@ def pairing_operator_norm(y: RandomVar, alg: SubAlgebra, phi: YoungFn) -> CondNo
     by the same lock-step psi-root as `amemiya_norm`.  Its value sits at or
     above the infimum, so it can only over- and never under-estimate the
     supremum, and the pairing bound it certifies is safe.  Needs the
-    `conjugate_deriv` field of phi, which is the conjugate's `deriv`.
+    `conjugate_deriv` field of phi, which is the conjugate's `deriv`.  A
+    value past the largest float raises ContractError naming this function.
     """
     _require_finite(y, "pairing_operator_norm")
     if phi.conjugate_deriv is None:
         raise ParameterError("pairing_operator_norm needs the Young function field 'conjugate_deriv'")
-    return amemiya_norm(abs(y), alg, conjugate_young_fn(phi))
+    conj = conjugate_young_fn(phi)
+    try:
+        return amemiya_norm(abs(y), alg, conj)
+    except ContractError as exc:  # an overflow, named for amemiya_norm
+        raise ContractError(str(exc).replace("amemiya_norm", "pairing_operator_norm")) from None
 
 
 def recover_density(mu: Callable[[RandomVar], RandomVar], space: FiniteProbSpace,

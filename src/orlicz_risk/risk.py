@@ -277,7 +277,7 @@ def _numeric_conjugate(rho: CondRiskMeasure, y: RandomVar, alg: SubAlgebra) -> I
 
         def objective(xa: np.ndarray) -> float:
             base[idx] = xa
-            rv = RandomVar(base.copy(), space)
+            rv = RandomVar(base, space)  # RandomVar copies base
             return float(np.dot(w, xa * ya)) - float(rho.evaluate(rv, alg).values[idx[0]])
 
         yield solvers._coordinate_ascent_sup(objective, len(idx))

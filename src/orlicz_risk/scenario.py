@@ -24,32 +24,31 @@ import numpy as np
 from .errors import ParameterError, PartitionError, StructuralError
 from .prob_space import FiniteProbSpace, Filtration, RandomVar, SubAlgebra
 from .risk import CondRiskMeasure, entropic, linear, worst_case
-from .young import YoungFn, _as_number, make_exp, make_linf, make_piecewise, make_power
+from .young import YoungFn, make_exp, make_linf, make_piecewise, make_power
 
 __all__ = [
     "Scenario", "ScenarioValidationError", "SCENARIO_SCHEMA", "young_from_spec", "risk_from_spec",
 ]
 
 
-def spec_number(params: Mapping, name: str, default: float | None = None) -> float:
-    """`params[name]` of a scenario entry as a float (`default` when absent and
-    given); a missing, non-numeric or non-finite value raises ParameterError
-    naming it."""
+def spec_number(params: Mapping, name: str, default: float | None = None):
+    """`params[name]` of a scenario entry (`default` when absent and given);
+    a missing one raises ParameterError naming it.  The factory it is passed
+    to decides whether it is a finite number."""
     if name not in params:
         if default is None:
             raise ParameterError(f"missing parameter {name!r}")
         return default
-    return _as_number(repr(name), params[name])
+    return params[name]
 
 
-def _spec_numbers(params: Mapping, name: str) -> list[float]:
-    """`params[name]` of a scenario entry as a list of floats; raises
-    ParameterError naming the parameter or item that is missing or not a
-    finite number."""
+def _spec_numbers(params: Mapping, name: str) -> list:
+    """`params[name]` of a scenario entry, a list, or a ParameterError naming
+    the parameter.  The factory it is passed to checks its items."""
     values = params.get(name)
     if not isinstance(values, (list, tuple)):
         raise ParameterError(f"parameter {name!r} must be a list of numbers, got {values!r}")
-    return [_as_number(f"'{name}[{i}]'", v) for i, v in enumerate(values)]
+    return values
 
 
 # name -> (the parameters it accepts, a builder from the entry's params).

@@ -530,6 +530,11 @@ class TestOverflow:
         with pytest.raises(ContractError, match="amemiya_norm overflows"):
             amemiya_norm(x, SubAlgebra.trivial(2), make_power(2))
 
+    def test_pairing_operator_norm_past_the_largest_float_names_itself(self):
+        y = FiniteProbSpace.uniform(2).var([1.5e308, 1.5e308])
+        with pytest.raises(ContractError, match="^pairing_operator_norm overflows"):
+            pairing_operator_norm(y, SubAlgebra.trivial(2), make_piecewise([1.0], [0.5, 2.0]))
+
     @pytest.mark.parametrize("norm", [luxemburg_norm, amemiya_norm])
     def test_step_norm_past_the_largest_float_is_refused(self, norm):
         # the conjugate of 0.5 t is the step at 0.5, so both norms are 2 max|x|

@@ -772,6 +772,8 @@ class TestCli:
         ("young", {"family": "exp", "params": {"scale": [1]}}),
         ("young", {"family": "power", "params": {"q": 2}}),
         ("young", {"family": "piecewise", "params": {"knots": [1.0]}}),
+        ("young", {"family": "piecewise", "params": {"knots": "1", "slopes": [1.0, 2.0]}}),
+        ("young", {"family": "piecewise", "params": {"knots": [1.0, "x"], "slopes": [1, 2, 3]}}),
         ("young", {"family": "power", "params": {"p": math.nan}}),
         ("risk", {"measure": "entropic", "params": {"gamma": "x"}}),
         ("risk", {"measure": "entropic", "params": {"gama": 1}}),

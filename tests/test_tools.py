@@ -160,10 +160,20 @@ class TestOptions:
         assert "usage: python tools/options.py" in capsys.readouterr().err
 
 
+# the planted parameter faults and the path each is refused at
+PARAM_FAULTS = {"unknown_young_param": "$.young.params", "risk_param_not_a_number": "$.risk.params"}
+
+
 class TestCompareOutputs:
     def test_loader_refuses_every_planted_fault(self, compare_outputs, tmp_path):
+        scenarios = list(ROOT.glob("scenarios/*.json"))
         paths = compare_outputs.malformed_scenarios(ROOT / "scenarios", tmp_path)
-        assert len(paths) == len(compare_outputs.FAULTS) * len(list(ROOT.glob("scenarios/*.json")))
+        assert len(paths) == len(compare_outputs.FAULTS) * len(scenarios)
+        refusals = []
         for path in paths:
-            with pytest.raises(ScenarioValidationError):
+            with pytest.raises(ScenarioValidationError) as err:
                 Scenario.from_file(path)
+            refusals.append((path.stem.split(".", 1)[1], err.value.path))  # <scenario>.<fault>
+        # every bundled scenario refuses both parameter faults, each at its path
+        for refusal in PARAM_FAULTS.items():
+            assert refusals.count(refusal) == len(scenarios)

@@ -11,10 +11,11 @@ five commands (with `--seed N`), then every operation of the generated
 on malformed copies of PARENT's bundled scenarios: each copy has one fault
 of `FAULTS` planted (an unknown, repeated or missing label in an algebra, a
 bad probability or sum, a NaN position value, a duplicate key, an unknown
-filtration algebra), so the trees' refusals, exit codes and stderr, are
-compared too.  Each tree
-runs all of them in one interpreter of its own, importing its own
-`src/orlicz_risk`, with every operation writing into a directory of its own.
+filtration algebra, an unknown name in `young.params`, `risk.params` of
+{"gamma": "x"}), so the trees' refusals, exit codes and stderr, are
+compared too.  Each tree runs all of them in one interpreter of its own,
+importing its own `src/orlicz_risk`, with every operation writing into a
+directory of its own.
 Then each tree runs every bundled operation a second time, in a second
 interpreter, into the directory that operation first wrote: this exercises
 the path that replaces existing report files.
@@ -82,6 +83,8 @@ FAULTS = {
     "duplicate_key": lambda text: text.replace("{", '{"name": "again", ', 1),
     "unknown_filtration_algebra": _edited(
         lambda d: d.update(filtration=[*d.get("filtration", []), "zz"])),
+    "unknown_young_param": _edited(lambda d: d["young"].setdefault("params", {}).update(zz=1.0)),
+    "risk_param_not_a_number": _edited(lambda d: d["risk"].update(params={"gamma": "x"})),
 }
 
 
