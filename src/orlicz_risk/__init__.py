@@ -31,7 +31,6 @@ from .young import (
     make_piecewise,
     conjugate,
     conjugate_young_fn,
-    validate,
 )
 from .solvers import SolveReport, bisect_monotone, golden_min, simplex_max, project_weighted_simplex
 from .orlicz import (

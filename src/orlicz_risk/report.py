@@ -4,18 +4,18 @@ for inspection.
 The writers take the values the package builds: str-keyed dicts, lists,
 strs, ints, bools, None and plain floats; any other value (a tuple, an
 array, a float subclass or other scalar type, a key that is not a str)
-raises TypeError naming its type.  Floats are written with 12 significant
-digits and dictionary keys are sorted, so identical inputs produce
-byte-identical files.  Non-finite values appear as the strings "inf" /
-"-inf".  NaN has no text: writing it raises ContractError naming its key
-or column.  A CSV cell holding a lone surrogate, which has no UTF-8 text,
-raises ContractError too.  Each writer encodes first, then removes any
-file or link at its path and writes a new file in its place.
+raises TypeError naming its type and JSON path.  Floats are written with
+12 significant digits and dictionary keys are sorted, so identical inputs
+produce byte-identical files.  Non-finite values appear as the strings
+"inf" / "-inf".  NaN has no text: writing it raises ContractError naming
+its JSON path or column.  A CSV cell holding a lone surrogate, which has
+no UTF-8 text, raises ContractError too.  Each writer encodes first, then
+removes any file or link at its path and writes a new file in its place.
 
 A per-atom table is a dict of columns: one list of cells per name of
 CSV_COLUMNS (`new_table`), appended to by `add_rows` and `atom_rows`.  A
 column holds strs, ints, floats, or floats or bools with "" for blank
-cells; any other column raises TypeError naming its cell types.
+cells; any other column raises TypeError naming it and its cell types.
 """
 
 from __future__ import annotations
@@ -54,8 +54,8 @@ def _encode(obj) -> str:
     if kind is list:
         return "[" + ",".join(_encode_items(obj)) + "]"
     if kind is dict:
-        if bad := [k for k in obj if type(k) is not str]:
-            raise TypeError(f"cannot serialize a key of {type(bad[0])!r}")
+        if not _STR.issuperset(map(type, obj)):
+            raise TypeError
         keys = sorted(obj)
         items = zip(map(_escape, keys), _encode_items([obj[k] for k in keys]))
         return "{" + ",".join(map("%s:%s".__mod__, items)) + "}"
@@ -65,7 +65,7 @@ def _encode(obj) -> str:
         return "true" if obj else "false"
     if kind is int:
         return str(obj)
-    raise TypeError(f"cannot serialize {kind!r}")
+    raise TypeError
 
 
 def _encode_items(values) -> list:
@@ -87,22 +87,38 @@ def _encode_items(values) -> list:
     return list(map(_encode, values))
 
 
-def _nan_path(obj, path: str) -> str | None:
-    """JSON path of a NaN inside `obj`, or None."""
-    if type(obj) is dict:
-        found = (_nan_path(v, f"{path}.{k}") for k, v in obj.items())
-    elif type(obj) is list:
-        found = (_nan_path(v, f"{path}[{i}]") for i, v in enumerate(obj))
-    else:
-        return path if type(obj) is float and obj != obj else None
-    return next(filter(None, found), None)
+def _refused(obj, path: str, refusal) -> str | None:
+    """"<JSON path>: <reason>" for the first value inside `obj`, depth
+    first, for which `refusal` gives a reason, or None."""
+    if reason := refusal(obj):
+        return f"{path}: {reason}"
+    steps = obj.items() if type(obj) is dict else enumerate(obj) if type(obj) is list else ()
+    step = "%s.%s" if type(obj) is dict else "%s[%s]"
+    return next(filter(None, (_refused(v, step % (path, k), refusal) for k, v in steps)), None)
+
+
+def _nan(obj) -> str | None:
+    return "NaN has no JSON encoding" if type(obj) is float and obj != obj else None
+
+
+def _unwritten(obj) -> str | None:
+    """Why `obj` itself, or one of its keys, cannot be written, or None."""
+    if type(obj) not in {float, str, list, dict, type(None), bool, int}:
+        return f"cannot serialize {type(obj)!r}"
+    if type(obj) is dict and (bad := [k for k in obj if type(k) is not str]):
+        return f"cannot serialize a key of {type(bad[0])!r}"
+    return None
 
 
 def canonical_dumps(obj) -> str:
+    """The JSON text of `obj`; a refused value or key raises naming its
+    JSON path.  The path is looked for only after the encoding failed."""
     try:
         return _encode(obj)
     except ContractError:
-        raise ContractError(f"{_nan_path(obj, '$')}: NaN has no JSON encoding") from None
+        raise ContractError(_refused(obj, "$", _nan)) from None
+    except TypeError:
+        raise TypeError(_refused(obj, "$", _unwritten)) from None
 
 
 def _write_new(path: str | Path, data: bytes) -> None:
@@ -179,6 +195,8 @@ def write_atoms_csv(path: str | Path, table: Mapping) -> None:
             columns.append(_column_text(table[col]))
         except ContractError:
             raise ContractError(f"column {col!r}: NaN has no CSV text") from None
+        except TypeError as exc:
+            raise TypeError(f"column {col!r}: {exc}") from None
     if len(set(map(len, columns))) > 1:
         raise ContractError("table columns differ in length")
     lines = [",".join(CSV_COLUMNS), *map(",".join, zip(*columns))]

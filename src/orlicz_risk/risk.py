@@ -139,16 +139,19 @@ def entropic(gamma: float) -> CondRiskMeasure:
     Penalty of a feasible density q = -y is the relative entropy E[q log q|F]
     over gamma; infeasible densities get inf.  The maximizing density is the
     Gibbs density, proportional to exp(-gamma*x) on each atom.  A position
-    on which gamma*x overflows raises ContractError."""
+    on which gamma*x overflows raises ContractError; one whose exponents
+    -gamma*x on an atom span more than the float range is fine, each
+    exponent that far below the atom's largest has weight exactly 0."""
     gamma = _as_number("gamma", gamma)
     if gamma <= 0.0:
         raise ParameterError(f"entropic risk needs gamma > 0, got {gamma}")
 
+    @np.errstate(over="ignore")  # -inf, whose exp is an exact 0
     def exponents(x: RandomVar, alg: SubAlgebra) -> tuple[np.ndarray, np.ndarray]:
         """-gamma*x less each atom's largest exponent, which is the shift
-        returned with it, so nothing overflows in exp."""
-        with np.errstate(over="ignore"):
-            a = -gamma * x.values
+        returned with it, so nothing overflows in exp.  An exponent that
+        falls below that shift by more than the float range is -inf."""
+        a = -gamma * x.values
         shift = alg.atom_max(a)
         if not np.isfinite(shift).all():
             raise ContractError(f"entropic risk with gamma {gamma}: gamma * x overflows")
@@ -386,10 +389,11 @@ def lebesgue_check(rho: CondRiskMeasure, space: FiniteProbSpace, alg: SubAlgebra
     Perturbations have sup-norm at most `amplitude`, so cash invariance and
     monotonicity bound the deviation at index n by amplitude/n; the check
     asserts the measured tail deviation at n = 10000, not just the bound.
-    `amplitude` must be finite and >= 0."""
+    `amplitude` must be >= 0 with 2 * amplitude, the width of the draw,
+    finite."""
     rng = _rng(seed, trials)
-    if not _as_number("amplitude", amplitude) >= 0.0:
-        raise ParameterError(f"amplitude must be >= 0, got {amplitude!r}")
+    if not 0.0 <= 2.0 * _as_number("amplitude", amplitude) < INF:
+        raise ParameterError(f"amplitude must be >= 0 with 2 * amplitude finite, got {amplitude!r}")
     n = space.n_outcomes
     indices = [1, 10, 100, 10_000]
     # x, then u, of each trial in turn; x and every x + u/k go in one call
@@ -525,15 +529,20 @@ def penalty_bound_check(rho: CondRiskMeasure, x: RandomVar, y: RandomVar,
     """On every atom where E[x*y|F] - penalty(y) >= -beta, the penalty obeys
     penalty(y) <= 2*beta + 2*rho(-2|x|), within 1e-8.  The risk measure is
     normalized to rho(0) = 0 before checking; atoms failing the hypothesis
-    are skipped, not the whole instance.  `beta` must be finite."""
+    are skipped, not the whole instance.  `beta` must be finite, and a
+    position x on which -2|x| overflows raises ContractError."""
     beta = _as_number("beta", beta)
     _require_finite(x, "penalty_bound_check")
     _check_dims(x, alg)
+    with np.errstate(over="ignore"):
+        neg_double = abs(x) * -2.0
+    if not neg_double.is_finite():
+        raise ContractError("penalty_bound_check: -2|x| overflows")
     space = x.space
     zero_level = rho.evaluate(space.var(np.zeros(space.n_outcomes)), alg).values
     pen = fenchel_conjugate(rho, y, alg).values + zero_level
     exy = cond_expectation(x * y, alg).values
-    bound_term = rho.evaluate(abs(x) * -2.0, alg).values - zero_level
+    bound_term = rho.evaluate(neg_double, alg).values - zero_level
     first = alg.first
     hyp = exy[first] - pen[first] >= -beta - 1e-12
     rhs = 2.0 * beta + 2.0 * bound_term[first]

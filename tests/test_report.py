@@ -214,15 +214,24 @@ class _Half(float):
     """A float subclass, which is not a plain float."""
 
 
-@pytest.mark.parametrize("value, kind", [
-    (np.float64(0.1), "numpy.float64"), ({"x": np.array([1.0])}, "numpy.ndarray"),
-    ([1.0, (2.0,)], "tuple"), ({"a": 1.0, 2: 1.0}, "int"), ([{"p": _Half(0.5)}] * 2, "_Half"),
-], ids=["numpy_scalar", "numpy_array", "tuple", "int_key", "float_subclass"])
-def test_canonical_dumps_refuses_other_types_naming_them(tmp_path, value, kind):
-    with pytest.raises(TypeError, match=re.escape(kind) + "'>$"):
+@pytest.mark.parametrize("value, path, kind", [
+    (np.float64(0.1), "$", "serialize <class 'numpy.float64'>"),
+    ({"x": np.array([1.0])}, "$.x", "serialize <class 'numpy.ndarray'>"),
+    ([1.0, (2.0,)], "$[1]", "serialize <class 'tuple'>"),
+    ({"a": 1.0, 2: 1.0}, "$", "serialize a key of <class 'int'>"),
+    ([{"p": _Half(0.5)}] * 2, "$[0].p", "serialize <class 'tests.test_report._Half'>"),
+    ({"b": [1.0, {"c": [None, (1,)]}]}, "$.b[1].c[1]", "serialize <class 'tuple'>"),
+    ({"b": [{"c": 1.0, 3: 2.0}]}, "$.b[0]", "serialize a key of <class 'int'>"),
+], ids=["numpy_scalar", "numpy_array", "tuple", "int_key", "float_subclass", "nested",
+        "nested_key"])
+def test_canonical_dumps_refuses_other_types_naming_them(tmp_path, value, path, kind):
+    with pytest.raises(TypeError) as err:
         canonical_dumps(value)
-    with pytest.raises(TypeError, match=re.escape(kind)):
+    assert str(err.value) == f"{path}: cannot {kind}"
+    results = "$.results" + path[1:]
+    with pytest.raises(TypeError) as err:
         write_report_json(tmp_path / "r.json", {"results": value})
+    assert str(err.value) == f"{results}: cannot {kind}"
     assert list(tmp_path.iterdir()) == []
 
 
@@ -232,10 +241,11 @@ def test_canonical_dumps_refuses_other_types_naming_them(tmp_path, value, kind):
     ([_Half(0.5), ""], "_Half and str"), ([None], "NoneType"),
 ], ids=["strs_numbers", "int_text", "flag_text", "ints_floats", "numpy_float", "numpy_int",
         "float_subclass", "none"])
-def test_write_atoms_csv_refuses_other_columns_naming_their_types(tmp_path, cells, kinds):
+@pytest.mark.parametrize("col", ["value", "position"])
+def test_write_atoms_csv_refuses_other_columns_naming_their_types(tmp_path, col, cells, kinds):
     table = _columns([{"check": "dual"}] * len(cells))
-    table["value"] = cells
+    table[col] = cells
     with pytest.raises(TypeError) as err:
         write_atoms_csv(tmp_path / "r.csv", table)
-    assert str(err.value) == f"cannot write a column of {kinds}"
+    assert str(err.value) == f"column {col!r}: cannot write a column of {kinds}"
     assert list(tmp_path.iterdir()) == []

@@ -156,6 +156,32 @@ class TestEntropic:
         # gamma * 3 overflows, but the atom's largest exponent, 0, does not
         out = entropic(1e308).evaluate(coin.var([0.0, 3.0]), trivial).values[0]
         assert out == pytest.approx(-math.log(2.0) / 1e308, rel=1e-6)
+        # exponents spanning more than the float range: the higher outcome's
+        # is -inf below the lower one's, and exp(-inf) = 0 is exact
+        assert entropic(1e308).evaluate(coin.var([-1.0, 1.0]), trivial).values[0] == 1.0
+        assert entropic(1.0).evaluate(coin.var([1.7e308, -1.7e308]), trivial).values[0] == 1.7e308
+        with pytest.raises(ContractError, match="gamma 2.0: gamma \\* x overflows"):
+            entropic(2.0).evaluate(coin.var([1e308, -1e308]), trivial)
+
+    @pytest.mark.parametrize("probs", [[0.5, 0.5], [1.0 - 1e-12, 1e-12], [1e-12, 1.0 - 1e-12]],
+                             ids=["fair", "skewed_low", "skewed_high"])
+    @pytest.mark.parametrize("gamma, x, value, lowest", [
+        (1e308, [-1.0, 1.0], 1.0, 0), (1.0, [1.7e308, -1.7e308], 1.7e308, 1),
+    ], ids=["huge_gamma", "huge_position"])
+    def test_certificate_on_exponents_spanning_more_than_the_float_range(
+            self, probs, gamma, x, value, lowest):
+        # the Gibbs density puts all mass on the lowest outcome
+        space, trivial = FiniteProbSpace(np.array(probs)), SubAlgebra.trivial(2)
+        pos = space.var(x)
+        assert entropic(gamma).evaluate(pos, trivial).values.tolist() == [value, value]
+        cert = robust_representation(entropic(gamma), pos, trivial)
+        q = -cert.y.values
+        assert q[1 - lowest] == 0.0
+        assert q[lowest] == pytest.approx(1.0 / probs[lowest], rel=1e-15)
+        # within one unit in the last place of the value
+        assert np.all(np.abs(cert.gap.values) <= np.spacing(value))
+        if probs == [0.5, 0.5]:
+            assert cert.gap.values.tolist() == [0.0, 0.0]
 
     def test_rejects_nonpositive_gamma(self):
         with pytest.raises(ParameterError):
@@ -562,7 +588,8 @@ class TestLebesgue:
         (math.nan, "parameter amplitude must be a finite number"),
         (math.inf, "parameter amplitude must be a finite number"),
         (-1e-3, "amplitude must be >= 0"),
-    ], ids=["nan", "inf", "negative"])
+        (1e308, "amplitude must be >= 0 with 2 \\* amplitude finite, got 1e\\+308"),
+    ], ids=["nan", "inf", "negative", "width_overflows"])
     def test_amplitude_that_is_not_finite_and_nonnegative_is_refused(
             self, quarter_space, pairs, amplitude, match):
         with pytest.raises(ParameterError, match=match):
@@ -816,6 +843,13 @@ class TestPenaltyBound:
         x = quarter_space.var([0.5, -0.3, 1.0, 0.1])
         with pytest.raises(ParameterError, match="parameter beta must be a finite number"):
             penalty_bound_check(entropic(1.0), x, quarter_space.var(-np.ones(4)), beta, pairs)
+
+    @pytest.mark.parametrize("rho", [worst_case(), entropic(1.0)], ids=["worst_case", "entropic"])
+    def test_position_whose_double_overflows_is_refused(self, quarter_space, pairs, rho):
+        # x is finite, but -2|x| is not
+        x = quarter_space.var([1e308, -1e308, 1.0, 2.0])
+        with pytest.raises(ContractError, match=r"^penalty_bound_check: -2\|x\| overflows$"):
+            penalty_bound_check(rho, x, quarter_space.var(-np.ones(4)), 0.0, pairs)
 
 
 class TestDynamic:

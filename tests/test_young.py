@@ -14,11 +14,11 @@ from orlicz_risk import (
     make_linf,
     make_piecewise,
     make_power,
-    validate,
     young_from_spec,
 )
 from orlicz_risk.young import YoungFn
 from tests.conjugate_oracle import golden_conjugate as oracle
+from tests.young_oracle import validate
 
 INF = math.inf
 
