@@ -274,14 +274,13 @@ def _numeric_conjugate(rho: CondRiskMeasure, y: RandomVar, alg: SubAlgebra) -> I
         if not ok:
             yield INF
             continue
-        w = weights[idx]
-        ya = y.values[idx]
+        wy = weights[idx] * y.values[idx]  # E[x*y|atom] = sum(wy * x)
         base = np.zeros(space.n_outcomes)
 
         def objective(xa: np.ndarray) -> float:
             base[idx] = xa
             rv = RandomVar(base, space)  # RandomVar copies base
-            return float(np.dot(w, xa * ya)) - float(rho.evaluate(rv, alg).values[idx[0]])
+            return float(np.add.reduce(wy * xa)) - float(rho.evaluate(rv, alg).values[idx[0]])
 
         yield solvers._coordinate_ascent_sup(objective, len(idx))
 
@@ -410,7 +409,10 @@ class ScalarizedRisk(NamedTuple):
     """The static risk functional x -> E[rho(x | F)] with its conjugate
     computable two ways: definitionally (numeric supremum over positions,
     one atom at a time by locality) and as the expectation of the
-    conditional penalty."""
+    conditional penalty.  Each expectation sums p * value with
+    `np.add.reduce`, numpy's own summation, which `SubAlgebra.atom_sum`
+    also uses; `np.dot` would hand it to BLAS, whose kernel OpenBLAS picks
+    by CPU at run time, and its last bits would change with that kernel."""
 
     rho: CondRiskMeasure
     space: FiniteProbSpace
@@ -419,11 +421,11 @@ class ScalarizedRisk(NamedTuple):
     def evaluate(self, x: RandomVar) -> float:
         _check_dims(x, self.alg)
         vals = self.rho.evaluate(x, self.alg)
-        return float(np.dot(self.space.probs, vals.values))
+        return float(np.add.reduce(self.space.probs * vals.values))
 
     def conjugate_expected(self, y: RandomVar) -> float:
         pen = fenchel_conjugate(self.rho, y, self.alg)
-        return float(np.dot(self.space.probs, pen.values))
+        return float(np.add.reduce(self.space.probs * pen.values))
 
     def conjugate_numeric(self, y: RandomVar) -> float:
         _validate_custom(self.rho, y.space, self.alg)
@@ -529,10 +531,12 @@ def penalty_bound_check(rho: CondRiskMeasure, x: RandomVar, y: RandomVar,
     """On every atom where E[x*y|F] - penalty(y) >= -beta, the penalty obeys
     penalty(y) <= 2*beta + 2*rho(-2|x|), within 1e-8.  The risk measure is
     normalized to rho(0) = 0 before checking; atoms failing the hypothesis
-    are skipped, not the whole instance.  `beta` must be finite, and a
-    position x on which -2|x| overflows raises ContractError."""
+    are skipped, not the whole instance.  `beta` must be finite, x and y
+    must be finite, and a position x on which -2|x| overflows raises
+    ContractError.  A bound past the largest float is inf, and holds."""
     beta = _as_number("beta", beta)
     _require_finite(x, "penalty_bound_check")
+    _require_finite(y, "penalty_bound_check")
     _check_dims(x, alg)
     with np.errstate(over="ignore"):
         neg_double = abs(x) * -2.0
@@ -541,11 +545,16 @@ def penalty_bound_check(rho: CondRiskMeasure, x: RandomVar, y: RandomVar,
     space = x.space
     zero_level = rho.evaluate(space.var(np.zeros(space.n_outcomes)), alg).values
     pen = fenchel_conjugate(rho, y, alg).values + zero_level
-    exy = cond_expectation(x * y, alg).values
     bound_term = rho.evaluate(neg_double, alg).values - zero_level
     first = alg.first
-    hyp = exy[first] - pen[first] >= -beta - 1e-12
-    rhs = 2.0 * beta + 2.0 * bound_term[first]
+    # E[x*y|F] as the atom sum of (w*y)*x, w the within-atom weights: on a
+    # feasible atom |w*y| <= 1, so no term exceeds |x| although x*y may
+    # overflow.  An infeasible atom's penalty is inf, so its hypothesis
+    # fails even where its sum overflows to inf or nan
+    with np.errstate(over="ignore", invalid="ignore"):
+        exy = alg.atom_sum(_atom_weights(space, alg) * y.values * x.values)
+        hyp = exy - pen[first] >= -beta - 1e-12
+        rhs = 2.0 * beta + 2.0 * bound_term[first]
     ok = ~hyp | (pen[first] <= rhs + PENALTY_BOUND_TOL)
     rows = tuple(
         PenaltyBoundAtom(k, *row)

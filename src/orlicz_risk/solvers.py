@@ -305,7 +305,7 @@ def simplex_max(g: Callable[[np.ndarray], float], weights: Sequence[float], *,
             cand = project_weighted_simplex(q + trial_step * gr, w)
             fc = g(cand)
             move = cand - q
-            if math.isfinite(fc) and fc >= fq + 1e-4 * float(np.dot(gr, move)):
+            if math.isfinite(fc) and fc >= fq + 1e-4 * float(np.add.reduce(gr * move)):
                 accepted = True
                 break
             trial_step *= 0.5

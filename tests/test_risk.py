@@ -851,6 +851,39 @@ class TestPenaltyBound:
         with pytest.raises(ContractError, match=r"^penalty_bound_check: -2\|x\| overflows$"):
             penalty_bound_check(rho, x, quarter_space.var(-np.ones(4)), 0.0, pairs)
 
+    @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["gain", "loss"])
+    @pytest.mark.parametrize("rho", [entropic(1.0), worst_case(), linear()],
+                             ids=["entropic", "worst_case", "linear"])
+    def test_product_that_overflows_where_its_expectation_is_finite(self, rho, sign, pairs):
+        # x*y overflows on outcome 0, but E[x*y|F] = -sign * 8e307 on atom 0,
+        # and -2|x| is finite; y is feasible for all but linear
+        space = FiniteProbSpace(np.array([0.01, 0.49, 0.25, 0.25]))
+        x = space.var([sign * 8e307, -1.0, 1.0, 2.0])
+        rep = penalty_bound_check(rho, x, space.var([-50.0, 0.0, -1.0, -1.0]), 2.0, pairs)
+        assert rep.passed
+        # 2*rho(-2|x|) passes the largest float on atom 0, except under linear
+        assert math.isinf(rep.atoms[0].bound) == (rho.tag != "linear")
+        assert rep.atoms[0].hypothesis_holds == (sign < 0 and rho.tag != "linear")
+        assert rep.atoms[1].hypothesis_holds  # E[x*y|F] = -1.5 and penalty 0
+
+    @pytest.mark.parametrize("rho", [entropic(1.0), worst_case(), linear()],
+                             ids=["entropic", "worst_case", "linear"])
+    def test_infeasible_density_whose_expectation_overflows(self, rho, quarter_space, pairs):
+        # on atom 0 the terms of E[x*y|F] are -inf and inf, and y is infeasible
+        x = quarter_space.var([8e307, 8e307, 1.0, 2.0])
+        y = quarter_space.var([-1e10, 1e10, -1.0, -1.0])
+        rep = penalty_bound_check(rho, x, y, 2.0, pairs)
+        assert rep.passed
+        assert (rep.atoms[0].hypothesis_holds, rep.atoms[0].penalty) == (False, math.inf)
+        assert rep.atoms[1].hypothesis_holds
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf], ids=["inf", "-inf"])
+    def test_density_that_is_not_finite_is_refused(self, quarter_space, pairs, value):
+        x = quarter_space.var([0.5, -0.3, 1.0, 0.1])
+        y = quarter_space.var([value, -1.0, -1.0, -1.0])
+        with pytest.raises(ContractError, match="^penalty_bound_check requires finite values$"):
+            penalty_bound_check(entropic(1.0), x, y, 0.0, pairs)
+
 
 class TestDynamic:
     def test_single_stage_matches_evaluate(self, quarter_space, pairs):

@@ -1,3 +1,4 @@
+import ast
 import copy
 import csv
 import json
@@ -32,6 +33,8 @@ from tests.loader_oracle import reference_refusal
 ROOT = Path(__file__).resolve().parents[1]
 SCENARIOS = ROOT / "scenarios"
 BUNDLED = sorted(SCENARIOS.glob("*.json"))
+# the numpy functions that go through BLAS
+BLAS_CALLS = {"dot", "vdot", "inner", "matmul", "einsum", "tensordot"}
 
 
 @pytest.fixture
@@ -557,6 +560,43 @@ class TestCli:
             assert main(["verify", str(SCENARIOS / "entropic4.json"), "--out-dir", str(out)]) == 0
         assert (d1 / "entropic4.report.json").read_bytes() == (d2 / "entropic4.report.json").read_bytes()
         assert (d1 / "entropic4.atoms.csv").read_bytes() == (d2 / "entropic4.atoms.csv").read_bytes()
+
+    def test_verify_bytes_do_not_depend_on_the_blas_kernel(self, tmp_path):
+        # Assumes an x86-64 OpenBLAS built with DYNAMIC_ARCH, as numpy's wheel
+        # is: it picks its kernels by CPU at run time, unless OPENBLAS_CORETYPE
+        # names one.  One child runs the default kernel and one Prescott's,
+        # each running `verify` on every bundled scenario.
+        script = ("import sys; from orlicz_risk.cli import main\n"
+                  "for path in sys.argv[2:]:\n"
+                  "    print(main(['verify', path, '--out-dir', sys.argv[1]]))")
+        env = {key: value for key, value in os.environ.items() if key != "OPENBLAS_CORETYPE"}
+        env["PYTHONPATH"] = os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])
+        outputs = []
+        for kernel in ({}, {"OPENBLAS_CORETYPE": "Prescott"}):
+            out_dir = tmp_path / (kernel.get("OPENBLAS_CORETYPE") or "default")
+            run = subprocess.run([sys.executable, "-c", script, str(out_dir), *map(str, BUNDLED)],
+                                 env={**env, **kernel}, capture_output=True, text=True, check=True)
+            files = {p.name: p.read_bytes() for p in sorted(out_dir.iterdir())}
+            outputs.append((run.stdout.replace(str(out_dir), "OUT"),
+                            run.stderr.replace(str(out_dir), "OUT"), files))
+        (out_a, err_a, files_a), (out_b, err_b, files_b) = outputs
+        assert (out_a, err_a) == (out_b, err_b)
+        assert files_a.keys() == files_b.keys() and len(files_a) == 2 * len(BUNDLED)
+        assert [name for name in files_a if files_a[name] != files_b[name]] == []
+
+    def test_no_module_sums_through_blas(self):
+        # numpy hands these to BLAS, whose kernel the CPU picks at run time;
+        # the package sums with np.add.reduce and reduceat instead
+        modules = sorted((ROOT / "src" / "orlicz_risk").glob("*.py"))
+        found = [
+            (path.name, node.lineno, ast.unparse(node))
+            for path in modules for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Attribute) and node.attr in BLAS_CALLS
+            or isinstance(node, ast.alias) and node.name in BLAS_CALLS
+            or isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult)
+        ]
+        assert len(modules) >= 10
+        assert found == []
 
     def test_dual_csv_quotes_a_label_with_a_line_break(self, tmp_path):
         path = tmp_path / "entropic4.json"

@@ -1,3 +1,4 @@
+import argparse
 import importlib.util
 from pathlib import Path
 
@@ -177,3 +178,29 @@ class TestCompareOutputs:
         # every bundled scenario refuses both parameter faults, each at its path
         for refusal in PARAM_FAULTS.items():
             assert refusals.count(refusal) == len(scenarios)
+
+    def test_env_reaches_only_the_change_runner(self, compare_outputs, tmp_path, monkeypatch):
+        # two stand-in trees whose `main` prints the variable its argument names
+        monkeypatch.delenv("COMPARE_OUTPUTS_PROBE", raising=False)
+        trees, works = [tmp_path / "parent", tmp_path / "change"], [tmp_path / "a", tmp_path / "b"]
+        for tree, work in zip(trees, works):
+            _write(tree / "src" / "orlicz_risk" / "__init__.py", "")
+            _write(tree / "src" / "orlicz_risk" / "cli.py",
+                   "import os\n\ndef main(argv):\n    print(os.environ.get(argv[0], 'unset'))\n"
+                   "    return 0\n")
+            work.mkdir()
+        env = dict([compare_outputs.env_pair("COMPARE_OUTPUTS_PROBE=Prescott")])
+        runs = compare_outputs.run_pass(trees, works, [("probe", 0, ["COMPARE_OUTPUTS_PROBE"])],
+                                        "first", [{}, env])
+        assert runs == [[[0, "unset\n", ""]], [[0, "Prescott\n", ""]]]
+
+    def test_env_option_needs_name_and_value(self, compare_outputs, capsys):
+        assert compare_outputs.env_pair("A=b=c") == ("A", "b=c")
+        assert compare_outputs.env_pair("A=") == ("A", "")
+        for text in ("Prescott", "=Prescott"):
+            with pytest.raises(argparse.ArgumentTypeError, match="expected NAME=VALUE"):
+                compare_outputs.env_pair(text)
+        with pytest.raises(SystemExit) as exc:
+            compare_outputs.main([".", ".", "--env", "Prescott"])
+        assert exc.value.code == 2
+        assert "argument --env: expected NAME=VALUE, got 'Prescott'" in capsys.readouterr().err

@@ -1,7 +1,7 @@
 """Run two source trees on the same operations and compare what they print
 and write, byte for byte.
 
-    python tools/compare_outputs.py PARENT CHANGE [--seed N]
+    python tools/compare_outputs.py PARENT CHANGE [--seed N] [--env NAME=VALUE ...]
 
 PARENT and CHANGE are checkouts of this repository.  The scenarios are
 generated once, by PARENT's `perfbench/gen.py` at benchmark seed N (default
@@ -19,6 +19,12 @@ directory of its own.
 Then each tree runs every bundled operation a second time, in a second
 interpreter, into the directory that operation first wrote: this exercises
 the path that replaces existing report files.
+
+Each `--env NAME=VALUE` (repeatable) sets NAME to VALUE in CHANGE's
+interpreters only, so that a tree given as both PARENT and CHANGE can be
+compared with itself under another BLAS kernel:
+
+    python tools/compare_outputs.py . . --env OPENBLAS_CORETYPE=Prescott
 
 After each pass, exit codes, stdout and stderr are compared with each
 tree's output directory replaced by `OUT`; then every written file.  Each
@@ -150,10 +156,13 @@ def operations(parent: Path, seed: int, scenario_dir: Path) -> tuple[list, int, 
     return ops, n_bundled, len(malformed)
 
 
-def start(tree: Path, argvs: list[list[str]], work: Path, name: str) -> subprocess.Popen:
-    """Run `argvs` in a fresh interpreter that imports `tree`'s package."""
+def start(tree: Path, argvs: list[list[str]], work: Path, name: str,
+          extra_env: dict[str, str]) -> subprocess.Popen:
+    """Run `argvs` in a fresh interpreter that imports `tree`'s package, with
+    `extra_env` added to its environment."""
     (work / f"{name}.ops.json").write_text(json.dumps(argvs))
-    env = {**os.environ, "PYTHONPATH": str(tree / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+    env = {**os.environ, **extra_env, "PYTHONPATH": str(tree / "src"),
+           "PYTHONDONTWRITEBYTECODE": "1"}
     return subprocess.Popen(
         [sys.executable, "-c", RUNNER, str(work / f"{name}.ops.json"),
          str(work / f"{name}.results.json")],
@@ -161,14 +170,16 @@ def start(tree: Path, argvs: list[list[str]], work: Path, name: str) -> subproce
     )
 
 
-def run_pass(trees: list[Path], works: list[Path], ops: list, name: str) -> list | None:
+def run_pass(trees: list[Path], works: list[Path], ops: list, name: str,
+             envs: list[dict[str, str]]) -> list | None:
     """Each tree's [exit code, stdout, stderr] per (description, index, CLI
     arguments) of `ops`, operation i writing into `out/op<i>` of the tree's
-    work directory; None after printing why a runner failed."""
+    work directory, each tree's runner with its `envs` entry added to its
+    environment; None after printing why a runner failed."""
     procs = []
-    for tree, work in zip(trees, works):
+    for tree, work, env in zip(trees, works, envs):
         argvs = [[*op, "--out-dir", str(work / "out" / f"op{i:03d}")] for _, i, op in ops]
-        procs.append(start(tree, argvs, work, name))
+        procs.append(start(tree, argvs, work, name, env))
     codes = [proc.wait() for proc in procs]
     if any(codes):
         print(f"error: a runner exited {codes}", file=sys.stderr)
@@ -271,13 +282,25 @@ def compare(ops: list, outs: list[Path], runs: list) -> tuple[list, int]:
     return diffs, n_files
 
 
+def env_pair(text: str) -> tuple[str, str]:
+    """NAME=VALUE as (NAME, VALUE), NAME not empty."""
+    name, sep, value = text.partition("=")
+    if not (name and sep):
+        raise argparse.ArgumentTypeError(f"expected NAME=VALUE, got {text!r}")
+    return name, value
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent", type=Path)
     parser.add_argument("change", type=Path)
     parser.add_argument("--seed", type=int, default=5, help="benchmark seed (default 5)")
+    parser.add_argument("--env", type=env_pair, action="append", default=[],
+                        metavar="NAME=VALUE", help="set NAME in CHANGE's interpreters only "
+                        "(repeatable)")
     args = parser.parse_args(argv)
     trees = [args.parent.resolve(), args.change.resolve()]
+    envs = [{}, dict(args.env)]
     with tempfile.TemporaryDirectory(prefix="compare_outputs_") as tmp:
         tmp = Path(tmp)
         ops, n_bundled, n_malformed = operations(trees[0], args.seed, tmp / "scenarios")
@@ -289,7 +312,7 @@ def main(argv=None) -> int:
                   ("rerun", [(f"rerun {desc}", i, op) for desc, i, op in numbered[:n_bundled]]))
         diffs, n_files = [], 0
         for name, selected in passes:
-            runs = run_pass(trees, works, selected, name)
+            runs = run_pass(trees, works, selected, name, envs)
             if runs is None:
                 return 2
             pass_diffs, pass_files = compare(selected, [work / "out" for work in works], runs)
