@@ -411,7 +411,7 @@ class ScalarizedRisk(NamedTuple):
     one atom at a time by locality) and as the expectation of the
     conditional penalty.  Each expectation sums p * value with
     `np.add.reduce`, numpy's own summation, which `SubAlgebra.atom_sum`
-    also uses; `np.dot` would hand it to BLAS, whose kernel OpenBLAS picks
+    also uses; a dot product would go to BLAS, whose kernel OpenBLAS picks
     by CPU at run time, and its last bits would change with that kernel."""
 
     rho: CondRiskMeasure
