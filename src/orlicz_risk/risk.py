@@ -80,8 +80,8 @@ _FEAS_MEAN_TOL = 1e-10
 # the slack of the penalty bound; `verify` reports them as its rows' allowed
 PROBE_TOL = 1e-9
 PENALTY_BOUND_TOL = 1e-8
-# the most position entries (positions times outcomes) `locality_check`
-# sends to rho in one call
+# the most position entries (positions times outcomes) `locality_check` and
+# `extension_check` send to rho in one call
 _STACK_ENTRIES = 1 << 16
 
 
@@ -117,6 +117,14 @@ class DynamicRiskMeasure:
         stages = tuple(self.stages)
         Filtration(tuple(alg for alg, _ in stages))  # validates refinement
         object.__setattr__(self, "stages", stages)
+
+
+def _tolerance(name: str, value) -> float:
+    """`value` as a float if it is a finite number >= 0; anything else
+    raises ParameterError naming the parameter."""
+    if (value := _as_number(name, value)) < 0.0:
+        raise ParameterError(f"parameter {name} must be >= 0, got {value!r}")
+    return value
 
 
 def dual_feasible_atoms(y: RandomVar, alg: SubAlgebra) -> list[bool]:
@@ -360,7 +368,9 @@ def attainment_check(rho: CondRiskMeasure, x: RandomVar, alg: SubAlgebra,
                      tol: float = 1e-6) -> AttainmentReport:
     """Verify the dual maximizer achieves rho(x) = E[x y|F] - penalty(y)
     within tol per atom.  On a finite space a continuous risk measure always
-    attains its representation, so failures indicate solver trouble."""
+    attains its representation, so failures indicate solver trouble.  `tol`
+    must be a finite number >= 0."""
+    tol = _tolerance("tol", tol)
     gaps = np.abs(robust_representation(rho, x, alg).gap.values[alg.first])
     return AttainmentReport(float(gaps.max()), bool((gaps <= tol).all()))
 
@@ -389,10 +399,11 @@ def lebesgue_check(rho: CondRiskMeasure, space: FiniteProbSpace, alg: SubAlgebra
     monotonicity bound the deviation at index n by amplitude/n; the check
     asserts the measured tail deviation at n = 10000, not just the bound.
     `amplitude` must be >= 0 with 2 * amplitude, the width of the draw,
-    finite."""
+    finite, and `tol` a finite number >= 0."""
     rng = _rng(seed, trials)
     if not 0.0 <= 2.0 * _as_number("amplitude", amplitude) < INF:
         raise ParameterError(f"amplitude must be >= 0 with 2 * amplitude finite, got {amplitude!r}")
+    tol = _tolerance("tol", tol)
     n = space.n_outcomes
     indices = [1, 10, 100, 10_000]
     # x, then u, of each trial in turn; x and every x + u/k go in one call
@@ -453,31 +464,53 @@ class LocalityReport(NamedTuple):
     witness: tuple | None
 
 
+def _glue_deviations(rho: CondRiskMeasure, space: FiniteProbSpace, alg: SubAlgebra,
+                     partition: SubAlgebra, trials: int, pieces) -> np.ndarray:
+    """Per trial and atom A of the partition, the largest deviation on A
+    between rho of the trial's glued position and rho of its piece for A.
+    `pieces(t, k)` returns the piece of trial t[i] for atom k[i] as row i;
+    it is called in row order.  Each trial's pieces, atom by atom, then
+    their glue go to rho in blocks of at most `_STACK_ENTRIES` position
+    entries, so memory stays linear in the number of outcomes."""
+    n, n_pieces = partition.n_outcomes, partition.n_atoms
+    rows = trials * (n_pieces + 1)
+    block = max(1, _STACK_ENTRIES // n)
+    # each trial's pieces glued along the partition, and rho of its pieces
+    # glued the same way
+    glued, r_glued = np.empty((2, trials, n))
+    dev = np.empty((trials, n_pieces))
+    for start in range(0, rows, block):
+        t, k = np.divmod(np.arange(start, min(start + block, rows)), n_pieces + 1)
+        glue = k == n_pieces
+        stack = np.empty((len(t), n))
+        stack[~glue] = pieces(t[~glue], k[~glue])
+        # each piece row's own atom; a glue row has none
+        row, outcome = np.nonzero(partition.atom_of == k[:, None])
+        glued[t[row], outcome] = stack[row, outcome]
+        stack[glue] = glued[t[glue]]
+        r = _evaluate_stack(rho, stack, space, alg)
+        r_glued[t[row], outcome] = r[row, outcome]
+        dev[t[glue]] = partition.atom_max(np.abs(r[glue] - r_glued[t[glue]]))
+    return dev
+
+
 def locality_check(rho: CondRiskMeasure, space: FiniteProbSpace, alg: SubAlgebra,
                    trials: int = 8, seed: int = 0) -> LocalityReport:
     """Probe 1_A rho(1_A x) = 1_A rho(x) within 1e-9 for random x and every
     atom A, one probe per atom and trial; the first violating (A, x) pair,
-    trial by trial and atom by atom, is reported as a witness.  The probes
-    go to rho in blocks of at most 2**16 position entries, so memory stays
-    linear in the number of outcomes; a small space takes one call.
+    trial by trial and atom by atom, is reported as a witness.
+
+    Locality is the probe of `extension_check` along the algebra's own
+    atoms with pieces x * 1_A, whose glue is x bit for bit, and the two
+    checks run one routine: the probes go to rho in blocks of at most 2**16
+    position entries, so memory stays linear in the number of outcomes; a
+    small space takes one call.
 
     Locality on every atom implies it on every union B of atoms: for an atom
     A inside B, 1_A rho(1_B x) = 1_A rho(1_A 1_B x) = 1_A rho(1_A x) = 1_A rho(x)."""
-    n = alg.n_outcomes  # a space of another size fails in RandomVar
-    x = _rng(seed, trials).normal(size=(trials, n))
-    rows = trials * (1 + alg.n_atoms)
-    block = max(1, _STACK_ENTRIES // n)
-    rx = np.empty_like(x)
-    dev = np.empty((trials, alg.n_atoms))
-    for start in range(0, rows, block):
-        # row i probes trial i // (1 + n_atoms): its x, then x * 1_A atom by atom
-        t, j = np.divmod(np.arange(start, min(start + block, rows)), 1 + alg.n_atoms)
-        keep = (j[:, None] == 0) | (alg.atom_of == j[:, None] - 1)
-        r = _evaluate_stack(rho, x[t] * keep, space, alg)
-        head = j == 0
-        rx[t[head]] = r[head]
-        t, j, keep, r = t[~head], j[~head], keep[~head], r[~head]
-        dev[t, j - 1] = np.abs(r * keep - rx[t] * keep).max(axis=-1, initial=0.0)
+    x = _rng(seed, trials).normal(size=(trials, alg.n_outcomes))
+    dev = _glue_deviations(rho, space, alg, alg, trials,
+                           lambda t, k: x[t] * (alg.atom_of == k[:, None]))
     max_dev = float(np.max(dev, initial=0.0))
     witness = None
     if max_dev > PROBE_TOL:
@@ -493,23 +526,19 @@ class ExtensionReport(NamedTuple):
 
 def extension_check(rho: CondRiskMeasure, space: FiniteProbSpace, alg: SubAlgebra,
                     partition: SubAlgebra, trials: int = 8, seed: int = 0) -> ExtensionReport:
-    """Gluing positions along a partition into measurable pieces and then
-    evaluating equals, within 1e-9, evaluating each piece and gluing the
-    results."""
+    """Gluing random positions along a partition into measurable pieces and
+    then evaluating equals, within 1e-9, evaluating each piece and gluing
+    the results.  The probes go to rho in blocks as in `locality_check`."""
+    if partition.n_outcomes != alg.n_outcomes:
+        raise StructuralError(
+            f"algebra indexes {alg.n_outcomes} outcomes, partition {partition.n_outcomes}")
     if not alg.refines(partition):
         raise StructuralError("partition pieces must be measurable: the "
                               "conditioning algebra must refine the partition")
     rng = _rng(seed, trials)
-    n = partition.n_outcomes  # a space of another size fails in RandomVar
-    pieces = rng.normal(size=(trials, partition.n_atoms, n))
-
-    def glue(stack: np.ndarray) -> np.ndarray:
-        return stack[:, partition.atom_of, np.arange(n)]
-
-    # each trial's glued position, then its pieces, all in one call
-    stack = np.concatenate([glue(pieces)[:, None], pieces], axis=1)
-    r = _evaluate_stack(rho, stack, space, alg)
-    max_dev = float(np.max(np.abs(r[:, 0] - glue(r[:, 1:])), initial=0.0))
+    max_dev = float(np.max(_glue_deviations(
+        rho, space, alg, partition, trials,
+        lambda t, k: rng.normal(size=(len(t), partition.n_outcomes))), initial=0.0))
     return ExtensionReport(max_dev <= PROBE_TOL, max_dev)
 
 

@@ -17,6 +17,7 @@ from .orlicz import amemiya_norm, luxemburg_norm, pairing, pairing_operator_norm
 from .risk import (
     PENALTY_BOUND_TOL,
     PROBE_TOL,
+    _tolerance,
     attainment_check,
     lebesgue_check,
     locality_check,
@@ -49,16 +50,24 @@ def _feasible_density(rng, space, alg: SubAlgebra) -> RandomVar:
     return RandomVar(-q / mean[alg.atom_of], space)
 
 
-def _norm_axiom_rows(sc: Scenario, alg_name: str, alg, rng, table):
-    space = sc.space
-    n = space.n_outcomes
+def _norm_rows(sc: Scenario, alg_name: str, alg, rng, tol_norm, table):
+    """The norm axiom, Luxemburg/Amemiya equivalence and Hoelder rows, from
+    one Luxemburg solve, one Amemiya solve and one `pairing_operator_norm`
+    call on the stack of every probe."""
+    n = sc.space.n_outcomes
     x, z, lam = map(np.array, zip(*[
         (rng.normal(size=n), rng.normal(size=n), rng.uniform(0.2, 3.0, size=alg.n_atoms))
         for _ in range(3)]))
-    # rows 0-2 x, 3-5 z, 6-8 lam*x, 9-11 x+z per trial, and 12 the zero position
-    stack = space.var(np.concatenate([x, z, x * alg.broadcast(lam), x + z, np.zeros((1, n))]))
-    norms = {method: norm(stack, alg, sc.young).atom_values
-             for method, norm in (("luxemburg", luxemburg_norm), ("amemiya", amemiya_norm))}
+    names = [*sc.positions, "probe0", "probe1", "probe2"]
+    equiv = [pos.values for pos in sc.positions.values()] + [rng.normal(size=n) for _ in range(3)]
+    hx, hy = map(sc.space.var, zip(*[(rng.normal(size=n), rng.normal(size=n)) for _ in range(4)]))
+    # rows 0-2 x, 3-5 z, 6-8 lam*x, 9-11 x+z per trial, 12 the zero position,
+    # then the equivalence positions and probes, then the four Hoelder x,
+    # which only the Luxemburg solve takes
+    stack = np.concatenate([x, z, x * alg.broadcast(lam), x + z, np.zeros((1, n)), equiv, hx.values])
+    lux = luxemburg_norm(sc.space.var(stack), alg, sc.young).atom_values
+    ame = amemiya_norm(sc.space.var(stack[:-4]), alg, sc.young).atom_values
+    norms = {"luxemburg": lux, "amemiya": ame}
     for trial in range(3):
         for method, values in norms.items():
             nx, nz, nlx, nxz = values[trial:12:3]
@@ -75,16 +84,8 @@ def _norm_axiom_rows(sc: Scenario, alg_name: str, alg, rng, table):
         atom_rows(table, "norm_axioms", alg_name, "zero",
                   (f"{method}_zero", values[12].tolist(), 0.0, (values[12] == 0.0).tolist()))
 
-
-def _equivalence_rows(sc: Scenario, alg_name: str, alg, rng, tol_norm, table):
-    phi = sc.young
-    is_power2 = phi.family_tag == "power" and phi.params.get("p") == 2.0
-    names = [*sc.positions, "probe0", "probe1", "probe2"]
-    stack = sc.space.var([x.values for x in sc.positions.values()]
-                         + [rng.normal(size=sc.space.n_outcomes) for _ in range(3)])
-    lux = luxemburg_norm(stack, alg, phi).atom_values
-    ame = amemiya_norm(stack, alg, phi).atom_values
-    for name, lux_x, ame_x in zip(names, lux, ame):
+    is_power2 = sc.young.family_tag == "power" and sc.young.params.get("p") == 2.0
+    for name, lux_x, ame_x in zip(names, lux[13:], ame[13:]):
         for k in range(alg.n_atoms):
             for quantity, value in (("luxemburg_minus_amemiya", lux_x[k] - ame_x[k]),
                                     ("amemiya_minus_twice_luxemburg", ame_x[k] - 2.0 * lux_x[k])):
@@ -95,16 +96,11 @@ def _equivalence_rows(sc: Scenario, alg_name: str, alg, rng, tol_norm, table):
                 _row(table, "equivalence", alg_name, k, name, "power2_ratio_dev",
                      dev, 1e-6, dev <= 1e-6)
 
-
-def _hoelder_rows(sc: Scenario, alg_name: str, alg, rng, tol_norm, table):
-    n = sc.space.n_outcomes
-    x, y = map(sc.space.var, zip(*[(rng.normal(size=n), rng.normal(size=n)) for _ in range(4)]))
-    lhs = np.abs(pairing(x, y, alg).values[:, alg.first])
-    op = pairing_operator_norm(y, alg, sc.young).atom_values
-    excess = lhs - op * luxemburg_norm(x, alg, sc.young).atom_values
+    lhs = np.abs(pairing(hx, hy, alg).values[:, alg.first])
+    excess = lhs - pairing_operator_norm(hy, alg, sc.young).atom_values * lux[-4:]
     for trial, row in enumerate(excess):
         atom_rows(table, "hoelder", alg_name, f"probe{trial}",
-                  ("pairing_excess", row.tolist(), float(tol_norm), (row <= tol_norm).tolist()))
+                  ("pairing_excess", row.tolist(), tol_norm, (row <= tol_norm).tolist()))
 
 
 def _scalarization_rows(sc: Scenario, alg_name: str, alg, rng, tol_gap, table):
@@ -113,24 +109,17 @@ def _scalarization_rows(sc: Scenario, alg_name: str, alg, rng, tol_gap, table):
         y = _feasible_density(rng, sc.space, alg)
         via_sup = s.conjugate_numeric(y)
         via_exp = s.conjugate_expected(y)
-        if math.isinf(via_sup) and math.isinf(via_exp):
-            dev = 0.0
-        else:
-            dev = abs(via_sup - via_exp)
+        dev = 0.0 if math.isinf(via_sup) and math.isinf(via_exp) else abs(via_sup - via_exp)
         _row(table, "scalarization", alg_name, -1, f"probe{trial}", "conjugate_route_dev",
              dev, tol_gap, dev <= tol_gap)
 
 
-def _locality_rows(sc: Scenario, alg_name: str, alg, seed, table):
-    rep = locality_check(sc.risk, sc.space, alg, trials=3, seed=seed)
-    _row(table, "locality", alg_name, -1, "", "max_deviation", rep.max_deviation, PROBE_TOL,
-         rep.passed)
-
-
-def _extension_rows(sc: Scenario, alg_name: str, alg, seed, table):
-    rep = extension_check(sc.risk, sc.space, alg, alg, trials=3, seed=seed)
-    _row(table, "extension", alg_name, -1, "", "max_deviation", rep.max_deviation, PROBE_TOL,
-         rep.passed)
+def _probe_rows(sc: Scenario, alg_name: str, alg, seed, table):
+    for check, rep in (("locality", locality_check(sc.risk, sc.space, alg, trials=3, seed=seed)),
+                       ("extension", extension_check(sc.risk, sc.space, alg, alg, trials=3,
+                                                     seed=seed))):
+        _row(table, check, alg_name, -1, "", "max_deviation", rep.max_deviation, PROBE_TOL,
+             rep.passed)
 
 
 def _penalty_bound_rows(sc: Scenario, alg_name: str, alg, rng, table):
@@ -169,16 +158,15 @@ def _attainment_rows(sc: Scenario, alg_name: str, alg, rng, tol_gap, table):
 def verify_scenario(sc: Scenario, seed: int = 0, tol_gap: float = TOL_GAP,
                     tol_norm: float = TOL_NORM) -> tuple[dict, bool]:
     """Run the full invariant suite on a scenario; returns the per-atom table
-    (`report.new_table`) and an overall pass flag."""
+    (`report.new_table`) and an overall pass flag.  Each tolerance must be
+    a finite number >= 0."""
+    tol_gap, tol_norm = _tolerance("tol_gap", tol_gap), _tolerance("tol_norm", tol_norm)
     table = new_table()
     for alg_name, alg in sc.algebras.items():
         rng = _rng(seed)
-        _norm_axiom_rows(sc, alg_name, alg, rng, table)
-        _equivalence_rows(sc, alg_name, alg, rng, tol_norm, table)
-        _hoelder_rows(sc, alg_name, alg, rng, tol_norm, table)
+        _norm_rows(sc, alg_name, alg, rng, tol_norm, table)
         _scalarization_rows(sc, alg_name, alg, rng, tol_gap, table)
-        _locality_rows(sc, alg_name, alg, seed, table)
-        _extension_rows(sc, alg_name, alg, seed, table)
+        _probe_rows(sc, alg_name, alg, seed, table)
         _penalty_bound_rows(sc, alg_name, alg, rng, table)
         _lebesgue_rows(sc, alg_name, alg, seed, tol_gap, table)
         _attainment_rows(sc, alg_name, alg, rng, tol_gap, table)

@@ -19,6 +19,7 @@ from orlicz_risk import (
     SubAlgebra,
     attainment_check,
     check_axioms,
+    concatenate,
     cond_expectation,
     custom,
     dual_feasible_atoms,
@@ -39,6 +40,7 @@ from orlicz_risk import (
     scalarize,
     worst_case,
 )
+from orlicz_risk import verification
 from orlicz_risk.verification import verify_scenario
 
 LN4 = math.log(4.0)
@@ -402,6 +404,40 @@ TRIAL_CALLS = {
     "extension_check": lambda space, alg, trials: extension_check(entropic(1.0), space, alg,
                                                                   alg, trials=trials),
 }
+
+
+# every public entry point that takes a tolerance: the parameter's name and
+# a call with a value for it
+POWER2 = SCENARIOS / "power2.json"
+TOLERANCE_CALLS = {
+    "attainment_check": ("tol", lambda space, alg, tol: attainment_check(
+        entropic(1.0), space.var([0.3, -1.0, 0.5, 2.0]), alg, tol=tol)),
+    "lebesgue_check": ("tol", lambda space, alg, tol: lebesgue_check(
+        entropic(1.0), space, alg, tol=tol)),
+    "verify_scenario_tol_gap": ("tol_gap", lambda space, alg, tol: verify_scenario(
+        Scenario.from_file(POWER2), tol_gap=tol)),
+    "verify_scenario_tol_norm": ("tol_norm", lambda space, alg, tol: verify_scenario(
+        Scenario.from_file(POWER2), tol_norm=tol)),
+}
+
+
+class TestTolerances:
+    @pytest.mark.parametrize("tol, match", [
+        (math.nan, "must be a finite number, got nan"),
+        (math.inf, "must be a finite number, got inf"),
+        (-1, "must be >= 0, got -1.0"),
+    ], ids=["nan", "inf", "negative"])
+    @pytest.mark.parametrize("name, call", TOLERANCE_CALLS.values(), ids=TOLERANCE_CALLS.keys())
+    def test_tolerance_that_is_not_finite_and_nonnegative_is_refused(
+            self, quarter_space, pairs, name, call, tol, match, monkeypatch):
+        # verify_scenario refuses before its first check solves a norm
+        monkeypatch.setattr(verification, "luxemburg_norm", None)
+        with pytest.raises(ParameterError, match=f"^parameter {name} {match}$"):
+            call(quarter_space, pairs, tol)
+
+    @pytest.mark.parametrize("name, call", TOLERANCE_CALLS.values(), ids=TOLERANCE_CALLS.keys())
+    def test_zero_tolerance_is_accepted(self, quarter_space, pairs, name, call):
+        call(quarter_space, pairs, 0)
 
 
 class TestTrials:
@@ -800,6 +836,58 @@ class TestExtension:
             rep = extension_check(rho, quarter_space, pairs, pairs, trials=5)
             assert rep.passed
             assert rep.max_deviation <= 1e-9
+
+    def test_blocks_bound_the_stack(self, monkeypatch):
+        # 4 trials of 3 pieces and a glue on 5 outcomes in blocks of 3: the
+        # same report, no call above 3 positions
+        space = FiniteProbSpace(np.array([0.1, 0.2, 0.3, 0.15, 0.25]))
+        alg = SubAlgebra.from_atoms([(3, 0), (1,), (4, 2)], 5)
+
+        def leaks(v):
+            mean = cond_expectation(v, alg).values
+            return space.var(mean + 0.5 * v.values[1] * (alg.atom_of != 1))
+
+        rho = custom(lambda v, _: leaks(v))
+        calls = []
+        counted = dataclasses.replace(rho, evaluate=lambda x, a: calls.append(len(x.values))
+                                      or rho.evaluate(x, a))
+        whole = extension_check(rho, space, alg, alg, trials=4, seed=3)
+        monkeypatch.setattr(risk_module, "_STACK_ENTRIES", 15)
+        blocked = extension_check(counted, space, alg, alg, trials=4, seed=3)
+        assert calls == [3] * 5 + [1]
+        assert blocked == whole
+        assert whole.max_deviation > 1e-9
+
+    @pytest.mark.parametrize("seed", [0, 3, 11])
+    def test_coarser_partition_matches_the_probe_by_probe_walk(self, seed):
+        # the walk draws each trial's pieces, one per partition atom, then
+        # glues them and rho's values on them, one position at a time
+        space = FiniteProbSpace(np.array([0.1, 0.2, 0.3, 0.15, 0.25]))
+        alg = SubAlgebra.from_atoms([(3, 0), (1,), (4, 2)], 5)
+        partition = SubAlgebra.from_atoms([(3, 0, 1), (4, 2)], 5)
+
+        def leaks(v):
+            mean = cond_expectation(v, alg).values
+            return space.var(mean + 0.5 * v.values[1] * (alg.atom_of != 1))
+
+        for f in (leaks, lambda v: entropic(2.0).evaluate(v, alg),
+                  lambda v: worst_case().evaluate(v, alg)):
+            rng = np.random.default_rng(seed)
+            max_dev = 0.0
+            for _ in range(4):
+                pieces = [space.var(rng.normal(size=5)) for _ in partition.atoms]
+                glued = f(concatenate(pieces, partition))
+                apart = concatenate([f(piece) for piece in pieces], partition)
+                max_dev = max(max_dev, float(np.abs((glued - apart).values).max()))
+            rep = extension_check(custom(lambda v, _, f=f: f(v)), space, alg, partition,
+                                  trials=4, seed=seed)
+            assert rep.max_deviation == max_dev
+            assert rep.passed == (max_dev <= 1e-9)
+
+    def test_partition_on_another_number_of_outcomes_is_named(self, quarter_space, pairs):
+        with pytest.raises(StructuralError,
+                           match="^algebra indexes 4 outcomes, partition 5$"):
+            extension_check(entropic(1.0), quarter_space, pairs, SubAlgebra.trivial(5))
 
     def test_partition_must_be_measurable(self, quarter_space):
         fine = SubAlgebra.from_atoms([(0, 1), (2, 3)], 4)

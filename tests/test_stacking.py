@@ -38,7 +38,7 @@ from orlicz_risk import (
     scalarize,
     worst_case,
 )
-from orlicz_risk import orlicz, verification
+from orlicz_risk import verification
 from orlicz_risk.risk import DynamicRiskMeasure
 from orlicz_risk.scenario import Scenario
 
@@ -115,30 +115,20 @@ class TestStackEqualsRows:
 class TestOneCallPerCheck:
     @pytest.mark.parametrize("path", BUNDLED, ids=lambda p: p.stem)
     def test_verify_norm_calls(self, path, monkeypatch):
+        # one Luxemburg solve, one direct Amemiya solve and one operator norm
+        # per algebra cover the axiom, equivalence and Hoelder rows
         sc = Scenario.from_file(path)
+        alg_names = {id(alg): name for name, alg in sc.algebras.items()}
         calls = collections.Counter()
-        current = []
-        for check in ("_norm_axiom_rows", "_equivalence_rows", "_hoelder_rows"):
-            def tracked(sc, alg_name, *args, _rows=getattr(verification, check), _check=check):
-                current.append((_check, alg_name))
-                try:
-                    return _rows(sc, alg_name, *args)
-                finally:
-                    current.pop()
-            monkeypatch.setattr(verification, check, tracked)
-        # pairing_operator_norm reaches amemiya_norm through the orlicz module
-        for module in (verification, orlicz):
-            for name in ("luxemburg_norm", "amemiya_norm"):
-                fn = getattr(module, name)
-
-                def counted(*args, _fn=fn, _name=name):
-                    calls[(*current[-1], _name)] += 1
-                    return _fn(*args)
-                monkeypatch.setattr(module, name, counted)
+        names = ("luxemburg_norm", "amemiya_norm", "pairing_operator_norm")
+        for name in names:
+            def counted(x, alg, phi, _fn=getattr(verification, name), _name=name):
+                calls[(_name, alg_names[id(alg)])] += 1
+                return _fn(x, alg, phi)
+            monkeypatch.setattr(verification, name, counted)
         rows, passed = verification.verify_scenario(sc)
         assert passed
-        assert calls and max(calls.values()) == 1
-        assert len(calls) <= 3 * 2 * len(sc.algebras)
+        assert calls == {(name, alg): 1 for name in names for alg in sc.algebras}
 
     @pytest.mark.parametrize("rho", [entropic(1.0), worst_case(), linear()],
                              ids=lambda rho: rho.tag)

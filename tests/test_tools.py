@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+import orlicz_risk.risk as risk_module
 from orlicz_risk import Scenario, ScenarioValidationError
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -178,6 +179,15 @@ class TestCompareOutputs:
         # every bundled scenario refuses both parameter faults, each at its path
         for refusal in PARAM_FAULTS.items():
             assert refusals.count(refusal) == len(scenarios)
+
+    def test_blocked_scenario_takes_the_blocked_probe_path(self, compare_outputs, tmp_path):
+        # locality and extension on its discrete algebra need more than one call
+        path = compare_outputs.blocked_scenario(compare_outputs.load_gen(ROOT), 5, tmp_path)
+        sc = Scenario.from_file(path)
+        n = sc.space.n_outcomes
+        assert [alg.n_atoms for alg in sc.algebras.values()] == [1, n]
+        assert 3 * (n + 1) * n > risk_module._STACK_ENTRIES
+        assert sc.risk.tag == "worst_case"
 
     def test_env_reaches_only_the_change_runner(self, compare_outputs, tmp_path, monkeypatch):
         # two stand-in trees whose `main` prints the variable its argument names

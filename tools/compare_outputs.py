@@ -7,15 +7,17 @@ PARENT and CHANGE are checkouts of this repository.  The scenarios are
 generated once, by PARENT's `perfbench/gen.py` at benchmark seed N (default
 5).  The operations are every bundled scenario of PARENT under each of the
 five commands (with `--seed N`), then every operation of the generated
-`norm`, `dual`, `verify` and `cli` workloads, in cycle order, then `dual`
-on malformed copies of PARENT's bundled scenarios: each copy has one fault
-of `FAULTS` planted (an unknown, repeated or missing label in an algebra, a
-bad probability or sum, a NaN position value, a duplicate key, an unknown
-filtration algebra, an unknown name in `young.params`, `risk.params` of
-{"gamma": "x"}), so the trees' refusals, exit codes and stderr, are
-compared too.  Each tree runs all of them in one interpreter of its own,
-importing its own `src/orlicz_risk`, with every operation writing into a
-directory of its own.
+`norm`, `dual`, `verify` and `cli` workloads, in cycle order, then
+`verify` on the scenario of `blocked_scenario`, whose locality and extension
+probes go to the measure in blocks, then `dual` on malformed copies of
+PARENT's bundled scenarios: each copy has one fault of `FAULTS` planted (an
+unknown, repeated or missing label in an algebra, a bad probability or sum,
+a NaN position value, a duplicate key, an unknown filtration algebra, an
+unknown name in `young.params`, `risk.params` of {"gamma": "x"}), so the
+trees' refusals, exit codes and stderr, are compared too.  Each tree runs
+all of them in one interpreter of its own, importing its own
+`src/orlicz_risk`, with every operation writing into a directory of its
+own.
 Then each tree runs every bundled operation a second time, in a second
 interpreter, into the directory that operation first wrote: this exercises
 the path that replaces existing report files.
@@ -56,8 +58,17 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 COMMANDS = ("norm", "risk", "dual", "verify", "dynamic")
 WORKLOADS = ("norm", "dual", "verify", "cli")
+
+
+# outcomes of the generated scenario that `verify` runs with a trivial and a
+# discrete algebra: on the discrete one, 3 trials of 161 positions of 160
+# outcomes exceed the 2**16 position entries that the locality and extension
+# probes send to the measure in one call, so they go in blocks
+BLOCKED_N = 160
 
 
 def _edited(edit):
@@ -137,6 +148,21 @@ def load_gen(tree: Path):
     return module
 
 
+def blocked_scenario(gen, seed: int, directory: Path) -> Path:
+    """Write the worst-case scenario of `BLOCKED_N` outcomes, with a trivial
+    and a discrete algebra, through `gen` at benchmark seed `seed`; its
+    path."""
+    n = BLOCKED_N
+    rng = np.random.default_rng([seed, 5])
+    doc = gen.scenario(f"blocked{n}_worst_case", gen._probs(rng, n),
+                       {"F0": [list(range(n))], "F1": [[i] for i in range(n)]},
+                       {"x": rng.normal(size=n)}, {"family": "power", "params": {"p": 2.0}},
+                       {"measure": "worst_case"}, filtration=["F0", "F1"])
+    path = directory / f"{doc['name']}.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
 def operations(parent: Path, seed: int, scenario_dir: Path) -> tuple[list, int, int]:
     """(description, CLI arguments without `--out-dir`) of every operation,
     the bundled ones first and the malformed ones last, with the number of
@@ -150,6 +176,8 @@ def operations(parent: Path, seed: int, scenario_dir: Path) -> tuple[list, int, 
         for op in generated.ops:
             args = [op["command"], op["path"], "--seed", str(op["seed"])]
             ops.append((f"{workload}: {op['command']} {Path(op['path']).name}", args))
+    path = blocked_scenario(gen, seed, scenario_dir)
+    ops.append((f"blocked: verify {path.name}", ["verify", str(path), "--seed", str(seed)]))
     malformed = malformed_scenarios(parent / "scenarios", scenario_dir / "malformed")
     ops += [(f"malformed: dual {path.name}", ["dual", str(path), "--seed", str(seed)])
             for path in malformed]
