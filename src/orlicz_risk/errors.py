@@ -1,5 +1,8 @@
 """Exception types shared across the package."""
 
+__all__ = ["OrliczRiskError", "StructuralError", "PartitionError", "ParameterError",
+           "ContractError", "BracketError", "DivergenceError", "ConvergenceError"]
+
 
 class OrliczRiskError(Exception):
     """Base class for all library errors."""

@@ -91,7 +91,8 @@ class SubAlgebra:
     covering all outcomes, each entry an int or a numpy integer (not a
     bool).  Atoms that are not such a partition raise PartitionError at the
     first empty atom or offending entry, or naming the outcomes no atom
-    covers.
+    covers; an `n_outcomes` that is not an integer >= 0 raises
+    StructuralError.
 
     `atom_of[i]` is the atom containing outcome i.  Every per-atom
     computation runs over one segment layout built here: `order` lists the
@@ -105,6 +106,8 @@ class SubAlgebra:
 
     def __post_init__(self):
         n = self.n_outcomes
+        if not _is_count(n, 0):
+            raise StructuralError(f"n_outcomes must be an integer >= 0, got {n!r}")
         atoms = tuple(self.atoms)
         entries = tuple(chain.from_iterable(atoms))
         if not all(map(_is_outcome, set(map(type, entries)))):

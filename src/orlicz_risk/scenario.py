@@ -31,7 +31,7 @@ __all__ = [
 ]
 
 
-def spec_number(params: Mapping, name: str, default: float | None = None):
+def _spec_number(params: Mapping, name: str, default: float | None = None):
     """`params[name]` of a scenario entry (`default` when absent and given);
     a missing one raises ParameterError naming it.  The factory it is passed
     to decides whether it is a finite number."""
@@ -55,14 +55,14 @@ def _spec_numbers(params: Mapping, name: str) -> list:
 # A builder names its factory when it runs, so a factory rebound on this
 # module after import (as a tracer does) is the one called.
 FAMILIES = {
-    "power": (("p",), lambda params: make_power(spec_number(params, "p"))),
+    "power": (("p",), lambda params: make_power(_spec_number(params, "p"))),
     "linf": ((), lambda params: make_linf()),
-    "exp": (("scale",), lambda params: make_exp(spec_number(params, "scale", 1.0))),
+    "exp": (("scale",), lambda params: make_exp(_spec_number(params, "scale", 1.0))),
     "piecewise": (("knots", "slopes"), lambda params: make_piecewise(
         _spec_numbers(params, "knots"), _spec_numbers(params, "slopes"))),
 }
 MEASURES = {
-    "entropic": (("gamma",), lambda params: entropic(spec_number(params, "gamma"))),
+    "entropic": (("gamma",), lambda params: entropic(_spec_number(params, "gamma"))),
     "worst_case": ((), lambda params: worst_case()),
     "linear": ((), lambda params: linear()),
 }

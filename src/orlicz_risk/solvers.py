@@ -204,7 +204,7 @@ def _coordinate_ascent_sup(objective: Callable[[np.ndarray], float], n: int) -> 
             rep = golden_min(line, xi - r, xi + r, rel_tol=tol)
             if not rep.converged:
                 return math.inf
-            radius[i] = max(abs(rep.arg - xi) * 2.0, 1e-8)
+            radius[i] = abs(rep.arg - xi) * 2.0
             if -rep.value > fx:
                 improved += -rep.value - fx
                 fx = -rep.value

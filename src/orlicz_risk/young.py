@@ -122,7 +122,8 @@ def make_exp(scale: float = 1.0) -> YoungFn:
 def make_piecewise(knots, slopes) -> YoungFn:
     """Convex piecewise-linear Young function: slopes[i] applies on
     [knots[i-1], knots[i]] with knots[-1] extended to infinity.  Slopes must
-    be nonnegative, nondecreasing, and end positive.  The conjugate is
+    be nonnegative, nondecreasing, and end positive, with slopes[-1] *
+    knots[-1] a finite float.  The conjugate is
     phi*(s) = max over t in {0} + knots of s*t - phi(t) up to the last slope,
     and inf beyond."""
     knots = [_as_number(f"knots[{i}]", k) for i, k in enumerate(knots)]
@@ -138,7 +139,12 @@ def make_piecewise(knots, slopes) -> YoungFn:
 
     kn, sl = np.array(knots), np.array(slopes)
     bounds = np.array([0.0] + knots)
-    base = np.concatenate(([0.0], np.cumsum(sl[:-1] * np.diff(bounds))))
+    with np.errstate(over="ignore"):
+        base = np.concatenate(([0.0], np.cumsum(sl[:-1] * np.diff(bounds))))
+    # below slopes[-1] * knots[-1], every s*t the conjugate forms for
+    # s <= slopes[-1] is finite; phi at the last knot is too, up to rounding
+    if not (np.isfinite(base[-1]) and math.isfinite(slopes[-1] * max(knots, default=0.0))):
+        raise ParameterError("knots and slopes: slopes[-1] * knots[-1] must be a finite float")
     # the maximizers of s*t - phi(t): 0, the knots, and inf past the last slope
     argmax, at_argmax = np.append(bounds, INF), np.append(base, 0.0)
 

@@ -51,6 +51,17 @@ class TestConstruction:
         with pytest.raises(StructuralError, match="uniform space needs an integer n >= 1"):
             FiniteProbSpace.uniform(n)
 
+    @pytest.mark.parametrize("atoms, n", [(((0,),), -1), (((0,), (1,)), 2.0), (((0,),), True),
+                                          (((0,),), None)],
+                             ids=["negative", "float", "bool", "none"])
+    def test_algebra_needs_an_integer_outcome_count(self, atoms, n):
+        with pytest.raises(StructuralError, match=r"^n_outcomes must be an integer >= 0, got "):
+            SubAlgebra(atoms, n)
+
+    def test_algebra_on_no_outcomes(self):
+        alg = SubAlgebra((), 0)
+        assert (alg.n_atoms, alg.atom_of.size) == (0, 0)
+
     def test_uniform_takes_a_numpy_integer(self):
         np.testing.assert_array_equal(FiniteProbSpace.uniform(np.int64(4)).probs, [0.25] * 4)
 

@@ -666,6 +666,15 @@ class TestScalarize:
         out = fenchel_conjugate(custom(linear().evaluate), y, alg)
         assert out.values.tolist() == [0.0] + [math.inf] * 7
 
+    def test_numeric_penalty_is_inf_on_an_infeasible_atom(self, mixed_atoms):
+        space, alg = mixed_atoms
+        values = feasible_density(np.random.default_rng(41), space, alg).values.copy()
+        values[[1, 6]] *= 2.0  # E[y | {1, 6}] = -2
+        y = space.var(values)
+        numeric = fenchel_conjugate(custom(entropic(1.0).evaluate), y, alg).values
+        assert numeric[[1, 6]].tolist() == [math.inf] * 2
+        assert np.isfinite(numeric[[0, 2, 3, 4, 5, 7]]).all()
+
     def test_numeric_route_stops_at_the_first_unbounded_atom(self, mixed_atoms):
         space, alg = mixed_atoms
         calls = []

@@ -1,12 +1,14 @@
 import ast
 import copy
 import csv
+import importlib
 import json
 import math
 import os
 import random
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +23,7 @@ from orlicz_risk import (
     risk_from_spec,
     young_from_spec,
 )
+import orlicz_risk
 import orlicz_risk.cli as cli_module
 import orlicz_risk.risk as risk_module
 import orlicz_risk.young as young_module
@@ -485,6 +488,44 @@ class TestCli:
         )
         assert out.stdout.splitlines()[-1] == "0 [False, False]"
         assert (tmp_path / "entropic4.report.json").is_file()
+
+    def test_importing_the_cli_loads_every_package_module(self):
+        # a tracer that wraps the package's functions by name needs them all
+        out = subprocess.run(
+            [sys.executable, "-c", "import sys, orlicz_risk.cli; print(' '.join(sorted("
+             "name for name in sys.modules if name.partition('.')[0] == 'orlicz_risk')))"],
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(
+                [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])},
+            capture_output=True, text=True, check=True,
+        )
+        package = ROOT / "src" / "orlicz_risk"
+        assert out.stdout.split() == sorted(["orlicz_risk"] + [
+            f"orlicz_risk.{path.stem}" for path in package.glob("*.py") if path.stem != "__init__"])
+
+    def test_the_package_republishes_each_module_all(self):
+        init = ast.parse((ROOT / "src" / "orlicz_risk" / "__init__.py").read_text())
+        starred = [node.module for node in init.body if isinstance(node, ast.ImportFrom)
+                   and [alias.name for alias in node.names] == ["*"]]
+        assert starred == ["errors", "prob_space", "young", "solvers", "orlicz", "risk", "scenario"]
+        for name in starred:
+            module = importlib.import_module(f"orlicz_risk.{name}")
+            assert module.__all__
+            for attr in module.__all__:
+                assert getattr(orlicz_risk, attr) is getattr(module, attr), attr
+
+    @pytest.mark.parametrize("command", ["norm", "verify"])
+    def test_piecewise_past_the_float_range_exits_2_without_warnings(self, tmp_path, capsys,
+                                                                     command):
+        data = json.loads((SCENARIOS / "power2.json").read_text())
+        data["young"] = {"family": "piecewise",
+                         "params": {"knots": [1e308, 1.7e308], "slopes": [0.0, 10.0, 20.0]}}
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(data))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main([command, str(path), "--out-dir", str(tmp_path)]) == 2
+        assert caught == []
+        assert "$.young.params: knots and slopes" in capsys.readouterr().err
 
     def test_norm_command_known_values(self, tmp_path):
         code = main(["norm", str(SCENARIOS / "power2.json"), "--out-dir", str(tmp_path)])

@@ -161,6 +161,13 @@ class TestOptions:
         assert options.main([]) == 2
         assert "usage: python tools/options.py" in capsys.readouterr().err
 
+    def test_a_path_that_does_not_exist_gets_the_usage_line(self, options, code_lines, tmp_path,
+                                                            capsys):
+        assert code_lines.main([str(tmp_path / "missing")]) == 2
+        assert "usage: python tools/code_lines.py" in capsys.readouterr().err
+        assert options.main(["--help"]) == 2
+        assert "usage: python tools/options.py" in capsys.readouterr().err
+
 
 # the planted parameter faults and the path each is refused at
 PARAM_FAULTS = {"unknown_young_param": "$.young.params", "risk_param_not_a_number": "$.risk.params"}

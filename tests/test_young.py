@@ -132,6 +132,24 @@ class TestPiecewise:
     def test_validate_passes(self):
         assert validate(make_piecewise([1.0, 2.0], [0.5, 1.0, 3.0])).passed
 
+    @pytest.mark.parametrize("knots, slopes", [
+        ([1e308, 1.7e308], [0.0, 10.0, 20.0]),
+        ([1e300], [0.5, 1e10]),
+    ], ids=["value_at_a_knot", "last_slope_times_last_knot"])
+    def test_refuses_a_scale_past_the_float_range(self, knots, slopes):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParameterError, match=r"^knots and slopes: slopes\[-1\] \* knots"):
+                make_piecewise(knots, slopes)
+
+    def test_conjugate_is_finite_up_to_the_last_slope_at_the_bound(self):
+        phi = make_piecewise([1e300], [0.5, 1e8])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = [phi.conjugate_closed_form(s) for s in (0.5, 1.0, 1e8)]
+        assert all(map(math.isfinite, values))
+        assert values[-1] == pytest.approx(1e8 * 1e300 - 0.5e300)
+
     def test_numeric_conjugate_past_a_tied_expansion(self):
         # s*t - phi(t) ties at t = 1 and t = 4 around its maximum at the knot 1.5
         phi = make_piecewise([0.5, 1.5], [0.0, 1.0, 2.5])

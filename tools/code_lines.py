@@ -70,7 +70,7 @@ def main(argv: list[str], count=code_lines) -> int:
     if len(argv) == 2 and all(Path(arg).is_dir() for arg in argv):
         compare(Path(argv[0]), Path(argv[1]), count)
         return 0
-    if len(argv) != 1:
+    if len(argv) != 1 or not Path(argv[0]).exists():
         print(f"usage: python tools/{count.__name__}.py <directory or .py file> | OLD_DIR NEW_DIR",
               file=sys.stderr)
         return 2
