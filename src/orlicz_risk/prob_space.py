@@ -80,8 +80,15 @@ class FiniteProbSpace:
         return RandomVar(values, self)
 
     def indicator(self, indices: Iterable[int]) -> "RandomVar":
-        values = np.zeros(self.n_outcomes)
-        values[list(indices)] = 1.0
+        """1 on the outcomes `indices`, 0 elsewhere.  Each index is an int or
+        a numpy integer (not a bool) in 0..n-1, or a StructuralError names
+        the first that is not, in the words of a SubAlgebra's refusal."""
+        indices, n = list(indices), self.n_outcomes
+        for i, entry in enumerate(indices):
+            if not (_is_outcome(type(entry)) and 0 <= entry < n):
+                raise StructuralError(_partition_fault([[entry]], n).reason, "indices", (i,))
+        values = np.zeros(n)
+        values[indices] = 1.0
         return RandomVar(values, self)
 
 
@@ -142,11 +149,13 @@ class SubAlgebra:
 
     @classmethod
     def trivial(cls, n_outcomes: int) -> "SubAlgebra":
-        return cls((tuple(range(n_outcomes)),), n_outcomes)
+        # a count that is not an integer >= 0 gets no outcomes: the constructor refuses it
+        return cls((tuple(range(n_outcomes if _is_count(n_outcomes, 0) else 0)),), n_outcomes)
 
     @classmethod
     def discrete(cls, n_outcomes: int) -> "SubAlgebra":
-        return cls(tuple((i,) for i in range(n_outcomes)), n_outcomes)
+        # one atom (i,) per outcome i, as trivial takes the count
+        return cls(tuple(zip(range(n_outcomes if _is_count(n_outcomes, 0) else 0))), n_outcomes)
 
     def atom_sum(self, values) -> np.ndarray:
         """Sum over each atom along the last (outcome) axis."""

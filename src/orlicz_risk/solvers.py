@@ -57,51 +57,45 @@ def bisect_monotone(f: Callable[[np.ndarray], np.ndarray], target: float,
 
     `lo` and `hi` are one bracket or arrays of independent brackets, finite
     with 0 < lo <= hi (else a ParameterError), and `f` maps an array of
-    points to the array of their values, elementwise over any leading axes.
-    Positive floats sort like their int64 bit patterns, so the search runs
-    on the patterns: each step cuts every bracket that still spans more than
-    _WIDTH floats into _SECTIONS parts holding about as many floats each,
-    with one call of f on the cut points of all brackets, stacked along a
-    leading axis.  A bracket's steps depend on it alone, so every bracket
-    ends where it would on its own.  Where f(hi) > target, a BracketError
-    names the element.  Where f(lo) <= target, lo itself is reported, with
-    `attained` False for that element.  `iterations` counts the calls of f:
-    one at lo and hi together, one per step and one at the result.  For
-    arrays, `arg`, `value` and `attained` are arrays with one entry per
-    bracket.
+    points to the array of their values, elementwise over any leading axes,
+    or to one constant.  Positive floats sort like their int64 bit patterns,
+    so the search runs on the patterns, with one rule for every bracket: a
+    step of width // _SECTIONS where the bracket still spans more than
+    _WIDTH floats, else of 0, cuts it into _SECTIONS parts, with one call of
+    f on the cut points of all brackets, stacked along a leading axis, and
+    keeps the part where f first drops to <= target.  A bracket's steps
+    depend on it alone, so every bracket ends where it would on its own.
+    Where f(hi) > target, a BracketError names the element.  Where
+    f(lo) <= target, lo itself is reported, with `attained` False for that
+    element.  `iterations` counts the calls of f: one at lo and hi
+    together, one per step and one at the result.  `arg`, `value` and
+    `attained` have one entry per bracket, 0-d for a single bracket.
     """
     lo, hi = (np.array(a, dtype=float) for a in np.broadcast_arrays(lo, hi))
     if (bad := ~(np.isfinite(hi) & (0.0 < lo) & (lo <= hi))).any():
         i = np.flatnonzero(bad)[0]
         raise ParameterError(
             f"bisect_monotone needs finite 0 < lo <= hi, got [{lo.flat[i]}, {hi.flat[i]}]")
-
-    def ff(x: np.ndarray) -> np.ndarray:
-        fx = np.asarray(f(x))
-        return fx if fx.shape == x.shape else np.broadcast_to(fx, x.shape)
-
-    flo, fhi = ff(np.stack([lo, hi]))
+    flo, fhi = np.broadcast_to(f(np.stack([lo, hi])), (2,) + lo.shape)
     edge = flo <= target
     if (up := ~edge & (fhi > target)).any():
         at = f" at element {np.flatnonzero(up)[0]}" if up.ndim else ""
         raise BracketError(f"f stays above {target} at the right end of the bracket{at}")
-    # off the left edge, f(a) > target >= f(b) for the patterns a < b
+    # f(a) > target >= f(b) for the patterns a < b, or a == b at the left edge
     a, b = lo.view(np.int64), np.where(edge, lo, hi).view(np.int64)
     cuts = np.arange(1, _SECTIONS).reshape((-1,) + (1,) * lo.ndim)
+    # row k-1 holds f <= target at cut point k; the last row stands for b
+    ok = np.ones((_SECTIONS,) + lo.shape, bool)
     evals = 2
-    while (active := b - a > _WIDTH).any():
-        step = (b - a) // _SECTIONS
-        ok = ff((a + cuts * step).view(float)) <= target
-        # part j ends at the first cut point where f <= target, the last part at b
-        j = np.where(ok.any(axis=0), ok.argmax(axis=0), _SECTIONS - 1)
-        a, b = (np.where(active, a + j * step, a),
-                np.where(active & (j < _SECTIONS - 1), a + (j + 1) * step, b))
+    while np.logical_or.reduce(live := (width := b - a) > _WIDTH, None):
+        step = width // _SECTIONS * live
+        np.less_equal(f((a + cuts * step).view(float)), target, out=ok[:-1])
+        j = ok.argmax(axis=0)
+        a = a + j * step
+        b = np.where(j < _SECTIONS - 1, a + step, b)
         evals += 1
     hi = b.view(float)
-    fhi = ff(hi)
-    if hi.ndim == 0:
-        return SolveReport(float(hi), float(fhi), evals, True, not edge)
-    return SolveReport(hi, fhi, evals, True, ~edge)
+    return SolveReport(hi, np.broadcast_to(f(hi), hi.shape), evals, True, ~edge)
 
 
 def golden_min(f: Callable[[float], float], lo: float, hi: float, *,
@@ -117,7 +111,7 @@ def golden_min(f: Callable[[float], float], lo: float, hi: float, *,
     best_x = None
     best_f = math.inf
 
-    def ff(x: float) -> float:
+    def tally(x: float) -> float:
         nonlocal evals, best_x, best_f
         evals += 1
         v = f(x)
@@ -126,9 +120,9 @@ def golden_min(f: Callable[[float], float], lo: float, hi: float, *,
         return v
 
     a, b = float(lo), float(hi)
-    fa, fb = ff(a), ff(b)
+    fa, fb = tally(a), tally(b)
     m = 0.5 * (a + b)
-    fm = ff(m)
+    fm = tally(m)
 
     attained = converged = True
     expansions = 0
@@ -142,11 +136,11 @@ def golden_min(f: Callable[[float], float], lo: float, hi: float, *,
         if right:
             a, fa, m, fm = m, fm, b, fb
             b = b + span
-            fb = ff(b)
+            fb = tally(b)
         else:
             b, fb, m, fm = m, fm, a, fa
             a = a - span
-            fa = ff(a)
+            fa = tally(a)
         expansions += 1
         # a limit (non-attained infimum) shows up as the new edge improving
         # the running minimum, but by a stalled relative amount; an overshot
@@ -159,18 +153,18 @@ def golden_min(f: Callable[[float], float], lo: float, hi: float, *,
     if attained:
         c = b - _GOLDEN * (b - a)
         d = a + _GOLDEN * (b - a)
-        fc, fd = ff(c), ff(d)
+        fc, fd = tally(c), tally(d)
         while (b - a) > rel_tol * (abs(a) + abs(b) + 1.0):
             if fc < fd:
                 b, fb = d, fd
                 d, fd = c, fc
                 c = b - _GOLDEN * (b - a)
-                fc = ff(c)
+                fc = tally(c)
             else:
                 a, fa = c, fc
                 c, fc = d, fd
                 d = a + _GOLDEN * (b - a)
-                fd = ff(d)
+                fd = tally(d)
 
     return SolveReport(best_x, best_f, evals, converged, attained)
 

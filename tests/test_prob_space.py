@@ -58,6 +58,13 @@ class TestConstruction:
         with pytest.raises(StructuralError, match=r"^n_outcomes must be an integer >= 0, got "):
             SubAlgebra(atoms, n)
 
+    @pytest.mark.parametrize("n", [2.0, None], ids=["float", "none"])
+    @pytest.mark.parametrize("make", [SubAlgebra.trivial, SubAlgebra.discrete],
+                             ids=["trivial", "discrete"])
+    def test_named_algebras_need_an_integer_outcome_count(self, make, n):
+        with pytest.raises(StructuralError, match=r"^n_outcomes must be an integer >= 0, got "):
+            make(n)
+
     def test_algebra_on_no_outcomes(self):
         alg = SubAlgebra((), 0)
         assert (alg.n_atoms, alg.atom_of.size) == (0, 0)
@@ -145,6 +152,18 @@ class TestRefusalsLocateTheFault:
             SubAlgebra.from_atoms(atoms, 4)
         assert str(err.value) == message
         assert (err.value.held_by, err.value.uncovered) == (held_by, uncovered)
+
+    @pytest.mark.parametrize("indices, message", [
+        ([-1], "indices[0]: outcome -1 is out of range 0..3"),
+        ([np.int64(-1)], "indices[0]: outcome -1 is out of range 0..3"),
+        ([0, 5], "indices[1]: outcome 5 is out of range 0..3"),
+        ([1.5], "indices[0]: outcome 1.5 is not an integer"),
+        ([2, True], "indices[1]: outcome True is not an integer"),
+    ])
+    def test_indicator(self, quarter_space, indices, message):
+        with pytest.raises(StructuralError) as err:
+            quarter_space.indicator(indices)
+        assert (str(err.value), err.value.at) == (message, (len(indices) - 1,))
 
     def test_empty_atom(self):
         with pytest.raises(StructuralError, match=r"^atoms\[1\]: atom is empty$"):

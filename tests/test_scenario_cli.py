@@ -6,6 +6,7 @@ import json
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 import warnings
@@ -967,3 +968,16 @@ class TestCli:
         code = main(["dynamic", str(SCENARIOS / "power2.json"), "--out-dir", str(tmp_path)])
         assert code == 2
         assert "filtration" in capsys.readouterr().err
+
+
+def test_every_python_block_of_the_readme_runs(tmp_path):
+    blocks = re.findall(r"^```python\n(.*?)^```", (ROOT / "README.md").read_text(), re.M | re.S)
+    assert blocks
+    for block in blocks:
+        out = subprocess.run(
+            [sys.executable, "-c", block], cwd=tmp_path,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(
+                [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])},
+            capture_output=True, text=True,
+        )
+        assert (out.returncode, "RuntimeWarning" in out.stderr) == (0, False), out.stderr

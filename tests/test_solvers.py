@@ -14,6 +14,8 @@ from orlicz_risk import (
     project_weighted_simplex,
     simplex_max,
 )
+from orlicz_risk.solvers import _WIDTH
+from tests import bisect_oracle
 from tests.grid_oracle import grid_simplex_max
 
 
@@ -88,6 +90,66 @@ class TestBisectBatch:
         assert rep.arg[0] == pytest.approx(1.0, rel=1e-9)
         assert rep.arg[1] == 0.25
         assert rep.attained.tolist() == [True, False]
+
+
+# a bracket as offsets of its ends' float bit patterns from the root's: wider
+# than _WIDTH floats, already narrower, a single point at or above the root,
+# and one whose left end is already at or above it
+BRACKET_KINDS = {
+    "wide": st.tuples(st.integers(-2 ** 56, 0), st.integers(_WIDTH + 1, 2 ** 56)),
+    "narrow": st.integers(0, _WIDTH).flatmap(
+        lambda w: st.integers(-w, 0).map(lambda s: (s, s + w))),
+    "point": st.integers(0, 2 ** 20).map(lambda d: (d, d)),
+    "left": st.tuples(st.integers(0, 2 ** 20), st.integers(0, 2 ** 56)).map(
+        lambda dw: (dw[0], dw[0] + dw[1])),
+}
+
+
+@st.composite
+def bracket_sets(draw):
+    """Roots `r`, brackets `lo`, `hi` of mixed kinds in a 0-d, 1-d or 2-d
+    shape, and the exponent `p` of f = (r / t) ** p; at times one bracket
+    lies below its root or is inverted, which the solver refuses."""
+    shape = draw(st.sampled_from([(), (1,), (4,), (7,), (2, 3), (3, 1)]))
+    size = math.prod(shape)
+    r = 10.0 ** np.array(draw(st.lists(st.floats(-3.0, 3.0), min_size=size, max_size=size)))
+    offsets = [draw(BRACKET_KINDS[draw(st.sampled_from(sorted(BRACKET_KINDS)))])
+               for _ in range(size)]
+    lo, hi = (r.view(np.int64)[:, None] + np.array(offsets, np.int64)).T.view(float)
+    fault = draw(st.sampled_from([None, None, None, None, "short", "inverted"]))
+    if fault is not None:
+        i = draw(st.integers(0, size - 1))
+        lo[i], hi[i] = ((r[i] / 4.0, r[i] / 2.0) if fault == "short" else (hi[i] * 2.0, hi[i]))
+    p = draw(st.sampled_from([0.5, 1.0, 2.0, 7.0]))
+    return r.reshape(shape), lo.reshape(shape), hi.reshape(shape), p
+
+
+def _bits(x) -> bytes:
+    return np.asarray(x, dtype=float).tobytes()
+
+
+class TestBisectReference:
+    @settings(max_examples=300, deadline=None)
+    @given(bracket_sets())
+    def test_matches_the_reference_bit_for_bit(self, case):
+        r, lo, hi, p = case
+
+        def f(t):
+            return (r / t) ** p
+
+        try:
+            ref = bisect_oracle.bisect_monotone(f, 1.0, lo, hi)
+        except (BracketError, ParameterError) as exc:
+            with pytest.raises(type(exc)) as err:
+                bisect_monotone(f, 1.0, lo, hi)
+            assert str(err.value) == str(exc)
+            return
+        rep = bisect_monotone(f, 1.0, lo, hi)
+        assert np.shape(rep.arg) == np.shape(rep.value) == np.shape(rep.attained) == r.shape
+        assert _bits(rep.arg) == _bits(ref.arg)
+        assert _bits(rep.value) == _bits(ref.value)
+        assert np.asarray(rep.attained).tolist() == np.asarray(ref.attained).tolist()
+        assert rep.iterations == ref.iterations
 
 
 class TestGolden:

@@ -1,7 +1,9 @@
 import argparse
 import importlib.util
+import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import orlicz_risk.risk as risk_module
@@ -21,6 +23,14 @@ def code_lines():
 @pytest.fixture(scope="module")
 def options():
     spec = importlib.util.spec_from_file_location("options", ROOT / "tools" / "options.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture(scope="module")
+def layer_sweep():
+    spec = importlib.util.spec_from_file_location("layer_sweep", ROOT / "tools" / "layer_sweep.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -221,3 +231,27 @@ class TestCompareOutputs:
             compare_outputs.main([".", ".", "--env", "Prescott"])
         assert exc.value.code == 2
         assert "argument --env: expected NAME=VALUE, got 'Prescott'" in capsys.readouterr().err
+
+
+class TestLayerSweep:
+    def test_one_row_of_a_tree_against_itself(self, layer_sweep, tmp_path, capsys):
+        row = "luxemburg_norm power(2) 8/2"
+        assert layer_sweep.main([str(ROOT), str(ROOT), "--label", "quick", "--rounds", "1",
+                                 "--repeat", "1", "--only", row, "--out-dir", str(tmp_path)]) == 0
+        result = json.loads((tmp_path / "BENCH_quick.json").read_text())
+        assert [r["row"] for r in result["rows"]] == [row]
+        (found,) = result["rows"]
+        # one solve, as TestWorkBudget counts it
+        assert found["iterations"]["parent"] == found["iterations"]["change"] == [16]
+        for side in ("parent", "change"):
+            assert len(found["best_s"][side]) == len(found["ref_s"][side]) == 1
+            assert 0.0 < found["best_s"][side][0] < 1.0
+            assert result["trees"][side]["numpy"] == np.__version__
+        assert row in capsys.readouterr().out
+
+    def test_needs_two_trees_and_a_label(self, layer_sweep, capsys):
+        for argv in ([".", "--label", "x"], [".", "."], [".", ".", "--label", "x", "--only", "?"]):
+            with pytest.raises(SystemExit) as exc:
+                layer_sweep.main(argv)
+            assert exc.value.code == 2
+        assert "usage: python tools/layer_sweep.py" in capsys.readouterr().err
