@@ -154,7 +154,7 @@ class SubAlgebra:
 
     @classmethod
     def discrete(cls, n_outcomes: int) -> "SubAlgebra":
-        # one atom (i,) per outcome i, as trivial takes the count
+        # one atom (i,) per outcome i, and none for a count trivial refuses
         return cls(tuple(zip(range(n_outcomes if _is_count(n_outcomes, 0) else 0))), n_outcomes)
 
     def atom_sum(self, values) -> np.ndarray:

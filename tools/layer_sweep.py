@@ -196,12 +196,14 @@ def main(argv: list[str] | None = None) -> int:
     result = {"label": args.label, **sweep(trees, names, args.rounds, args.repeat)}
     path = args.out_dir / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(result, indent=1) + "\n")
-    print(f"{'row':48} {'parent ms':>10} {'change ms':>10} {'change':>8} {'parent IQR':>10}  evals")
+    width = max(len(name) for name in names)
+    print(f"{'row':{width}} {'parent ms':>10} {'change ms':>10} {'change':>8} {'parent IQR':>10}"
+          "  evals")
     for row in result["rows"]:
         p, c = row["median_s"]["parent"], row["median_s"]["change"]
         evals = row["iterations"]["parent"]
         same = "" if evals == row["iterations"]["change"] else f" -> {row['iterations']['change']}"
-        print(f"{row['row']:48} {p * 1e3:10.4f} {c * 1e3:10.4f} {c / p - 1:+8.1%} "
+        print(f"{row['row']:{width}} {p * 1e3:10.4f} {c * 1e3:10.4f} {c / p - 1:+8.1%} "
               f"{row['quartile_distance_s']['parent'] * 1e3:10.4f}  {evals}{same}")
     print(f"wrote {path}")
     return 0
