@@ -52,7 +52,9 @@ class ContractError(OrliczRiskError, ValueError):
 
 
 class BracketError(OrliczRiskError, RuntimeError):
-    """A root or minimum could not be bracketed within the expansion cap."""
+    """A bracket holds no root: `solvers.bisect_monotone` found `f` still
+    above its target at the bracket's right end `hi`.  The bracket is the
+    caller's and is never widened."""
 
 
 class DivergenceError(OrliczRiskError, RuntimeError):

@@ -1,9 +1,15 @@
 """The invariant suite behind the `verify` command.
 
-Each check appends its per-atom rows to one table of `report.CSV_COLUMNS`
-columns; the suite passes iff every row passes.  Random
-probes are seeded, so a given scenario, seed, and tolerance set always
-produces the same rows.
+Each check is a generator over one algebra that yields its rows as
+(check, atom, position, quantity, value, allowed); it computes values and
+bounds, never flags.  `verify_scenario` runs the checks of `_CHECKS` in
+their fixed order and alone sets each row's `passed` flag, by one rule: a
+row passes when its value is at most its `allowed`, or, where `allowed` is
+inf (the `*_definite` rows), when its value is positive.  The suite passes
+iff every row passes, and the rows go into one table of
+`report.CSV_COLUMNS` columns.  Random probes are seeded, and every check of
+an algebra draws from one generator in that fixed order, so a given
+scenario, seed, and tolerance set always produces the same rows.
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ from .risk import (
     robust_representation,
     scalarize,
 )
-from .report import add_rows, atom_rows, new_table
+from .report import add_rows, new_table
 from .scenario import Scenario
 
 __all__ = ["verify_scenario", "TOL_GAP", "TOL_NORM"]
@@ -37,11 +43,6 @@ TOL_GAP = 1e-6
 TOL_NORM = 1e-8
 
 
-def _row(table, check, algebra, atom, position, quantity, value, allowed, passed):
-    add_rows(table, [check], [algebra], [atom], [position], [quantity], [float(value)],
-             [float(allowed)], [bool(passed)])
-
-
 def _feasible_density(rng, space, alg: SubAlgebra) -> RandomVar:
     """A random dual-feasible y: componentwise negative with conditional mean
     -1 on every atom, bounded away from 0 for well-conditioned penalties."""
@@ -50,7 +51,15 @@ def _feasible_density(rng, space, alg: SubAlgebra) -> RandomVar:
     return RandomVar(-q / mean[alg.atom_of], space)
 
 
-def _norm_rows(sc: Scenario, alg_name: str, alg, rng, tol_norm, table):
+def _atom_rows(check: str, position: str, *quantities):
+    """The rows of per-atom quantities, atom by atom and, within an atom, in
+    the order given; each quantity is (name, one value per atom, allowed)."""
+    for k, values in enumerate(zip(*(values for _, values, _ in quantities))):
+        for (name, _, allowed), value in zip(quantities, values):
+            yield check, k, position, name, value, allowed
+
+
+def _norm_checks(sc: Scenario, alg, rng, seed, tol_gap, tol_norm):
     """The norm axiom, Luxemburg/Amemiya equivalence and Hoelder rows, from
     one Luxemburg solve, one Amemiya solve and one `pairing_operator_norm`
     call on the stack of every probe."""
@@ -71,58 +80,49 @@ def _norm_rows(sc: Scenario, alg_name: str, alg, rng, tol_norm, table):
     for trial in range(3):
         for method, values in norms.items():
             nx, nz, nlx, nxz = values[trial:12:3]
-            hom_dev = np.abs(nlx - lam[trial] * nx) / np.maximum(1.0, lam[trial] * nx)
-            tri = nxz - (nx + nz)
-            atom_rows(
-                table, "norm_axioms", alg_name, f"probe{trial}",
-                (f"{method}_homogeneity_rel_dev", hom_dev.tolist(), 1e-9,
-                 (hom_dev <= 1e-9).tolist()),
-                (f"{method}_triangle_excess", tri.tolist(), 1e-9, (tri <= 1e-9).tolist()),
-                (f"{method}_definite", nx.tolist(), math.inf, (nx > 0.0).tolist()),
-            )
+            yield from _atom_rows(
+                "norm_axioms", f"probe{trial}",
+                (f"{method}_homogeneity_rel_dev",
+                 np.abs(nlx - lam[trial] * nx) / np.maximum(1.0, lam[trial] * nx), PROBE_TOL),
+                (f"{method}_triangle_excess", nxz - (nx + nz), PROBE_TOL),
+                (f"{method}_definite", nx, math.inf))
     for method, values in norms.items():
-        atom_rows(table, "norm_axioms", alg_name, "zero",
-                  (f"{method}_zero", values[12].tolist(), 0.0, (values[12] == 0.0).tolist()))
+        yield from _atom_rows("norm_axioms", "zero", (f"{method}_zero", values[12], 0.0))
 
     is_power2 = sc.young.family_tag == "power" and sc.young.params.get("p") == 2.0
     for name, lux_x, ame_x in zip(names, lux[13:], ame[13:]):
         for k in range(alg.n_atoms):
-            for quantity, value in (("luxemburg_minus_amemiya", lux_x[k] - ame_x[k]),
-                                    ("amemiya_minus_twice_luxemburg", ame_x[k] - 2.0 * lux_x[k])):
-                _row(table, "equivalence", alg_name, k, name, quantity, value, tol_norm,
-                     value <= tol_norm)
+            yield "equivalence", k, name, "luxemburg_minus_amemiya", lux_x[k] - ame_x[k], tol_norm
+            yield ("equivalence", k, name, "amemiya_minus_twice_luxemburg",
+                   ame_x[k] - 2.0 * lux_x[k], tol_norm)
             if is_power2 and lux_x[k] > 0.0:
-                dev = abs(ame_x[k] / lux_x[k] - 2.0)
-                _row(table, "equivalence", alg_name, k, name, "power2_ratio_dev",
-                     dev, 1e-6, dev <= 1e-6)
+                yield ("equivalence", k, name, "power2_ratio_dev",
+                       abs(ame_x[k] / lux_x[k] - 2.0), 1e-6)
 
     lhs = np.abs(pairing(hx, hy, alg).values[:, alg.first])
     excess = lhs - pairing_operator_norm(hy, alg, sc.young).atom_values * lux[-4:]
     for trial, row in enumerate(excess):
-        atom_rows(table, "hoelder", alg_name, f"probe{trial}",
-                  ("pairing_excess", row.tolist(), tol_norm, (row <= tol_norm).tolist()))
+        yield from _atom_rows("hoelder", f"probe{trial}", ("pairing_excess", row, tol_norm))
 
 
-def _scalarization_rows(sc: Scenario, alg_name: str, alg, rng, tol_gap, table):
+def _scalarization_checks(sc: Scenario, alg, rng, seed, tol_gap, tol_norm):
     s = scalarize(sc.risk, sc.space, alg)
     for trial in range(3):
         y = _feasible_density(rng, sc.space, alg)
         via_sup = s.conjugate_numeric(y)
         via_exp = s.conjugate_expected(y)
         dev = 0.0 if math.isinf(via_sup) and math.isinf(via_exp) else abs(via_sup - via_exp)
-        _row(table, "scalarization", alg_name, -1, f"probe{trial}", "conjugate_route_dev",
-             dev, tol_gap, dev <= tol_gap)
+        yield "scalarization", -1, f"probe{trial}", "conjugate_route_dev", dev, tol_gap
 
 
-def _probe_rows(sc: Scenario, alg_name: str, alg, seed, table):
+def _probe_checks(sc: Scenario, alg, rng, seed, tol_gap, tol_norm):
     for check, rep in (("locality", locality_check(sc.risk, sc.space, alg, trials=3, seed=seed)),
                        ("extension", extension_check(sc.risk, sc.space, alg, alg, trials=3,
                                                      seed=seed))):
-        _row(table, check, alg_name, -1, "", "max_deviation", rep.max_deviation, PROBE_TOL,
-             rep.passed)
+        yield check, -1, "", "max_deviation", rep.max_deviation, PROBE_TOL
 
 
-def _penalty_bound_rows(sc: Scenario, alg_name: str, alg, rng, table):
+def _penalty_bound_checks(sc: Scenario, alg, rng, seed, tol_gap, tol_norm):
     probes = []
     for name, x in list(sc.positions.items())[:2]:
         beta = 1e-3 + float(np.max(-sc.risk.evaluate(x, alg).values))
@@ -132,27 +132,31 @@ def _penalty_bound_rows(sc: Scenario, alg_name: str, alg, rng, table):
         y = _feasible_density(rng, sc.space, alg)
         probes.append((f"probe{trial}", x, y, float(rng.uniform(0.0, 2.0))))
     for name, x, y, beta in probes:
-        for atom_row in penalty_bound_check(sc.risk, x, y, beta, alg).atoms:
-            _row(table, "penalty_bound", alg_name, atom_row.atom, name,
-                 "penalty_minus_bound" if atom_row.hypothesis_holds else "hypothesis_skipped",
-                 atom_row.penalty - atom_row.bound if atom_row.hypothesis_holds else 0.0,
-                 PENALTY_BOUND_TOL, atom_row.ok)
+        for row in penalty_bound_check(sc.risk, x, y, beta, alg).atoms:
+            yield ("penalty_bound", row.atom, name,
+                   "penalty_minus_bound" if row.hypothesis_holds else "hypothesis_skipped",
+                   row.penalty - row.bound if row.hypothesis_holds else 0.0, PENALTY_BOUND_TOL)
 
 
-def _lebesgue_rows(sc: Scenario, alg_name: str, alg, seed, tol_gap, table):
-    rep = lebesgue_check(sc.risk, sc.space, alg, trials=4, seed=seed, tol=tol_gap)
-    _row(table, "lebesgue", alg_name, -1, "", "tail_deviation_n10000",
-         rep.max_tail_deviation, tol_gap, rep.passed)
+def _lebesgue_checks(sc: Scenario, alg, rng, seed, tol_gap, tol_norm):
+    rep = lebesgue_check(sc.risk, sc.space, alg, trials=4, seed=seed)
+    yield "lebesgue", -1, "", "tail_deviation_n10000", rep.max_tail_deviation, tol_gap
 
 
-def _attainment_rows(sc: Scenario, alg_name: str, alg, rng, tol_gap, table):
+def _attainment_checks(sc: Scenario, alg, rng, seed, tol_gap, tol_norm):
     probes = list(sc.positions.items())
     for trial in range(2):
         probes.append((f"probe{trial}", RandomVar(rng.normal(size=sc.space.n_outcomes), sc.space)))
     for name, x in probes:
-        rep = attainment_check(sc.risk, x, alg, tol=tol_gap)
-        _row(table, "attainment", alg_name, -1, name, "max_equality_gap",
-             rep.max_equality_gap, tol_gap, rep.passed)
+        yield ("attainment", -1, name, "max_equality_gap",
+               attainment_check(sc.risk, x, alg).max_equality_gap, tol_gap)
+
+
+# The checks, in row order.  Every check of an algebra draws its probes from
+# one generator, in this order, so the order fixes the draws as well as the
+# rows: a check inserted before another shifts that check's draws.
+_CHECKS = (_norm_checks, _scalarization_checks, _probe_checks, _penalty_bound_checks,
+           _lebesgue_checks, _attainment_checks)
 
 
 def verify_scenario(sc: Scenario, seed: int = 0, tol_gap: float = TOL_GAP,
@@ -164,10 +168,11 @@ def verify_scenario(sc: Scenario, seed: int = 0, tol_gap: float = TOL_GAP,
     table = new_table()
     for alg_name, alg in sc.algebras.items():
         rng = _rng(seed)
-        _norm_rows(sc, alg_name, alg, rng, tol_norm, table)
-        _scalarization_rows(sc, alg_name, alg, rng, tol_gap, table)
-        _probe_rows(sc, alg_name, alg, seed, table)
-        _penalty_bound_rows(sc, alg_name, alg, rng, table)
-        _lebesgue_rows(sc, alg_name, alg, seed, tol_gap, table)
-        _attainment_rows(sc, alg_name, alg, rng, tol_gap, table)
+        rows = [row for check in _CHECKS for row in check(sc, alg, rng, seed, tol_gap, tol_norm)]
+        checks, atoms, positions, quantities, values, allowed = map(list, zip(*rows))
+        values, allowed = list(map(float, values)), list(map(float, allowed))
+        # the pass rule of every row
+        passed = [v > 0.0 if a == math.inf else v <= a for v, a in zip(values, allowed)]
+        add_rows(table, checks, [alg_name] * len(rows), atoms, positions, quantities, values,
+                 allowed, passed)
     return table, all(table["passed"])

@@ -566,6 +566,28 @@ class TestWorkBudget:
         assert all(rep.iterations <= 17 for rep in solves)
 
 
+# The bits of every atom value, so that a change of the solves' brackets or
+# cut points shows here.  `exp` is left out: its last bits follow numpy's
+# SIMD `exp`, which depends on the CPU.
+NORM_BITS = {
+    ("power", "luxemburg_norm"): ["0x1.cb3b9ebb66000p+0", "0x1.7bb598c88e400p-1"],
+    ("power", "amemiya_norm"): ["0x1.cb3b9ebb647edp+1", "0x1.7bb598c88b4adp+0"],
+    ("power", "pairing_operator_norm"): ["0x1.cb3b9ebb647edp+0", "0x1.7bb598c88b4adp-1"],
+    ("piecewise", "luxemburg_norm"): ["0x1.400000000a000p+0", "0x1.1555555556c00p-1"],
+    ("piecewise", "amemiya_norm"): ["0x1.333333333e467p+1", "0x1.0888888891c33p+0"],
+    ("piecewise", "pairing_operator_norm"): ["0x1.4b851eb851eb9p+1", "0x1.0cccccccccccdp+0"],
+}
+
+
+@pytest.mark.parametrize("family, norm", NORM_BITS, ids=map("-".join, NORM_BITS))
+def test_norm_values_keep_their_bits(family, norm):
+    phi = {"power": make_power(2), "piecewise": make_piecewise([0.5, 1.5], [0.0, 1.0, 2.5])}[family]
+    space = FiniteProbSpace(np.array([0.1, 0.2, 0.3, 0.4]))
+    alg = SubAlgebra.from_atoms([(0, 3), (1, 2)], 4)
+    values = globals()[norm](space.var([0.3, -1.0, 0.5, 2.0]), alg, phi).atom_values
+    assert [v.hex() for v in values.tolist()] == NORM_BITS[family, norm]
+
+
 def test_amemiya_names_a_missing_derivative_field(coin):
     phi = YoungFn(lambda t: t * t, math.inf, lambda s: s * s / 4.0, "custom")
     with pytest.raises(ParameterError, match="deriv"):

@@ -583,9 +583,11 @@ class TestDualEdgeCases:
             e = np.exp(-x.values[idx])
             np.testing.assert_allclose(-cert.y.values[idx], e / e.mean(), atol=1e-4)
 
-    def test_custom_worst_case_tied_minima(self):
+    # the large scales take the envelope's backward step relative to max|x|
+    @pytest.mark.parametrize("scale", [1.0, 1e6, 1e9])
+    def test_custom_worst_case_tied_minima(self, scale):
         space = FiniteProbSpace.uniform(8)
-        x = space.var([1.0, -2.0, 3.0, -2.0, 0.0, 5.0, -2.0, 1.0])
+        x = space.var(scale * np.array([1.0, -2.0, 3.0, -2.0, 0.0, 5.0, -2.0, 1.0]))
         cert = assert_exact_certificate(custom(worst_case().evaluate), x, SubAlgebra.trivial(8))
         assert np.all(cert.y.values[x.values > -2.0] == 0.0)
 
@@ -630,6 +632,11 @@ class TestLebesgue:
             self, quarter_space, pairs, amplitude, match):
         with pytest.raises(ParameterError, match=match):
             lebesgue_check(entropic(1.0), quarter_space, pairs, amplitude=amplitude)
+
+    def test_amplitude_whose_width_is_finite_is_accepted(self, quarter_space, pairs):
+        # 2 * 6e307 is finite; a width bound of 4 * amplitude would refuse it
+        rep = lebesgue_check(linear(), quarter_space, pairs, trials=1, amplitude=6e307)
+        assert rep.max_tail_deviation < 6e307 / 10_000
 
     def test_worst_case_exact_cash_shift(self, quarter_space, pairs):
         rho = worst_case()
@@ -924,6 +931,16 @@ class TestPenaltyBound:
         for row in rep.atoms:
             assert row.hypothesis_holds
             assert row.penalty == pytest.approx(0.0, abs=1e-12)
+
+    def test_cash_shifted_measure_reads_as_its_normalization(self, quarter_space, pairs):
+        # rho + 1 has rho(0) = 1; normalized to rho(0) = 0 it is rho again
+        rho = worst_case()
+        shifted = custom(lambda x, alg: rho.evaluate(x, alg) + 1.0)
+        x = quarter_space.var([0.3, -1.0, 0.5, 2.0])
+        y = quarter_space.var([-0.5, -1.5, -1.25, -0.75])
+        rep = penalty_bound_check(shifted, x, y, 2.0, pairs)
+        assert rep == penalty_bound_check(rho, x, y, 2.0, pairs)
+        assert [(r.hypothesis_holds, r.penalty) for r in rep.atoms] == [(True, 0.0)] * 2
 
     def test_random_sweep(self, quarter_space, pairs):
         rng = np.random.default_rng(41)

@@ -45,6 +45,14 @@ def compare_outputs():
     return module
 
 
+@pytest.fixture(scope="module")
+def mutants():
+    spec = importlib.util.spec_from_file_location("mutants", ROOT / "tools" / "mutants.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def _write(path: Path, text: str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(text)
@@ -255,3 +263,53 @@ class TestLayerSweep:
                 layer_sweep.main(argv)
             assert exc.value.code == 2
         assert "usage: python tools/layer_sweep.py" in capsys.readouterr().err
+
+
+TOY = """def double(x, by=3):
+    if x > 10 ** 6:
+        raise ValueError(f"{x + 1} is too large")
+    return x * 2
+"""
+TOY_TEST = """import pytest
+from toy import double
+
+
+def test_double():
+    assert double(3) == 6
+    assert double(10 ** 6) == 2 * 10 ** 6
+    with pytest.raises(ValueError):
+        double(10 ** 6 + 1)
+"""
+
+
+class TestMutants:
+    def test_sites_and_filters_of_a_toy_module(self, mutants):
+        sites = [(s["old"], s["new"], s["filter"]) for s in mutants.find_sites(TOY)]
+        # the f-string's `x + 1` is message text and no site
+        assert sites == [("3", "4", "default"), (">", ">=", None), ("10", "11", None),
+                         ("6", "7", None), ("*", "/", None), ("2", "3", None)]
+        assert mutants.mutate(TOY, mutants.find_sites(TOY)[1]).splitlines()[1] == \
+            "    if x >= 10 ** 6:"
+
+    def test_one_mutant_of_a_tmp_copy(self, mutants, tmp_path, capsys):
+        tree = tmp_path / "tree"
+        _write(tree / "src" / "toy.py", TOY)
+        _write(tree / "tests" / "test_toy.py", TOY_TEST)
+        assert mutants.main(["src/toy.py:1", "--label", "toy", "--root", str(tree),
+                             "--out-dir", str(tmp_path), "--timeout", "60"]) == 0
+        result = json.loads((tmp_path / "MUTANTS_toy.json").read_text())
+        assert result["control"]["outcome"] == "passed"
+        assert result["modules"] == {"src/toy.py": {"sites": 6, "filtered": 1, "run": 1}}
+        filtered, run = result["mutants"]
+        assert (filtered["old"], filtered["outcome"]) == ("3", "filtered")
+        assert run["outcome"] == "killed"
+        assert run["failed_test"] == "tests/test_toy.py::test_double"
+        # the copy was restored and removed; the tree itself is untouched
+        assert (tree / "src" / "toy.py").read_text() == TOY
+        assert "src/toy.py: 1 killed, 0 timeout, 0 survived, 1 filtered" in capsys.readouterr().out
+
+    def test_module_count_must_be_positive(self, mutants, capsys):
+        with pytest.raises(SystemExit) as exc:
+            mutants.main(["src/orlicz_risk/errors.py:0", "--label", "x"])
+        assert exc.value.code == 2
+        assert "expected MODULE or MODULE:N with N >= 1" in capsys.readouterr().err
