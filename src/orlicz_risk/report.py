@@ -20,7 +20,6 @@ cells; any other column raises TypeError naming it and its cell types.
 
 from __future__ import annotations
 
-from itertools import chain
 from json.encoder import encode_basestring_ascii as _escape
 from pathlib import Path
 from typing import Mapping
@@ -28,7 +27,7 @@ from typing import Mapping
 from .errors import ContractError
 
 __all__ = ["canonical_dumps", "write_report_json", "write_atoms_csv", "new_table",
-           "add_rows", "atom_rows", "CSV_COLUMNS"]
+           "add_rows", "atom_rows", "quantity_rows", "CSV_COLUMNS"]
 
 CSV_COLUMNS = ("check", "algebra", "atom", "position", "quantity", "value", "allowed", "passed")
 _FLOAT, _STR, _DICT = {float}, {str}, {dict}
@@ -176,16 +175,26 @@ def add_rows(table: dict, *columns) -> None:
         table[col] += cells
 
 
+def quantity_rows(*quantities):
+    """The rows of per-atom quantities, in the layout of every per-atom table:
+    atom by atom and, within an atom, one row per quantity in the order
+    given.  Each quantity is (name, values, allowed), with one value per
+    atom; each row is (atom, name, value, allowed)."""
+    for k in range(len(quantities[0][1])):
+        for name, values, allowed in quantities:
+            yield k, name, values[k], allowed
+
+
 def atom_rows(table: dict, check: str, algebra: str, position: str, *quantities) -> None:
-    """Append the rows of one check: atom by atom and, within an atom, one row
-    per quantity in the order given.  Each quantity is (name, values,
-    allowed, passed), with one value and one flag per atom."""
-    names, values, allowed, passed = zip(*quantities)
-    n_atoms, n_rows = len(values[0]), len(values[0]) * len(names)
-    add_rows(table, [check] * n_rows, [algebra] * n_rows,
-             [k for k in range(n_atoms) for _ in names], [position] * n_rows,
-             list(names) * n_atoms, list(chain.from_iterable(zip(*values))),
-             list(allowed) * n_atoms, list(chain.from_iterable(zip(*passed))))
+    """Append the rows of one check, in the layout of `quantity_rows`.  Each
+    quantity is (name, values, allowed, passed), with one value and one flag
+    per atom."""
+    rows = list(quantity_rows(*((name, list(zip(values, passed)), allowed)
+                                for name, values, allowed, passed in quantities)))
+    n_rows = len(rows)
+    add_rows(table, [check] * n_rows, [algebra] * n_rows, [k for k, *_ in rows],
+             [position] * n_rows, [name for _, name, *_ in rows], [v for *_, (v, _), _ in rows],
+             [a for *_, a in rows], [p for *_, (_, p), _ in rows])
 
 
 def write_atoms_csv(path: str | Path, table: Mapping) -> None:

@@ -32,7 +32,7 @@ from .risk import (
     robust_representation,
     scalarize,
 )
-from .report import add_rows, new_table
+from .report import add_rows, new_table, quantity_rows
 from .scenario import Scenario
 
 __all__ = ["verify_scenario", "TOL_GAP", "TOL_NORM"]
@@ -49,14 +49,6 @@ def _feasible_density(rng, space, alg: SubAlgebra) -> RandomVar:
     q = rng.uniform(0.2, 2.0, size=space.n_outcomes)
     mean = alg.atom_sum(_atom_weights(space, alg) * q)
     return RandomVar(-q / mean[alg.atom_of], space)
-
-
-def _atom_rows(check: str, position: str, *quantities):
-    """The rows of per-atom quantities, atom by atom and, within an atom, in
-    the order given; each quantity is (name, one value per atom, allowed)."""
-    for k, values in enumerate(zip(*(values for _, values, _ in quantities))):
-        for (name, _, allowed), value in zip(quantities, values):
-            yield check, k, position, name, value, allowed
 
 
 def _norm_checks(sc: Scenario, alg, rng, seed, tol_gap, tol_norm):
@@ -80,14 +72,15 @@ def _norm_checks(sc: Scenario, alg, rng, seed, tol_gap, tol_norm):
     for trial in range(3):
         for method, values in norms.items():
             nx, nz, nlx, nxz = values[trial:12:3]
-            yield from _atom_rows(
-                "norm_axioms", f"probe{trial}",
-                (f"{method}_homogeneity_rel_dev",
-                 np.abs(nlx - lam[trial] * nx) / np.maximum(1.0, lam[trial] * nx), PROBE_TOL),
-                (f"{method}_triangle_excess", nxz - (nx + nz), PROBE_TOL),
-                (f"{method}_definite", nx, math.inf))
+            for k, name, value, allowed in quantity_rows(
+                    (f"{method}_homogeneity_rel_dev",
+                     np.abs(nlx - lam[trial] * nx) / np.maximum(1.0, lam[trial] * nx), PROBE_TOL),
+                    (f"{method}_triangle_excess", nxz - (nx + nz), PROBE_TOL),
+                    (f"{method}_definite", nx, math.inf)):
+                yield "norm_axioms", k, f"probe{trial}", name, value, allowed
     for method, values in norms.items():
-        yield from _atom_rows("norm_axioms", "zero", (f"{method}_zero", values[12], 0.0))
+        for k, value in enumerate(values[12]):
+            yield "norm_axioms", k, "zero", f"{method}_zero", value, 0.0
 
     is_power2 = sc.young.family_tag == "power" and sc.young.params.get("p") == 2.0
     for name, lux_x, ame_x in zip(names, lux[13:], ame[13:]):
@@ -102,7 +95,8 @@ def _norm_checks(sc: Scenario, alg, rng, seed, tol_gap, tol_norm):
     lhs = np.abs(pairing(hx, hy, alg).values[:, alg.first])
     excess = lhs - pairing_operator_norm(hy, alg, sc.young).atom_values * lux[-4:]
     for trial, row in enumerate(excess):
-        yield from _atom_rows("hoelder", f"probe{trial}", ("pairing_excess", row, tol_norm))
+        for k, value in enumerate(row):
+            yield "hoelder", k, f"probe{trial}", "pairing_excess", value, tol_norm
 
 
 def _scalarization_checks(sc: Scenario, alg, rng, seed, tol_gap, tol_norm):

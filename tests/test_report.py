@@ -14,7 +14,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from orlicz_risk import ContractError
 from orlicz_risk.report import (CSV_COLUMNS, add_rows, atom_rows, canonical_dumps, new_table,
-                                write_atoms_csv, write_report_json)
+                                quantity_rows, write_atoms_csv, write_report_json)
 
 
 # --- oracle: the writers before the bulk encoders, unchanged apart from ------
@@ -179,6 +179,12 @@ def test_write_atoms_csv_refuses_columns_of_unequal_length(tmp_path):
     with pytest.raises(ContractError, match="differ in length"):
         write_atoms_csv(tmp_path / "r.csv", table)
     assert list(tmp_path.iterdir()) == []
+
+
+def test_quantity_rows_is_the_atom_layout_without_flags():
+    assert list(quantity_rows(("gap", [0.0, 1.0], 1e-6), ("penalty", [2.0, 3.0], ""))) == [
+        (0, "gap", 0.0, 1e-6), (0, "penalty", 2.0, ""), (1, "gap", 1.0, 1e-6),
+        (1, "penalty", 3.0, "")]
 
 
 def test_atom_rows_appends_atom_by_atom_then_quantity_by_quantity():

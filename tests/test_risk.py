@@ -230,6 +230,14 @@ class TestLinear:
         assert check_axioms(linear(), quarter_space, pairs).passed
 
 
+class TestDualFeasibleAtoms:
+    def test_each_atom_reads_its_mean_to_1e_10(self, quarter_space, pairs):
+        # the mean of y on {0, 1} is -1 - 1.5e-10, outside the tolerance;
+        # on {2, 3} it is -1 exactly
+        y = quarter_space.var([-1.0 - 3e-10, -1.0, -0.5, -1.5])
+        assert dual_feasible_atoms(y, pairs) == [False, True]
+
+
 class TestRiskFromSpec:
     def test_families(self):
         assert risk_from_spec({"measure": "entropic", "params": {"gamma": 2.0}}).tag == "entropic"

@@ -267,7 +267,7 @@ class TestLayerSweep:
 
 TOY = """def double(x, by=3):
     if x > 10 ** 6:
-        raise ValueError(f"{x + 1} is too large")
+        raise ValueError(f"{x + 1} is too large", 7)
     return x * 2
 """
 TOY_TEST = """import pytest
@@ -285,9 +285,10 @@ def test_double():
 class TestMutants:
     def test_sites_and_filters_of_a_toy_module(self, mutants):
         sites = [(s["old"], s["new"], s["filter"]) for s in mutants.find_sites(TOY)]
-        # the f-string's `x + 1` is message text and no site
-        assert sites == [("3", "4", "default"), (">", ">=", None), ("10", "11", None),
-                         ("6", "7", None), ("*", "/", None), ("2", "3", None)]
+        # the f-string's `x + 1` is message text and no site; a default is a site
+        assert sites == [("3", "4", None), (">", ">=", None), ("10", "11", None),
+                         ("6", "7", None), ("7", "8", "message"), ("*", "/", None),
+                         ("2", "3", None)]
         assert mutants.mutate(TOY, mutants.find_sites(TOY)[1]).splitlines()[1] == \
             "    if x >= 10 ** 6:"
 
@@ -299,9 +300,11 @@ class TestMutants:
                              "--out-dir", str(tmp_path), "--timeout", "60"]) == 0
         result = json.loads((tmp_path / "MUTANTS_toy.json").read_text())
         assert result["control"]["outcome"] == "passed"
-        assert result["modules"] == {"src/toy.py": {"sites": 6, "filtered": 1, "run": 1}}
+        assert result["modules"] == {"src/toy.py": {"sites": 7, "filtered": 1, "run": 1}}
         filtered, run = result["mutants"]
-        assert (filtered["old"], filtered["outcome"]) == ("3", "filtered")
+        assert (filtered["old"], filtered["outcome"]) == ("7", "filtered")
+        # the sample is drawn by the path alone
+        assert (run["line"], run["old"]) == (4, "2")
         assert run["outcome"] == "killed"
         assert run["failed_test"] == "tests/test_toy.py::test_double"
         # the copy was restored and removed; the tree itself is untouched

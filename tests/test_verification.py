@@ -9,7 +9,9 @@ from pathlib import Path
 import numpy as np
 
 from orlicz_risk import Scenario, verification
+from orlicz_risk.prob_space import RandomVar
 from orlicz_risk.report import write_atoms_csv
+from orlicz_risk.risk import custom, extension_check, locality_check
 from orlicz_risk.verification import verify_scenario
 
 HERE = Path(__file__).resolve().parent
@@ -88,3 +90,22 @@ def test_a_zero_norm_fails_every_definite_row(monkeypatch):
                 if quantity == "luxemburg_definite"]
     assert not passed
     assert definite == [(0.0, False)] * 9
+
+
+def test_probe_rows_take_three_probes_at_the_verify_seed():
+    # Under a local measure the locality and extension rows read 0 whatever
+    # the probe count.  Minus the unconditional mean is not local on F1, so
+    # its deviations depend on the probes drawn.  A deviation is a maximum
+    # over probes, so a fourth probe moves it only where it is the largest:
+    # at seed 0 for locality and at seed 1 for extension.
+    sc = Scenario.from_dict(GOLDEN4)
+    sc = sc._replace(risk=custom(lambda x, alg: RandomVar(
+        np.full(x.values.shape, -float(x.space.probs @ x.values)), x.space)))
+    alg = sc.algebras["F1"]
+    for seed in (0, 1):
+        rows = list(verification._probe_checks(sc, alg, None, seed, 0.0, 0.0))
+        assert [(check, value) for check, _, _, _, value, _ in rows] == [
+            ("locality", locality_check(sc.risk, sc.space, alg, trials=3, seed=seed).max_deviation),
+            ("extension",
+             extension_check(sc.risk, sc.space, alg, alg, trials=3, seed=seed).max_deviation)]
+        assert all(value > 0.1 for *_, value, _ in rows)

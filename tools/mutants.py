@@ -1,7 +1,7 @@
 """Mutation testing: plant one small fault at a time and see whether the tests
 catch it.
 
-    python tools/mutants.py --label NAME MODULE[:N] ... [--seed 0] [--timeout 300]
+    python tools/mutants.py --label NAME MODULE[:N] ... [--timeout 300]
                             [--root DIR] [--out-dir DIR] [-- PYTEST_ARGS ...]
 
 MODULE is the path of a Python file relative to the root (default: this
@@ -15,18 +15,16 @@ found with `ast`, in source order:
   doubling leaves unchanged, 0.0 or inf, is not a site).
 
 `MODULE:N` runs a sample of N of the module's unfiltered sites, drawn by
-`random.Random` seeded with `--seed` and the path, so a sample depends on
-nothing else; a bare MODULE runs all of them.  Sites that a filter rule
-takes are listed with the rule and not run.  The rules, for mutants that
-are near-equivalent by construction:
+`random.Random` seeded with the path alone, so a module's sample depends
+on nothing else; a bare MODULE runs all of them.  Sites that a filter rule
+takes are listed with the rule and not run.  There is one rule, for
+mutants that are near-equivalent by construction:
 
-- `default`: the site is in a default argument value (a trial count, a
-  seed, a tolerance), a choice the tests pass explicitly where it matters;
-- `probes`: the site is in a `trials=` or `seed=` argument of a call,
-  which sets how many random probes a check draws, or which, not what it
-  asserts;
 - `message`: the site is in the arguments of a `raise` statement, so it
   changes the text of a message, not a result.
+
+Default argument values and the trial counts and seeds of random probes
+are sites like any other: they change the rows a check prints.
 
 An expression inside an f-string is message text as well; it is not a site,
 since before Python 3.12 an f-string is a single token.
@@ -90,11 +88,7 @@ def _filter_rules(tree: ast.AST) -> dict[int, str]:
     """The filter rule of every node it takes, by `id` of the node."""
     rules = {}
     for node in ast.walk(tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-            roots, rule = [d for d in node.args.defaults + node.args.kw_defaults if d], "default"
-        elif isinstance(node, ast.keyword) and node.arg in ("trials", "seed"):
-            roots, rule = [node.value], "probes"
-        elif isinstance(node, ast.Raise):
+        if isinstance(node, ast.Raise):
             roots, rule = [n for n in (node.exc, node.cause) if n], "message"
         elif isinstance(node, ast.JoinedStr):
             roots, rule = node.values, "f-string"
@@ -211,7 +205,6 @@ def main(argv: list[str] | None = None) -> int:
                                      description="Run the tests on one mutant at a time.")
     parser.add_argument("modules", nargs="+", type=_module_arg, metavar="MODULE[:N]")
     parser.add_argument("--label", required=True, help="the file written is MUTANTS_<label>.json")
-    parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--timeout", type=float, default=300.0)
     parser.add_argument("--root", type=Path, default=ROOT)
     parser.add_argument("--out-dir", type=Path)
@@ -224,7 +217,7 @@ def main(argv: list[str] | None = None) -> int:
         source = (root / path).read_text(encoding="utf-8")
         sites = find_sites(source)
         open_sites = [s for s in sites if s["filter"] is None]
-        chosen = open_sites if count is None else random.Random(f"{args.seed} {path}").sample(
+        chosen = open_sites if count is None else random.Random(path).sample(
             open_sites, min(count, len(open_sites)))
         modules[path] = {"sites": len(sites), "filtered": len(sites) - len(open_sites),
                          "run": len(chosen)}
@@ -233,7 +226,7 @@ def main(argv: list[str] | None = None) -> int:
             if site["filter"] is not None or id(site) in chosen_ids:
                 text = source.splitlines()[site["line"] - 1].strip()
                 plan.append((path, source, {"path": path, **site, "text": text}))
-    result = {"label": args.label, "seed": args.seed, "timeout_s": args.timeout,
+    result = {"label": args.label, "timeout_s": args.timeout,
               "pytest_args": pytest_args, "modules": modules, "mutants": []}
     with tempfile.TemporaryDirectory(prefix="mutants-") as tmp:
         copy = Path(tmp) / "tree"
